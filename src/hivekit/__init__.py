@@ -9,7 +9,7 @@ from .lattice import (Lattice, Submodule, adapted_basis, adapted_slice,
                       max_direct_sum_norm, min_direct_sum_norm,
                       pair_invariant, saturate)
 from .matops import (SmithDecomposition, ValuedMatrix, invariant_partition,
-                     matrix_norm, normal_form, quotient_free_invariants,
+                     matrix_norm, quotient_free_invariants,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
 from .oracle import (BruteResult, BudgetExceededError, EnumerationBudget,
                      brute_max_direct_sum, brute_min_direct_sum,
@@ -23,7 +23,7 @@ __all__ = [
     "INFINITY", "RingConfig", "RingElement", "valuation", "unit_part",
     "ValuedMatrix", "SmithDecomposition", "smith_decompose",
     "invariant_partition", "matrix_norm", "unimodular_check",
-    "reduce_to_top_rows", "quotient_free_invariants", "normal_form",
+    "reduce_to_top_rows", "quotient_free_invariants",
     "Lattice", "Submodule", "lattice_invariants", "pair_invariant",
     "adapted_basis", "adapted_slice", "saturate", "min_direct_sum_norm",
     "max_direct_sum_norm", "greedy_slice_first_min",

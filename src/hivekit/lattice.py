@@ -197,41 +197,36 @@ def min_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     on column selections of the generator matrices (see module docstring),
     so the search is exhaustive over those.
     """
-    value, _ = _selection_min(a_lat, c_lat, a, c, collect=False)
-    return value
-
-
-def _selection_min(a_lat, c_lat, a, c, collect):
     _check_rank_args(a_lat, c_lat, a, c)
-    n = a_lat.n
-    if a + c == 0:
-        return 0, [((), ())]
-    if c == 0 and not collect:
-        return sum(sorted(lattice_invariants(a_lat))[:a]), None
-    if a == 0 and not collect:
-        return sum(sorted(lattice_invariants(c_lat))[:c]), None
-    best = INFINITY
-    hits = []
-    a_sel = {ja: a_lat.gens.select_columns(ja)
-             for ja in combinations(range(n), a)} if a else {(): None}
-    for jc in combinations(range(n), c) if c else [()]:
-        c_cols = c_lat.gens.select_columns(jc) if c else None
-        for ja, a_cols in a_sel.items():
-            if a_cols is None:
-                concat = c_cols
-            elif c_cols is None:
-                concat = a_cols
-            else:
-                concat = a_cols.hstack(c_cols)
-            val = matrix_norm(concat)
-            if val < best:
-                best = val
-                hits = [(ja, jc)]
-            elif collect and val == best:
-                hits.append((ja, jc))
+    if c == 0:
+        return sum(sorted(lattice_invariants(a_lat))[:a])
+    if a == 0:
+        return sum(sorted(lattice_invariants(c_lat))[:c])
+    best, _ = _selection_min(a_lat.gens, c_lat.gens, a, c)
     if best == INFINITY:
         raise ValueError("no direct sum of the requested ranks exists")
-    return int(best), hits
+    return int(best)
+
+
+def _selection_min(x_gens, y_gens, kx, ky):
+    """Minimal matrix_norm of [X-cols_(Jx) | Y-cols_(Jy)] over column
+    selections with |Jx| = kx, |Jy| = ky >= 1, and every minimizing pair
+    (Jx, Jy) in scan order (Jx outer, Jy inner)."""
+    n = x_gens.rows
+    y_sel = [(jy, y_gens.select_columns(jy))
+             for jy in combinations(range(n), ky)]
+    best = INFINITY
+    hits = []
+    for jx in combinations(range(n), kx):
+        x_mat = x_gens.select_columns(jx) if kx else None
+        for jy, y_mat in y_sel:
+            val = matrix_norm(x_mat.hstack(y_mat) if kx else y_mat)
+            if val < best:
+                best = val
+                hits = [(jx, jy)]
+            elif val == best and val != INFINITY:
+                hits.append((jx, jy))
+    return best, hits
 
 
 def greedy_slice_first_min(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -327,7 +322,7 @@ def _max_candidates(a_lat, c_lat, u, c):
     n = a_lat.n
     c_inv = c_lat.gens.inverse()
     nd = a_lat.gens @ c_inv
-    _, hits = _dual_min_selections(a_lat.gens, nd, u, c)
+    _, hits = _selection_min(a_lat.gens, nd, u, c)
     seen = set()
     for _, jw in hits:
         if jw in seen:
@@ -337,26 +332,6 @@ def _max_candidates(a_lat, c_lat, u, c):
     for dec in (smith_decompose(c_lat.gens), smith_decompose(a_lat.gens)):
         for j_set in combinations(range(n), c):
             yield dec.q_inv.select_columns(j_set)
-
-
-def _dual_min_selections(a_gens, nd_gens, u, c):
-    """All minimizing column-selection pairs of the dual minimum
-    min norm[A-cols_(Ju) | Nd-cols_(Jw)]."""
-    n = a_gens.rows
-    best = INFINITY
-    hits = []
-    for ju in combinations(range(n), u) if u else [()]:
-        u_mat = a_gens.select_columns(ju) if u else None
-        for jw in combinations(range(n), c):
-            w_mat = nd_gens.select_columns(jw)
-            concat = u_mat.hstack(w_mat) if u_mat is not None else w_mat
-            val = matrix_norm(concat)
-            if val < best:
-                best = val
-                hits = [(ju, jw)]
-            elif val == best and val != INFINITY:
-                hits.append((ju, jw))
-    return best, hits
 
 
 def _saturated_sweep_candidates(cfg, n, r, m_bound):

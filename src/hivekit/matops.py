@@ -4,13 +4,23 @@ Smith decomposition over a DVR, invariant partitions, matrix norms
 (sums of invariant orders), unimodularity tests, row reduction to block
 forms, and the bottom-block quotient invariants used by the lattice
 optimizers.  All operations are pure functions of immutable inputs.
+
+Two routes share one pivoting rule (an entry of minimal valuation):
+
+* norms -- ``invariant_partition``, ``matrix_norm`` and
+  ``unimodular_check`` -- run the valuation kernel ``_pivot_valuations``,
+  which carries only the Schur complement on raw values and builds no
+  transforms;
+* ``smith_decompose`` builds D together with P, Q and their inverses, for
+  the callers that need the transforms (``reduce_to_top_rows`` and,
+  through the lattice layer, adapted bases and saturation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import INFINITY, RingConfig, RingElement
+from .ring import INFINITY, RingConfig, RingElement, _int_pval
 
 
 class ValuedMatrix:
@@ -277,7 +287,9 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
 
     Pivoting picks the entry of minimal valuation (ties: lowest row, then
     lowest column), so every clearing multiplier lies in O and P, Q stay
-    unimodular.  The zero matrix yields an all-zero D.
+    unimodular.  The zero matrix yields an all-zero D.  This route builds
+    the transforms; callers that only need the diagonal valuations use
+    ``invariant_partition`` or ``matrix_norm``, which skip them.
     """
     work = _Eliminator(a)
     m, k = work.m, work.k
@@ -328,18 +340,62 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
     return SmithDecomposition(p, d, q, p_inv, q_inv)
 
 
+def _pivot_valuations(a: ValuedMatrix) -> list:
+    """Pivot valuations of minimal-valuation elimination, one per K-rank.
+
+    The pivoting of ``smith_decompose`` without its transforms: after each
+    pivot only the Schur complement is kept.  Every clearing multiplier
+    lies in O, so the pivot valuations are the Smith diagonal valuations
+    (in non-decreasing order).  Entries are raw values: Fractions with the
+    p-adic valuation, or the t-adic ring elements themselves.
+    """
+    if a.config.kind == RingConfig.PADIC:
+        p = a.config.p
+        rows = [[e.value for e in row] for row in a.entries]
+
+        def val(x):
+            return _int_pval(x.numerator, p) - _int_pval(x.denominator, p)
+    else:
+        rows = [list(row) for row in a.entries]
+
+        def val(x):
+            return x.valuation()
+    vals = []
+    while rows:
+        best, piv = INFINITY, None
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    v = val(x)
+                    if v < best:
+                        best, piv = v, (i, j)
+        if piv is None:
+            break
+        vals.append(best)
+        prow = rows.pop(piv[0])
+        pivot = prow.pop(piv[1])
+        for i, row in enumerate(rows):
+            e = row.pop(piv[1])
+            if e:
+                f = e / pivot
+                rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+    return vals
+
+
 def invariant_partition(a: ValuedMatrix) -> tuple:
-    """Non-increasing valuations of the Smith diagonal, truncated to K-rank."""
-    vals = smith_decompose(a).diagonal_valuations
-    return tuple(int(v) for v in vals if v != INFINITY)
+    """Non-increasing valuations of the Smith diagonal, truncated to K-rank.
+
+    Runs the valuation kernel; no transforms are built.
+    """
+    return tuple(sorted(_pivot_valuations(a), reverse=True))
 
 
 def matrix_norm(a: ValuedMatrix):
     """Sum of the invariant orders; INFINITY iff K-rank < column count."""
-    parts = invariant_partition(a)
-    if len(parts) < a.cols:
+    vals = _pivot_valuations(a)
+    if len(vals) < a.cols:
         return INFINITY
-    return sum(parts)
+    return sum(vals)
 
 
 def unimodular_check(p: ValuedMatrix) -> bool:
@@ -381,68 +437,3 @@ def quotient_free_invariants(t: ValuedMatrix, s: ValuedMatrix) -> tuple:
     p, _ = reduce_to_top_rows(s)
     bottom = (p @ t).bottom_rows(t.rows - s.cols)
     return invariant_partition(bottom)
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Block upper triangular realization of a direct sum of submodules."""
-
-    p: ValuedMatrix
-    block_transforms: tuple
-    matrix: ValuedMatrix
-    diagonal_valuations: tuple  # one tuple per block, non-increasing
-
-
-def normal_form(blocks) -> NormalForm:
-    """Realize pairwise-direct generator blocks in block upper triangular form.
-
-    Each diagonal block comes out diagonal with non-increasing valuations,
-    so the total norm is the sum of the diagonal block norms.  A non-direct
-    sum is rejected.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("normal_form needs at least one block")
-    cfg = blocks[0].config
-    n = blocks[0].rows
-    if any(b.rows != n or b.config != cfg for b in blocks):
-        raise ValueError("blocks must share ambient dimension and ring")
-    concat = blocks[0]
-    for b in blocks[1:]:
-        concat = concat.hstack(b)
-    if concat.rank() < concat.cols:
-        raise ValueError("sum not direct")
-
-    p_total = ValuedMatrix.identity(cfg, n)
-    out_blocks = []
-    transforms = []
-    diag_vals = []
-    offset = 0
-    for b in blocks:
-        moved = p_total @ b
-        if offset == 0:
-            sub = moved
-        else:
-            sub = moved.bottom_rows(n - offset)
-        dec = smith_decompose(sub)
-        # lift the row transform to the full space, acting below `offset`
-        lifted = _embed_rows(dec.p_inv, n, offset)
-        p_total = lifted @ p_total
-        new_block = (lifted @ moved) @ dec.q_inv
-        out_blocks.append(new_block)
-        transforms.append(dec.q_inv)
-        diag_vals.append(tuple(int(v) for v in dec.diagonal_valuations))
-        offset += b.cols
-    result = out_blocks[0]
-    for b in out_blocks[1:]:
-        result = result.hstack(b)
-    return NormalForm(p_total, tuple(transforms), result, tuple(diag_vals))
-
-
-def _embed_rows(small: ValuedMatrix, n: int, offset: int) -> ValuedMatrix:
-    cfg = small.config
-    out = [list(row) for row in ValuedMatrix.identity(cfg, n).entries]
-    for i in range(small.rows):
-        for j in range(small.cols):
-            out[offset + i][offset + j] = small[i, j]
-    return ValuedMatrix(cfg, out)

@@ -292,15 +292,16 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
     as touching the bound.  Returns (coords matrix, hot) pairs.
     """
     p = cfg.p
+    mod = p ** (m_bound + 1)
+    predicted = math.comb(n, r) * mod ** (r * (n - r))
+    # checked before the cache lookup, so a warm cache cannot lift the cap
+    if predicted > count_cap:
+        raise BudgetExceededError(
+            f"predicted {predicted} saturated candidates exceed cap {count_cap}")
     key = (n, p, r, m_bound)
     hit = _COORDS_CACHE.get(key)
     if hit is not None:
         return hit
-    mod = p ** (m_bound + 1)
-    predicted = math.comb(n, r) * mod ** (r * (n - r))
-    if predicted > count_cap:
-        raise BudgetExceededError(
-            f"predicted {predicted} saturated candidates exceed cap {count_cap}")
     seen = {}
     for pivot_rows in combinations(range(n), r):
         others = [i for i in range(n) if i not in pivot_rows]

@@ -300,13 +300,14 @@ class RingConfig:
 
     @classmethod
     def parse_flag(cls, text: str) -> "RingConfig":
-        """Parse a CLI ring flag: ``padic:2`` or ``tadic``."""
-        if text.startswith("padic"):
-            _, _, p = text.partition(":")
-            return cls.padic(int(p) if p else 2)
+        """Parse a CLI ring flag: exactly ``padic:<prime>`` or ``tadic``."""
+        m = re.fullmatch(r"padic:([0-9]+)", text)
+        if m:
+            return cls.padic(int(m.group(1)))
         if text == "tadic":
             return cls.tadic()
-        raise ValueError(f"unknown ring flag {text!r}")
+        raise ValueError(
+            f"unknown ring flag {text!r} (expected padic:<prime> or tadic)")
 
 
 class RingElement:

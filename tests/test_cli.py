@@ -183,3 +183,14 @@ def test_oracle_command(tmp_path, capsys):
 def test_oracle_rejects_tadic(capsys):
     code, _ = run(capsys, "oracle", "--ring", "tadic", "--trials", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--n-matrix", "n.json", "--lambda-matrix", "l.json"],
+    ["random"], ["smith", "m.json"], ["oracle", "--trials", "1"]])
+def test_malformed_ring_flag_exits_1(capsys, command):
+    # a flag without the colon must not fall back to p=2
+    code = main([*command, "--ring", "padic3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "padic3" in captured.err

@@ -105,6 +105,32 @@ def test_build_hive_type_claim_randomized(p2):
         assert (typs.mu, typs.nu, typs.lam) == (nu, mu, lam)
 
 
+def _check_both_variants(n_lat, lam_lat):
+    _, mu = pair_invariant(n_lat, lam_lat)
+    nu = lattice_invariants(n_lat)
+    lam = lattice_invariants(lam_lat)
+    for variant, want in (("primary", (mu, nu, lam)),
+                          ("swapped", (nu, mu, lam))):
+        h = build_hive(n_lat, lam_lat, variant)
+        assert check_rhombus(h).ok
+        typ = hive_type(h)
+        assert (typ.mu, typ.nu, typ.lam) == want
+
+
+def test_build_hive_tadic_n2(tadic):
+    for seed in (0, 1):
+        spec = InstanceSpec(n=2, ring=tadic, exponent_range=(0, 3),
+                            seed=seed, unimodular_mix_steps=4)
+        _check_both_variants(*random_pair(spec))
+
+
+def test_build_hive_p3_n3(p3):
+    for seed in (0, 1):
+        spec = InstanceSpec(n=3, ring=p3, exponent_range=(0, 3),
+                            seed=seed, unimodular_mix_steps=4)
+        _check_both_variants(*random_pair(spec))
+
+
 def test_duality_error_formatting():
     err = DualityError(1, 2, 5, 4)
     assert "(1,2)" in str(err) and err.min_value == 5 and err.max_value == 4

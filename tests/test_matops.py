@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from hivekit import (INFINITY, ValuedMatrix, invariant_partition, matrix_norm,
-                     normal_form, quotient_free_invariants,
+from hypothesis import given, settings, strategies as st
+
+from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
+                     matrix_norm, quotient_free_invariants,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
 
 from conftest import (brute_minor_norm, lat, mat, random_padic_matrix,
@@ -159,48 +161,48 @@ def test_norm_equals_min_minor_valuation(p2, tadic):
             assert matrix_norm(a) == brute_minor_norm(a)
 
 
-def test_normal_form_examples(p2):
-    one_block = mat(p2, [[4, 0], [0, 2]])
-    nf = normal_form([one_block])
-    assert nf.diagonal_valuations == ((2, 1),)
-
-    e1 = mat(p2, [[1], [0]])
-    e2 = mat(p2, [[0], [1]])
-    nf = normal_form([e1, e2])
-    assert nf.diagonal_valuations == ((0,), (0,))
-
-    blocks = [mat(p2, [[2], [2]]), mat(p2, [[0], [1]])]
-    nf = normal_form(blocks)
-    assert nf.diagonal_valuations == ((1,), (0,))
-    total = sum(sum(v) for v in nf.diagonal_valuations)
-    assert total == matrix_norm(blocks[0].hstack(blocks[1])) == 1
-
-
-def test_normal_form_preserves_spans_and_norm(p2):
-    rng = seeded(23)
-    from hivekit import Submodule
-    for _ in range(15):
-        b1 = random_padic_matrix(p2, rng, 3, 1)
-        b2 = random_padic_matrix(p2, rng, 3, 2)
-        concat = b1.hstack(b2)
-        if concat.rank() < 3:
-            continue
-        nf = normal_form([b1, b2])
-        assert unimodular_check(nf.p)
-        # block upper triangular: zero below each diagonal block
-        assert all(nf.matrix[i, 0].is_zero() for i in range(1, 3))
-        # total norm equals the sum of the diagonal block norms
-        assert matrix_norm(concat) == sum(sum(v) for v in nf.diagonal_valuations)
-        # spans preserved per block: P^-1 @ block spans the original block
-        moved = nf.p.inverse() @ nf.matrix.select_columns([0])
-        assert Submodule(moved).same_span(Submodule(b1))
+@st.composite
+def kernel_inputs(draw):
+    """Random p=2, p=3 and t-adic matrices, including non-square,
+    rank-deficient and zero ones."""
+    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3),
+                                RingConfig.tadic()]))
+    padic = cfg.kind == RingConfig.PADIC
+    rows = draw(st.integers(1, 4 if padic else 3))
+    cols = draw(st.integers(1, 4 if padic else 3))
+    if padic:
+        entry = st.builds(lambda num, den, k: Fraction(num, den) * cfg.p ** k,
+                          st.integers(-6, 6), st.integers(1, 6),
+                          st.integers(-1, 3))
+    else:
+        coeffs = st.tuples(*[st.integers(-2, 2).map(Fraction)] * 3)
+        dens = st.sampled_from([(1,), (1, 1), (0, 1), (2, 0, 1)])
+        entry = st.builds(
+            lambda num, den: cfg.element((num, tuple(map(Fraction, den)))),
+            coeffs, dens)
+    shape = draw(st.sampled_from(["random", "deficient", "zero"]))
+    if shape == "zero":
+        return ValuedMatrix(cfg, [[0] * cols for _ in range(rows)])
+    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if shape == "deficient" and rows > 1:
+        # the last row repeats a multiple of the first
+        data[-1] = [draw(entry) * x for x in data[0]]
+    return ValuedMatrix(cfg, data)
 
 
-def test_normal_form_rejects_non_direct(p2):
-    b1 = mat(p2, [[1], [1]])
-    b2 = mat(p2, [[2], [2]])
-    with pytest.raises(ValueError, match="sum not direct"):
-        normal_form([b1, b2])
+@settings(max_examples=150, deadline=None)
+@given(a=kernel_inputs())
+def test_kernel_matches_smith_diagonal(a):
+    smith = tuple(v for v in smith_decompose(a).diagonal_valuations
+                  if v != INFINITY)
+    parts = invariant_partition(a)
+    assert parts == smith
+    assert len(parts) == a.rank()
+    full = len(parts) == a.cols
+    assert matrix_norm(a) == (sum(parts) if full else INFINITY)
+    if a.rows == a.cols:
+        assert unimodular_check(a) == (
+            a.min_entry_valuation() >= 0 and full and sum(parts) == 0)
 
 
 def test_matrix_json_round_trip(p2, tadic):

@@ -7,6 +7,7 @@ from hivekit import (BudgetExceededError, EnumerationBudget, Submodule,
                      min_direct_sum_norm, pair_invariant, saturate,
                      span_fingerprint, stabilized_value)
 from hivekit.cli import InstanceSpec, random_pair
+from hivekit.oracle import _saturated_coords
 
 from conftest import lat, mat, seeded
 
@@ -228,3 +229,13 @@ def _has_nested_chain(small, large):
                     and c_small.invariants == big_inv[c_big.rank - t:]):
                 return True
     return False
+
+
+def test_coords_cap_holds_on_warm_cache(p2):
+    # a warm cache entry must not lift the candidate cap: 3 * 4^2 = 48
+    # predicted rank-1 spans in O^3 at M = 1, refused at cap 10
+    warm = _saturated_coords(p2, 3, 1, 1, 500_000)
+    assert len(warm) == 37
+    assert _saturated_coords(p2, 3, 1, 1, 500_000) is warm
+    with pytest.raises(BudgetExceededError, match="predicted 48"):
+        _saturated_coords(p2, 3, 1, 1, 10)

@@ -137,3 +137,12 @@ def test_module_level_helpers(p2):
     x = p2.element(12)
     assert valuation(x) == 2
     assert unit_part(x).value == 3
+
+
+def test_parse_flag_accepts_exactly_padic_prime_and_tadic():
+    assert RingConfig.parse_flag("padic:2") == RingConfig.padic(2)
+    assert RingConfig.parse_flag("padic:5") == RingConfig.padic(5)
+    for bad in ("padic", "padic3", "padic5", "padicx", "padic:", "padic:x",
+                "padic: 3", "padic:3 ", "padic:4", "tadic:2", "TADIC", ""):
+        with pytest.raises(ValueError):
+            RingConfig.parse_flag(bad)
