@@ -13,8 +13,8 @@ from .matops import (SmithDecomposition, ValuedMatrix, invariant_partition,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
 from .oracle import (BruteResult, BudgetExceededError, EnumerationBudget,
                      brute_max_direct_sum, brute_min_direct_sum,
-                     enumerate_lr_fillings, enumerate_submodules,
-                     span_fingerprint, stabilized_value)
+                     enumerate_lr_fillings, span_fingerprint,
+                     stabilized_value)
 from .ring import INFINITY, RingConfig, RingElement, unit_part, valuation
 
 __version__ = "0.1.0"
@@ -31,6 +31,6 @@ __all__ = [
     "build_hive", "check_rhombus", "hive_type", "hive_to_lr_filling",
     "LRFilling", "validate_lr", "render",
     "EnumerationBudget", "BudgetExceededError", "BruteResult",
-    "enumerate_submodules", "brute_min_direct_sum", "brute_max_direct_sum",
+    "brute_min_direct_sum", "brute_max_direct_sum",
     "stabilized_value", "enumerate_lr_fillings", "span_fingerprint",
 ]

@@ -21,16 +21,27 @@ SWAPPED = "swapped"
 
 
 class DualityError(RuntimeError):
-    """The min-route and max-route disagreed at one hive entry."""
+    """At one hive entry the max route's witness value differs from the
+    min route's value |lambda| - min.
 
-    def __init__(self, s: int, t: int, min_value: int, max_value: int):
+    (s,t) indexes the hive of ``variant``; for the swapped hive that is
+    the entry of the transposed pair (M^T, Lambda^T).  Raised by
+    ``build_hive``.  The witness value is only a lower bound on the true
+    max, so the error does not say which route is wrong: a witness above
+    the min route's value refutes the min route (or the duality), one
+    below it may just be a poor witness.  The oracle decides.
+    """
+
+    def __init__(self, s: int, t: int, min_value: int, max_value: int,
+                 variant: str):
         super().__init__(
-            f"duality check failed at ({s},{t}): "
-            f"min route {min_value}, max route {max_value}")
+            f"duality check failed at ({s},{t}) of the {variant} hive: "
+            f"min route {min_value}, witness {max_value}")
         self.s = s
         self.t = t
         self.min_value = min_value
         self.max_value = max_value
+        self.variant = variant
 
 
 class Hive:
@@ -153,8 +164,11 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     Entry (s,t) is |lambda| minus the minimal direct-sum norm over pairs
     of submodules of Lambda (rank n-t) and of N (rank t-s); the swapped
     variant uses M = pair invariant lattice in place of N.  Every entry is
-    recomputed through the max formula over summand-realized pairs and the
-    two values must agree; a mismatch raises DualityError.
+    also evaluated at the max route's witness, and the two values must
+    agree; a mismatch raises DualityError.  Agreement shows that a
+    feasible witness attains h(s,t), so the true max is at least h(s,t);
+    only the brute-force oracle (acceptance criterion 4, ``hivekit
+    oracle``) certifies that the max equals h(s,t).
     """
     if variant not in (PRIMARY, SWAPPED):
         raise ValueError(f"unknown hive variant {variant!r}")
@@ -176,9 +190,9 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
         row = []
         for s in range(t + 1):
             hmin = size - min_direct_sum_norm(lam_lat, n_lat, n - t, t - s)
-            hmax = max_direct_sum_norm(lam_lat, m_lat, s, t - s, target=hmin)
+            hmax = max_direct_sum_norm(lam_lat, m_lat, s, t - s)
             if hmax != hmin:
-                raise DualityError(s, t, hmin, hmax)
+                raise DualityError(s, t, hmin, hmax, variant)
             row.append(hmin)
         rows.append(row)
     return Hive(rows)

@@ -1,10 +1,10 @@
 """Brute-force certification for small parameters.
 
-Exhaustive submodule enumeration (p-adic rings only: residue enumeration
-needs a finite residue field), brute minima/maxima of direct-sum norms,
-exhaustive Littlewood-Richardson filling enumeration, and the
-stabilization protocol that re-runs an enumeration at a larger exponent
-bound until the value settles.
+Exhaustive enumeration of saturated spans (p-adic rings only: residue
+enumeration needs a finite residue field), brute minima/maxima of
+direct-sum norms, exhaustive Littlewood-Richardson filling enumeration,
+and the stabilization protocol that re-runs an enumeration at a larger
+exponent bound until the value settles.
 """
 
 from __future__ import annotations
@@ -47,72 +47,6 @@ class EnumerationBudget:
 def _derived_bound(*lattices) -> int:
     invs = [v for lat in lattices for v in lattice_invariants(lat)]
     return max(invs) - min(invs) + 1
-
-
-def enumerate_submodules(lattice: Lattice, r: int,
-                         budget: EnumerationBudget) -> list:
-    """All rank-r submodules of the lattice with bounded Hermite data.
-
-    Candidates are column-Hermite forms in the coordinates of an adapted
-    basis: pivot rows strictly increasing, pivot entries p^e with
-    e in [0, M], entries in pivot rows of other columns reduced mod the
-    pivot, remaining entries bounded mod p^(M+1).  Deduplicated by the
-    canonical span fingerprint.  Exceeding count_cap is an error, never a
-    silent truncation.
-    """
-    cfg = lattice.config
-    if cfg.kind != RingConfig.PADIC:
-        raise ValueError("submodule enumeration requires a p-adic ring")
-    n = lattice.n
-    if not (1 <= r <= n):
-        raise ValueError(f"rank {r} out of range for n={n}")
-    if n > budget.max_n:
-        raise BudgetExceededError(f"n={n} exceeds budget max_n={budget.max_n}")
-    m_bound = budget.exponent_bound
-    if m_bound is None:
-        m_bound = _derived_bound(lattice)
-    p = cfg.p
-
-    predicted = 0
-    layouts = []
-    for pivot_rows in combinations(range(n), r):
-        for exps in product(range(m_bound + 1), repeat=r):
-            slots = []
-            for j, rj in enumerate(pivot_rows):
-                for i in range(rj + 1, n):
-                    if i in pivot_rows:
-                        # i > rj with increasing pivot rows: a later pivot row
-                        modulus = p ** exps[pivot_rows.index(i)]
-                    else:
-                        modulus = p ** (m_bound + 1)
-                    if modulus > 1:
-                        slots.append((i, j, modulus))
-            size = 1
-            for _, _, modulus in slots:
-                size *= modulus
-            predicted += size
-            layouts.append((pivot_rows, exps, slots))
-    if predicted > budget.count_cap:
-        raise BudgetExceededError(
-            f"predicted {predicted} candidates exceed cap {budget.count_cap}")
-
-    basis = adapted_basis(lattice)
-    seen = set()
-    out = []
-    for pivot_rows, exps, slots in layouts:
-        base = [[0] * r for _ in range(n)]
-        for j, rj in enumerate(pivot_rows):
-            base[rj][j] = p ** exps[j]
-        for assignment in product(*(range(mod) for _, _, mod in slots)):
-            h = [row[:] for row in base]
-            for (i, j, _), value in zip(slots, assignment):
-                h[i][j] = value
-            gens = basis @ ValuedMatrix(cfg, h)
-            fp = span_fingerprint(gens)
-            if fp not in seen:
-                seen.add(fp)
-                out.append(Submodule(gens))
-    return out
 
 
 # ---------------------------------------------------------------------------

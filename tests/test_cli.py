@@ -170,6 +170,12 @@ def test_oracle_command(tmp_path, capsys):
     for trial in report["trials"]:
         assert trial["status"] == "certified"
         assert trial["lr_valid"]
+        # the oracle certifies the primary hive's own entries
+        rows = trial["hives"]["primary"]["rows"]
+        assert len(trial["entries"]) == sum(len(r) for r in rows)
+        for entry in trial["entries"]:
+            assert entry["max"] == rows[entry["t"]][entry["s"]]
+            assert entry["min"] == sum(trial["lambda"]) - entry["max"]
     # the fixed regression diagnostic is always logged
     assert report["regression"]["min"] == 1
     assert report["regression"]["greedy_c_first"] == 2

@@ -132,8 +132,11 @@ def test_build_hive_p3_n3(p3):
 
 
 def test_duality_error_formatting():
-    err = DualityError(1, 2, 5, 4)
-    assert "(1,2)" in str(err) and err.min_value == 5 and err.max_value == 4
+    err = DualityError(1, 2, 5, 4, "swapped")
+    assert str(err) == ("duality check failed at (1,2) of the swapped hive: "
+                        "min route 5, witness 4")
+    assert err.min_value == 5 and err.max_value == 4
+    assert err.variant == "swapped"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import pytest
 
-from hivekit import (BudgetExceededError, EnumerationBudget, Submodule,
-                     ValuedMatrix, brute_max_direct_sum, brute_min_direct_sum,
-                     enumerate_lr_fillings, enumerate_submodules,
-                     lattice_invariants, max_direct_sum_norm,
-                     min_direct_sum_norm, pair_invariant, saturate,
-                     span_fingerprint, stabilized_value)
+from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
+                     Submodule, brute_max_direct_sum, brute_min_direct_sum,
+                     enumerate_lr_fillings, lattice_invariants,
+                     max_direct_sum_norm, min_direct_sum_norm,
+                     pair_invariant, saturate, span_fingerprint,
+                     stabilized_value)
 from hivekit.cli import InstanceSpec, random_pair
 from hivekit.oracle import _saturated_coords
 
@@ -14,46 +14,6 @@ from conftest import lat, mat, seeded
 
 def budget(m=None, cap=500_000, max_n=3):
     return EnumerationBudget(max_n=max_n, exponent_bound=m, count_cap=cap)
-
-
-def spans(subs):
-    return {span_fingerprint(s.gens) for s in subs}
-
-
-def test_enumerate_o1(p2):
-    o1 = lat(p2, [[1]])
-    subs = enumerate_submodules(o1, 1, budget(m=1, max_n=1))
-    assert spans(subs) == {span_fingerprint(mat(p2, [[1]])),
-                          span_fingerprint(mat(p2, [[2]]))}
-
-
-def test_enumerate_o2_full_rank(p2):
-    o2 = lat(p2, [[1, 0], [0, 1]])
-    subs = enumerate_submodules(o2, 2, budget(m=0, max_n=2))
-    assert len(subs) == 1
-    assert subs[0].same_span(Submodule(ValuedMatrix.identity(p2, 2)))
-
-
-def test_enumerate_o2_rank1(p2):
-    o2 = lat(p2, [[1, 0], [0, 1]])
-    subs = enumerate_submodules(o2, 1, budget(m=1, max_n=2))
-    got = spans(subs)
-    for want in ([[1], [0]], [[0], [1]], [[1], [1]],
-                 [[2], [0]], [[0], [2]], [[2], [2]]):
-        assert span_fingerprint(mat(p2, want)) in got
-    assert len(got) == len(subs)  # no duplicate spans
-
-
-def test_enumerate_requires_padic(tadic):
-    o1 = lat(tadic, [[tadic.one]])
-    with pytest.raises(ValueError, match="p-adic"):
-        enumerate_submodules(o1, 1, budget(m=1, max_n=1))
-
-
-def test_budget_refuses_blowup(p2):
-    o3 = lat(p2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    with pytest.raises(BudgetExceededError, match="exceed"):
-        enumerate_submodules(o3, 2, budget(m=4, cap=100))
 
 
 def test_span_fingerprint_identifies_spans(p2):
@@ -109,6 +69,28 @@ def test_oracle_vs_optimizer(p2):
                             == max_direct_sum_norm(lam_lat, m_lat, s, c))
 
 
+def test_oracle_vs_optimizer_odd_p(p3):
+    # criterion 4 covers only p=2; odd residue fields must certify too
+    p5 = RingConfig.padic(5)
+    for ring, count in ((p3, 10), (p5, 3)):
+        for seed in range(count):
+            spec = InstanceSpec(n=2, ring=ring, exponent_range=(0, 2),
+                                seed=seed, unimodular_mix_steps=4)
+            n_lat, lam_lat = random_pair(spec)
+            m_lat, _ = pair_invariant(n_lat, lam_lat)
+            for t in range(3):
+                for s in range(t + 1):
+                    a, c = 2 - t, t - s
+                    if a + c:
+                        assert (stabilized_value("min", lam_lat, n_lat, a,
+                                                 c).value
+                                == min_direct_sum_norm(lam_lat, n_lat, a, c))
+                    if c:
+                        assert (stabilized_value("max", lam_lat, m_lat, s,
+                                                 c).value
+                                == max_direct_sum_norm(lam_lat, m_lat, s, c))
+
+
 def test_duality_certified_by_brute(p2):
     rng = seeded(53)
     for _ in range(3):
@@ -132,9 +114,17 @@ def test_duality_certified_by_brute(p2):
 
 def test_saturation_lowers_norm(p2):
     d = lat(p2, [[4, 0], [0, 2]])
-    for sub in enumerate_submodules(d, 1, budget(m=2, max_n=2)):
+    # rank-1 submodules of d; the last four are not saturated
+    gens = ([4, 0], [0, 2], [4, 2], [4, 6], [8, 2], [8, 6],
+            [8, 0], [0, 4], [8, 4], [16, 8])
+    lowered = 0
+    for x, y in gens:
+        sub = Submodule(mat(p2, [[x], [y]]))
         sat = saturate(d, sub)
+        assert sat.contains(sub)
         assert all(a <= b for a, b in zip(sat.invariants, sub.invariants))
+        lowered += sat.norm < sub.norm
+    assert lowered == 4
 
 
 def test_boundary_warning_is_reported(p2):
