@@ -5,6 +5,15 @@ enumeration needs a finite residue field), brute minima/maxima of
 direct-sum norms, exhaustive Littlewood-Richardson filling enumeration,
 and the stabilization protocol that re-runs an enumeration at a larger
 exponent bound until the value settles.
+
+The brute routes run on integer-cleared columns: each generator matrix
+is scaled once by a common denominator d, every candidate is an integer
+product with its coordinates, and a norm is the minimum p-valuation of
+the integer maximal minors minus (columns) * v(d).  This minor
+arithmetic is the oracle's own, independent of the Smith route it
+certifies.  Both pair scans prune by the Laplace bound
+norm[X | Y] >= norm X + norm Y; a pair whose bound only ties the best
+value is still scanned whenever it could change the boundary warning.
 """
 
 from __future__ import annotations
@@ -131,8 +140,8 @@ def span_fingerprint(gens: ValuedMatrix) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fast integer-cleared norm evaluation (the oracle's own route, independent
-# of the Smith-based matrix_norm used by the optimizers)
+# integer-cleared minor arithmetic (the oracle's own route, independent of
+# the Smith-based matrix_norm used by the optimizers)
 
 
 def _int_det(rows: list) -> int:
@@ -154,51 +163,38 @@ def _int_det(rows: list) -> int:
     return total
 
 
-class _FastCols:
-    """Integer-cleared column data of a p-adic matrix, for minor valuations."""
+def _int_columns(mat: ValuedMatrix):
+    """Integer columns of d * mat for one common denominator d, and v_p(d)."""
+    denom = math.lcm(*(e.value.denominator for row in mat.entries
+                       for e in row))
+    cols = [[x.numerator * (denom // x.denominator)
+             for x in (e.value for e in col)] for col in zip(*mat.entries)]
+    return cols, _int_pval(denom, mat.config.p)
 
-    __slots__ = ("p", "n", "cols", "offset")
 
-    def __init__(self, mat: ValuedMatrix):
-        p = mat.config.p
-        self.p = p
-        self.n = mat.rows
-        self.cols = []
-        self.offset = 0
-        for j in range(mat.cols):
-            fracs = [mat[i, j].value for i in range(mat.rows)]
-            denom = 1
-            for x in fracs:
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-            self.cols.append([int(x * denom) for x in fracs])
-            self.offset += _int_pval(denom, p)
+def _int_norm(cols: list, n: int, p: int):
+    """Minimum p-valuation over the maximal minors of integer columns in
+    Z^n (INFINITY when they are dependent or more than n)."""
+    k = len(cols)
+    if k > n:
+        return INFINITY
+    best = INFINITY
+    for rows in combinations(zip(*cols), k):
+        det = _int_det(rows)
+        if det:
+            v = _int_pval(det, p)
+            if v < best:
+                best = v
+                if best == 0:
+                    break
+    return best
 
-    @staticmethod
-    def concat(first: "_FastCols", second: "_FastCols") -> "_FastCols":
-        out = object.__new__(_FastCols)
-        out.p = first.p
-        out.n = first.n
-        out.cols = first.cols + second.cols
-        out.offset = first.offset + second.offset
-        return out
 
-    def norm(self):
-        """min valuation over maximal minors, minus the clearing offset."""
-        k = len(self.cols)
-        if k > self.n:
-            return INFINITY
-        best = None
-        for rows in combinations(range(self.n), k):
-            det = _int_det([[col[i] for col in self.cols] for i in rows])
-            if det:
-                v = _int_pval(det, self.p)
-                if best is None or v < best:
-                    best = v
-                    if best == 0:
-                        break
-        if best is None:
-            return INFINITY
-        return best - self.offset
+def _int_image(cols: list, coords: list) -> list:
+    """Integer columns of the product (cols as a matrix) @ (coords)."""
+    rows = list(zip(*cols))
+    return [[sum(x * y for x, y in zip(row, vec)) for row in rows]
+            for vec in coords]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +259,10 @@ def _saturated_family(lattice: Lattice, r: int, budget: EnumerationBudget,
                       m_bound: int):
     """Saturated rank-r submodules of the lattice, sorted by norm.
 
-    Entries are (Submodule, fast column data, norm, hot).
+    Records are [submodule, integer columns, offset, norm, hot]: the
+    columns are those of d * (adapted basis) * coords, the offset is
+    r * v(d), and the submodule slot holds (basis, coords) until
+    _submodule builds the Submodule on first use.
     """
     key = (lattice.gens.entries, r, m_bound, budget.count_cap)
     hit = _FAMILY_CACHE.get(key)
@@ -272,16 +271,25 @@ def _saturated_family(lattice: Lattice, r: int, budget: EnumerationBudget,
     coords = _saturated_coords(lattice.config, lattice.n, r, m_bound,
                                budget.count_cap)
     basis = adapted_basis(lattice)
+    basis_cols, dv = _int_columns(basis)
     family = []
     for mat, hot in coords:
-        gens = basis @ mat
-        fast = _FastCols(gens)
-        family.append((Submodule(gens), fast, int(fast.norm()), hot))
-    family.sort(key=lambda rec: rec[2])
+        cols = _int_image(basis_cols, _int_columns(mat)[0])
+        norm = _int_norm(cols, lattice.n, lattice.config.p) - r * dv
+        family.append([(basis, mat), cols, r * dv, norm, hot])
+    family.sort(key=lambda rec: rec[3])
     if len(_FAMILY_CACHE) > 64:
         _FAMILY_CACHE.clear()
     _FAMILY_CACHE[key] = family
     return family
+
+
+def _submodule(rec):
+    """The record's Submodule, built at most once (None for rank 0)."""
+    if isinstance(rec[0], tuple):
+        basis, mat = rec[0]
+        rec[0] = Submodule(basis @ mat)
+    return rec[0]
 
 
 def _brute_rank_args(a_lat, c_lat, a, c, budget):
@@ -298,7 +306,7 @@ def _brute_rank_args(a_lat, c_lat, a, c, budget):
     return m_bound
 
 
-_NONE_FAMILY = [(None, None, 0, False)]
+_NONE_FAMILY = [[None, None, 0, 0, False]]
 
 
 def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -314,41 +322,42 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     warns when every minimizer touches the residue bound.
     """
     m_bound = _brute_rank_args(a_lat, c_lat, a, c, budget)
+    n, p = a_lat.n, a_lat.config.p
     fam_a = _saturated_family(a_lat, a, budget, m_bound) if a else _NONE_FAMILY
     fam_c = _saturated_family(c_lat, c, budget, m_bound) if c else _NONE_FAMILY
     best = INFINITY
     hits = []
     found_calm = False  # a minimizer away from the bound
-    nc0 = fam_c[0][2]
-    for sub_a, fast_a, norm_a, hot_a in fam_a:
+    nc0 = fam_c[0][3]
+    for rec_a in fam_a:
+        _, cols_a, off_a, norm_a, hot_a = rec_a
         if norm_a + nc0 > best:
             break  # sorted families: no later pair can be minimizing
-        for sub_c, fast_c, norm_c, hot_c in fam_c:
+        for rec_c in fam_c:
+            _, cols_c, off_c, norm_c, hot_c = rec_c
             bound = norm_a + norm_c
             if bound > best:
                 break  # families sorted: no later pair can reach best
             hot = hot_a or hot_c
             if bound == best and not collect and (found_calm or hot):
                 continue
-            if fast_a is None and fast_c is None:
-                val = 0
-            elif fast_a is None:
-                val = norm_c
-            elif fast_c is None:
-                val = norm_a
+            if cols_a is None or cols_c is None:
+                val = bound  # a rank-0 side has norm 0
             else:
-                val = _FastCols.concat(fast_a, fast_c).norm()
+                val = _int_norm(cols_a + cols_c, n, p) - off_a - off_c
             if val < best:
                 best = val
                 found_calm = not hot
-                hits = [(sub_a, sub_c)] if collect else []
+                hits = [(rec_a, rec_c)] if collect else []
             elif val == best and val != INFINITY:
                 found_calm = found_calm or not hot
                 if collect:
-                    hits.append((sub_a, sub_c))
+                    hits.append((rec_a, rec_c))
     if best == INFINITY:
         raise BudgetExceededError("no direct pair found within the budget")
-    return BruteResult(int(best), tuple(hits), not found_calm)
+    return BruteResult(int(best),
+                       tuple((_submodule(x), _submodule(y)) for x, y in hits),
+                       not found_calm)
 
 
 def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -358,67 +367,70 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     enumerated pairs of saturated spans V (rank c), U (rank n-a-c) of O^n
     that are jointly a direct summand.
 
-    The quotient norm is evaluated as |inv A| - norm[A(V) | A(U)] with the
-    oracle's own minor-valuation arithmetic.  Maximizing pairs are
+    The quotient norm is evaluated as |inv A| - norm[A(V) | A(U)], on
+    integer columns: A and C are cleared of denominators once per call,
+    and every image is an integer product with the span's coordinates.
+    Since norm[X | Y] >= norm X + norm Y, each pair's value is at most
+    norm(C(V)) + |inv A| - norm(A(V)) - norm(A(U)); the U side is scanned
+    in increasing norm(A(U)) and left once that bound falls below the
+    best value.  A pair whose bound only ties the best is still scanned
+    unless it cannot change the boundary flag.  Maximizing pairs are
     returned as (V, U) with None for a rank-0 side.
     """
     m_bound = _brute_rank_args(a_lat, c_lat, a, c, budget)
-    cfg = a_lat.config
-    n = a_lat.n
-    u_rank = n - a - c
+    n, p = a_lat.n, a_lat.config.p
     size = sum(lattice_invariants(a_lat))
+    a_cols, a_dv = _int_columns(a_lat.gens)
+    c_cols, c_dv = _int_columns(c_lat.gens)
 
     def family(rank):
+        """(coords, integer coords, integer A-image, its norm, hot)."""
         if rank == 0:
-            return [(None, None, False)]
-        return [(Submodule(mat), _FastCols(mat), hot)
-                for mat, hot in _saturated_coords(cfg, n, rank, m_bound,
-                                                  budget.count_cap)]
+            return [(None, [], [], 0, False)]
+        out = []
+        for mat, hot in _saturated_coords(a_lat.config, n, rank, m_bound,
+                                          budget.count_cap):
+            dom = _int_columns(mat)[0]
+            img = _int_image(a_cols, dom)
+            out.append((mat, dom, img, _int_norm(img, n, p) - rank * a_dv,
+                        hot))
+        return out
 
-    vs = [(sub, dom, hot,
-           _FastCols(c_lat.gens @ sub.gens).norm() if sub is not None else 0,
-           _FastCols(a_lat.gens @ sub.gens) if sub is not None else None)
-          for sub, dom, hot in family(c)]
-    us = [(sub, dom, hot,
-           _FastCols(a_lat.gens @ sub.gens) if sub is not None else None)
-          for sub, dom, hot in family(u_rank)]
+    us = sorted(family(n - a - c), key=lambda rec: rec[3])
     best = -INFINITY
     hits = []
     found_calm = False
-    for sub_v, dom_v, hot_v, cv, av in vs:
-        if cv == INFINITY:
-            continue
-        for sub_u, dom_u, hot_u, au in us:
-            if sub_v is not None and sub_u is not None:
-                if _FastCols.concat(dom_v, dom_u).norm() != 0:
-                    continue
-            parts = []
-            if av is not None:
-                parts.append(av)
-            if au is not None:
-                parts.append(au)
-            if parts:
-                stacked = parts[0]
-                for extra in parts[1:]:
-                    stacked = _FastCols.concat(stacked, extra)
-                reduction = stacked.norm()
-                if reduction == INFINITY:
-                    continue
-            else:
-                reduction = 0
-            val = cv + size - reduction
+    for mat_v, dom_v, av, norm_av, hot_v in family(c):
+        cv = (_int_norm(_int_image(c_cols, dom_v), n, p) - c * c_dv
+              if dom_v else 0)
+        ceiling = cv + size - norm_av
+        for mat_u, dom_u, au, norm_au, hot_u in us:
+            bound = ceiling - norm_au
+            if bound < best:
+                break  # sorted by norm(A(U)): no later U can reach best
             hot = hot_v or hot_u
+            if bound == best and not collect and (found_calm or hot):
+                continue
+            if dom_v and dom_u and _int_norm(dom_v + dom_u, n, p) != 0:
+                continue  # V + U is not a direct summand of O^n
+            img = av + au
+            reduction = _int_norm(img, n, p) - len(img) * a_dv if img else 0
+            if reduction == INFINITY:
+                continue
+            val = cv + size - reduction
             if val > best:
                 best = val
                 found_calm = not hot
-                hits = [(sub_v, sub_u)] if collect else []
+                hits = [(mat_v, mat_u)] if collect else []
             elif val == best:
                 found_calm = found_calm or not hot
                 if collect:
-                    hits.append((sub_v, sub_u))
+                    hits.append((mat_v, mat_u))
     if best == -INFINITY:
         raise BudgetExceededError("no summand pair found within the budget")
-    return BruteResult(int(best), tuple(hits), not found_calm)
+    return BruteResult(int(best), tuple(
+        tuple(None if m is None else Submodule(m) for m in pair)
+        for pair in hits), not found_calm)
 
 
 def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,

@@ -4,12 +4,11 @@ one pass/fail line in the terminal summary."""
 
 import time
 
-from hivekit import (Hive, RingConfig, Submodule, build_hive, check_rhombus,
-                     enumerate_lr_fillings, hive_to_lr_filling, hive_type,
-                     lattice_invariants, matrix_norm, max_direct_sum_norm,
-                     min_direct_sum_norm, greedy_slice_first_min,
-                     pair_invariant, smith_decompose, stabilized_value,
-                     unimodular_check, validate_lr)
+from hivekit import (Hive, build_hive, check_rhombus, enumerate_lr_fillings,
+                     hive_to_lr_filling, hive_type, lattice_invariants,
+                     matrix_norm, max_direct_sum_norm, min_direct_sum_norm,
+                     greedy_slice_first_min, pair_invariant, smith_decompose,
+                     stabilized_value, unimodular_check, validate_lr)
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import (brute_minor_norm, lat, mat, random_padic_matrix,

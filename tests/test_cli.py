@@ -2,11 +2,9 @@ import json
 
 import pytest
 
-from hivekit import Hive, ValuedMatrix, lattice_invariants, pair_invariant
+from hivekit import Hive, ValuedMatrix, lattice_invariants
 from hivekit.cli import InstanceSpec, main, random_pair
 from hivekit.ring import RingConfig
-
-from conftest import lat
 
 PAPER = {"n": 4, "rows": [[0], [21, 27], [34, 44, 48], [40, 54, 64, 67],
                           [41, 58, 72, 81, 83]]}

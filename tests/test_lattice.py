@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hivekit import (Lattice, Submodule, ValuedMatrix, adapted_slice,
-                     greedy_slice_first_min, lattice_invariants, matrix_norm,
-                     max_direct_sum_norm, min_direct_sum_norm, pair_invariant,
-                     saturate)
+from hivekit import (Lattice, Submodule, adapted_slice, greedy_slice_first_min,
+                     lattice_invariants, matrix_norm, max_direct_sum_norm,
+                     min_direct_sum_norm, pair_invariant, saturate)
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import lat, mat, seeded

@@ -8,7 +8,7 @@ from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
 
-from conftest import (brute_minor_norm, lat, mat, random_padic_matrix,
+from conftest import (brute_minor_norm, mat, random_padic_matrix,
                        random_tadic_matrix, seeded)
 
 

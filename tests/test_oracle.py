@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
                      Submodule, brute_max_direct_sum, brute_min_direct_sum,
@@ -7,7 +8,7 @@ from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
                      pair_invariant, saturate, span_fingerprint,
                      stabilized_value)
 from hivekit.cli import InstanceSpec, random_pair
-from hivekit.oracle import _saturated_coords
+from hivekit.oracle import _int_norm, _saturated_coords
 
 from conftest import lat, mat, seeded
 
@@ -49,6 +50,125 @@ def test_brute_max_examples(p2):
     c = lat(p2, [[2, 0], [0, 1]])
     assert brute_max_direct_sum(a, c, 1, 1, budget(m=2)).value == 2
     assert brute_max_direct_sum(a, c, 2, 0, budget(m=1)).value == 2  # = |lam|
+
+
+def _brute_call(p, n, seed, kind, a, c, m, collect=False):
+    """One brute call on the oracle's pair: min on (Lambda, N), max on
+    (Lambda, M)."""
+    spec = InstanceSpec(n=n, ring=RingConfig.padic(p), exponent_range=(0, 2),
+                        seed=seed, unimodular_mix_steps=4)
+    n_lat, lam_lat = random_pair(spec)
+    if kind == "min":
+        return brute_min_direct_sum(lam_lat, n_lat, a, c, budget(m=m),
+                                    collect=collect)
+    m_lat, _ = pair_invariant(n_lat, lam_lat)
+    return brute_max_direct_sum(lam_lat, m_lat, a, c, budget(m=m),
+                                collect=collect)
+
+
+# (p, n, pair seed, kind, a, c, exponent_bound, value, boundary_warning),
+# recorded with the rational-arithmetic brute routes that preceded the
+# integer-only ones
+PINNED_BRUTE = [
+    (2, 3, 9233, "min", 3, 0, 1, 6, False),
+    (2, 3, 9233, "min", 2, 1, 1, 4, False),
+    (2, 3, 9233, "max", 0, 1, 1, 2, True),
+    (2, 3, 9233, "max", 0, 1, 2, 2, False),
+    (2, 3, 9233, "min", 2, 0, 1, 3, False),
+    (2, 3, 9233, "min", 1, 2, 1, 3, False),
+    (2, 3, 9233, "max", 0, 2, 1, 3, True),
+    (2, 3, 9233, "max", 0, 2, 2, 3, False),
+    (2, 3, 9233, "min", 1, 1, 1, 2, False),
+    (2, 3, 9233, "max", 1, 1, 1, 4, False),
+    (2, 3, 9233, "max", 1, 1, 2, 4, False),
+    (2, 3, 9233, "min", 1, 0, 1, 1, False),
+    (2, 3, 9233, "min", 0, 3, 1, 3, False),
+    (2, 3, 9233, "max", 0, 3, 1, 3, False),
+    (2, 3, 9233, "max", 0, 3, 2, 3, False),
+    (2, 3, 9233, "min", 0, 2, 1, 1, False),
+    (2, 3, 9233, "max", 1, 2, 1, 5, True),
+    (2, 3, 9233, "max", 1, 2, 2, 5, False),
+    (2, 3, 9233, "min", 0, 1, 1, 0, False),
+    (2, 3, 9233, "max", 2, 1, 1, 6, False),
+    (2, 3, 9233, "max", 2, 1, 2, 6, False),
+    (2, 3, 9231, "max", 1, 1, 1, 5, False),
+    (3, 3, 9332, "max", 0, 1, 1, 2, False),
+    (3, 2, 9324, "min", 2, 0, 1, 3, False),
+    (3, 2, 9324, "min", 1, 1, 1, 1, False),
+    (3, 2, 9324, "max", 0, 1, 1, 2, True),
+    (3, 2, 9324, "max", 0, 1, 2, 2, False),
+    (3, 2, 9324, "min", 1, 0, 1, 0, False),
+    (3, 2, 9324, "min", 0, 2, 1, 1, False),
+    (3, 2, 9324, "max", 0, 2, 1, 2, False),
+    (3, 2, 9324, "max", 0, 2, 2, 2, False),
+    (3, 2, 9324, "min", 0, 1, 1, 0, False),
+    (3, 2, 9324, "max", 1, 1, 1, 3, False),
+    (3, 2, 9324, "max", 1, 1, 2, 3, False),
+]
+
+
+# (p, n, pair seed, kind, a, c, exponent_bound, number of minimizing
+# pairs with collect=True), recorded the same way; a scan that drops ties
+# reports fewer
+PINNED_HITS = [
+    (2, 2, 9220, "min", 1, 1, 1, 25),
+    (2, 2, 9220, "max", 1, 1, 1, 6),
+    (2, 2, 9220, "max", 1, 1, 2, 13),
+    (2, 2, 9221, "max", 0, 1, 1, 32),
+    (3, 2, 9320, "min", 1, 1, 1, 210),
+    (3, 2, 9320, "max", 1, 1, 1, 14),
+    (3, 2, 9321, "max", 0, 1, 1, 42),
+]
+
+
+def test_brute_values_pinned():
+    for p, n, seed, kind, a, c, m, value, warning in PINNED_BRUTE:
+        res = _brute_call(p, n, seed, kind, a, c, m)
+        assert (res.value, res.boundary_warning) == (value, warning), \
+            (p, n, seed, kind, a, c, m)
+    for p, n, seed, kind, a, c, m, count in PINNED_HITS:
+        res = _brute_call(p, n, seed, kind, a, c, m, collect=True)
+        assert len(res.minimizers) == count, (p, n, seed, kind, a, c, m)
+
+
+@pytest.mark.parametrize("p,n,seed", [(2, 2, 9220), (2, 3, 9233),
+                                      (2, 3, 9240)])
+def test_collect_modes_agree(p, n, seed):
+    # collect=False skips ties that cannot change the boundary flag; both
+    # modes must report the same value and flag
+    for t in range(n + 1):
+        for s in range(t + 1):
+            a, c = n - t, t - s
+            calls = ([("min", a, c)] if a + c else []) + \
+                ([("max", s, c)] if c else [])
+            for kind, x, y in calls:
+                for m in (1, 2):
+                    full = _brute_call(p, n, seed, kind, x, y, m, True)
+                    fast = _brute_call(p, n, seed, kind, x, y, m, False)
+                    assert full.minimizers and not fast.minimizers
+                    assert ((full.value, full.boundary_warning)
+                            == (fast.value, fast.boundary_warning))
+
+
+@st.composite
+def _column_blocks(draw):
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(1, n - k))
+    entry = st.builds(lambda u, e: u * p ** e, st.integers(-9, 9),
+                      st.integers(0, 3))
+    col = st.lists(entry, min_size=n, max_size=n)
+    return (p, n, draw(st.lists(col, min_size=k, max_size=k)),
+            draw(st.lists(col, min_size=l, max_size=l)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_blocks())
+def test_int_norm_laplace_bound(blocks):
+    # the max route's pruning premise: norm[X | Y] >= norm X + norm Y
+    p, n, x, y = blocks
+    assert _int_norm(x + y, n, p) >= _int_norm(x, n, p) + _int_norm(y, n, p)
 
 
 def test_oracle_vs_optimizer(p2):
