@@ -5,7 +5,13 @@ The minimum of ``norm(A_a (+) C_c)`` over submodule pairs is computed
 exactly: by multilinearity every maximal minor of ``[A S | C T]`` with
 O-matrices S, T is an O-combination of the minors of plain column
 selections, so the minimum over all submodule pairs is attained on column
-subsets of the generator matrices (any representatives).
+subsets of the generator matrices (any representatives).  Each selection
+norm is the minimal valuation of a maximal minor, and every such minor is
+a minor of the one n x 2n matrix [A | C], so the min route reads one
+table (``_minor_norms``) that computes all of them once;
+``_selection_min`` scans it.  ``build_hive`` builds the table of
+[Lambda | N] once per hive and takes each entry's min value and its max
+witness columns from the same scan.
 
 The maximum ranges over summand-realized pairs: submodules A(Y), C(V)
 where Y and V are jointly a direct summand of O^n under the stored
@@ -20,16 +26,20 @@ The two routes prove different things.  The min route is exhaustive, so
 its value is exact.  The max route evaluates one feasible witness, so its
 value is a lower bound on the maximum: when it equals |inv A| minus the
 min route (the check in ``build_hive``), the true maximum is at least
-that entry.  Equality is certified only by the brute-force oracle.
+that entry.  Equality is certified only by the brute-force oracle.  The
+witness's value is always computed by ``_max_value``, independently of
+the minor table, so a table that undershot the min would fail that check.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .matops import (INFINITY, ValuedMatrix, invariant_partition, matrix_norm,
                      quotient_free_invariants, reduce_to_top_rows,
                      smith_decompose, unimodular_check)
+from .ring import RingConfig, _int_pval
 
 
 class Lattice:
@@ -207,30 +217,87 @@ def min_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
         return sum(sorted(lattice_invariants(a_lat))[:a])
     if a == 0:
         return sum(sorted(lattice_invariants(c_lat))[:c])
-    best, _ = _selection_min(a_lat.gens, c_lat.gens, a, c)
+    norms = _minor_norms(a_lat.gens, c_lat.gens)
+    best, _ = _selection_min(norms, a_lat.n, a, c)
     if best == INFINITY:
         raise ValueError("no direct sum of the requested ranks exists")
     return int(best)
 
 
-def _selection_min(x_gens, y_gens, kx, ky):
+def _selection_min(norms, n, kx, ky):
     """Minimal matrix_norm of [X-cols_(Jx) | Y-cols_(Jy)] over column
-    selections with |Jx| = kx, |Jy| = ky >= 1, and the first minimizing
-    pair (Jx, Jy) in scan order (Jx outer, Jy inner); None if every
-    selection is rank deficient."""
-    n = x_gens.rows
-    y_sel = [(jy, y_gens.select_columns(jy))
+    selections with |Jx| = kx, |Jy| = ky >= 1, read from the minor table
+    ``norms = _minor_norms(X, Y)``, and the first minimizing pair
+    (Jx, Jy) in scan order (Jx outer, Jy inner); None if every selection
+    is rank deficient."""
+    y_sel = [(jy, tuple(n + j for j in jy))
              for jy in combinations(range(n), ky)]
     best = INFINITY
     first = None
     for jx in combinations(range(n), kx):
-        x_mat = x_gens.select_columns(jx) if kx else None
-        for jy, y_mat in y_sel:
-            val = matrix_norm(x_mat.hstack(y_mat) if kx else y_mat)
+        for jy, y_cols in y_sel:
+            val = norms[jx + y_cols]
             if val < best:
                 best = val
                 first = (jx, jy)
     return best, first
+
+
+def _minor_norms(x_gens, y_gens) -> dict:
+    """matrix_norm of every column selection of [X | Y] with at most n
+    columns, keyed by the selected column indices (Y's columns are
+    n..2n-1); INFINITY when every maximal minor of the selection is zero.
+
+    Computes every square minor of [X | Y] once, size by size: a k x k
+    minor is the Laplace expansion along its last column over the
+    (k-1) x (k-1) minors, so the C(3n, n) - 1 minors cost only
+    multiplications and additions.  A selection's norm is the minimal
+    valuation of its maximal minors.  Entries are raw values, as in
+    ``matops._pivot_valuations``: Fractions with the p-adic valuation, or
+    the t-adic ring elements themselves.
+    """
+    n = x_gens.rows
+    cols = list(zip(*x_gens.entries)) + list(zip(*y_gens.entries))
+    if x_gens.config.kind == RingConfig.PADIC:
+        p = x_gens.config.p
+        cols = [[e.value for e in col] for col in cols]
+        one = Fraction(1)
+
+        def val(x):
+            return _int_pval(x.numerator, p) - _int_pval(x.denominator, p)
+    else:
+        one = x_gens.config.one
+
+        def val(x):
+            return x.valuation()
+    row_sets = [list(combinations(range(n), k)) for k in range(n + 1)]
+    # dets[(S, R)] = det of the minor on columns S, rows R; zero minors are
+    # left out
+    dets = {((), ()): one}
+    norms = {}
+    for k in range(1, n + 1):
+        level = {}
+        for sel in combinations(range(2 * n), k):
+            head, col = sel[:-1], cols[sel[-1]]
+            best = INFINITY
+            for rows in row_sets[k]:
+                det = None
+                for pos, i in enumerate(rows):
+                    sub = dets.get((head, rows[:pos] + rows[pos + 1:]))
+                    if sub is None or not col[i]:
+                        continue
+                    term = col[i] * sub
+                    if (k - 1 - pos) % 2:
+                        term = -term
+                    det = term if det is None else det + term
+                if det:
+                    level[(sel, rows)] = det
+                    v = val(det)
+                    if v < best:
+                        best = v
+            norms[sel] = best
+        dets = level
+    return norms
 
 
 def greedy_slice_first_min(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -287,7 +354,8 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
         return sum(lam[:a])
     u = a_lat.n - a - c
     c_inv = c_lat.gens.inverse()
-    _, (_, jw) = _selection_min(a_lat.gens, a_lat.gens @ c_inv, u, c)
+    norms = _minor_norms(a_lat.gens, a_lat.gens @ c_inv)
+    _, (_, jw) = _selection_min(norms, a_lat.n, u, c)
     v_mat = c_inv.select_columns(jw)
     return _max_value(a_lat, c_lat, u, sum(lam), v_mat)
 

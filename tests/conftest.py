@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from hypothesis import strategies as st
+
 from hivekit import Lattice, RingConfig, ValuedMatrix
 
 
@@ -65,6 +67,20 @@ def random_tadic_matrix(cfg, rng, rows, cols):
             row.append(num)
         out.append(row)
     return ValuedMatrix(cfg, out)
+
+
+def ring_entries(cfg):
+    """Hypothesis strategy for entries over cfg, zero included: (num/den)
+    * p^k with k in -1..3, or a t-adic ratio of small polynomials."""
+    if cfg.kind == RingConfig.PADIC:
+        return st.builds(lambda num, den, k: Fraction(num, den) * cfg.p ** k,
+                         st.integers(-6, 6), st.integers(1, 6),
+                         st.integers(-1, 3))
+    coeffs = st.tuples(*[st.integers(-2, 2).map(Fraction)] * 3)
+    dens = st.sampled_from([(1,), (1, 1), (0, 1), (2, 0, 1)])
+    return st.builds(
+        lambda num, den: cfg.element((num, tuple(map(Fraction, den)))),
+        coeffs, dens)
 
 
 def brute_minor_norm(a):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from hivekit import (DualityError, Hive, LRFilling, build_hive, check_rhombus,
-                     hive_to_lr_filling, hive_type, lattice_invariants,
-                     pair_invariant, render, validate_lr)
+from hypothesis import given, settings, strategies as st
+
+from hivekit import (DualityError, Hive, LRFilling, RingConfig, build_hive,
+                     check_rhombus, hive_to_lr_filling, hive_type,
+                     lattice_invariants, pair_invariant, render, validate_lr)
 from hivekit.hive import NotAHiveError
 from hivekit.cli import InstanceSpec, random_pair
 
@@ -129,6 +131,61 @@ def test_build_hive_p3_n3(p3):
         spec = InstanceSpec(n=3, ring=p3, exponent_range=(0, 3),
                             seed=seed, unimodular_mix_steps=4)
         _check_both_variants(*random_pair(spec))
+
+
+# (ring, n, exponent range, mix steps, seed, primary rows, swapped rows),
+# recorded from build_hive before it read its entries from one minor table
+PINNED_HIVES = [
+    ('padic:2', 4, (0, 4), 6, 500,
+     ((0,), (2, 6), (4, 8, 12), (6, 10, 14, 17), (8, 12, 16, 19, 22)),
+     ((0,), (4, 6), (8, 10, 12), (11, 13, 15, 17), (14, 16, 18, 20, 22))),
+    ('padic:2', 4, (0, 4), 6, 501,
+     ((0,), (4, 6), (5, 7, 9), (6, 8, 10, 11), (6, 8, 10, 12, 13)),
+     ((0,), (2, 6), (4, 8, 9), (6, 10, 11, 11), (7, 11, 12, 13, 13))),
+    ('padic:2', 4, (0, 4), 6, 502,
+     ((0,), (2, 6), (4, 8, 10), (5, 9, 11, 12), (5, 9, 11, 13, 14)),
+     ((0,), (4, 6), (6, 8, 10), (8, 10, 12, 12), (9, 11, 13, 14, 14))),
+    ('padic:3', 3, (0, 3), 4, 500,
+     ((0,), (3, 6), (6, 9, 11), (7, 10, 13, 15)),
+     ((0,), (3, 6), (6, 9, 11), (8, 11, 14, 15))),
+    ('padic:3', 3, (0, 3), 4, 501,
+     ((0,), (1, 3), (2, 4, 6), (2, 4, 6, 7)),
+     ((0,), (2, 3), (4, 5, 6), (5, 6, 7, 7))),
+    ('tadic', 2, (0, 3), 4, 500,
+     ((0,), (3, 6), (6, 9, 12)),
+     ((0,), (3, 6), (6, 9, 12))),
+    ('tadic', 2, (0, 3), 4, 501,
+     ((0,), (1, 3), (1, 3, 5)),
+     ((0,), (2, 3), (4, 5, 5))),
+    ('padic:2', 5, (0, 3), 4, 500,
+     ((0,), (3, 6), (6, 9, 12), (9, 12, 15, 17), (12, 15, 18, 20, 21),
+      (13, 16, 19, 22, 24, 25)),
+     ((0,), (3, 6), (6, 9, 12), (9, 12, 15, 17), (11, 14, 17, 20, 21),
+      (12, 15, 18, 21, 24, 25))),
+]
+
+
+@pytest.mark.parametrize("ring,n,exps,mix,seed,primary,swapped", PINNED_HIVES)
+def test_build_hive_rows_pinned(ring, n, exps, mix, seed, primary, swapped):
+    spec = InstanceSpec(n=n, ring=RingConfig.parse_flag(ring),
+                        exponent_range=exps, seed=seed,
+                        unimodular_mix_steps=mix)
+    n_lat, lam_lat = random_pair(spec)
+    assert build_hive(n_lat, lam_lat, "primary").rows == primary
+    assert build_hive(n_lat, lam_lat, "swapped").rows == swapped
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring=st.sampled_from(["padic:2", "padic:3", "tadic"]),
+       n=st.integers(2, 3), hi=st.integers(0, 3), mix=st.integers(0, 4),
+       seed=st.integers(0, 10**6))
+def test_build_hive_properties(ring, n, hi, mix, seed):
+    cfg = RingConfig.parse_flag(ring)
+    if cfg.kind == RingConfig.TADIC:
+        n = min(n, 2)
+    spec = InstanceSpec(n=n, ring=cfg, exponent_range=(0, hi), seed=seed,
+                        unimodular_mix_steps=mix)
+    _check_both_variants(*random_pair(spec))
 
 
 def test_duality_error_formatting():

@@ -1,13 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from hivekit import (Lattice, Submodule, adapted_slice, greedy_slice_first_min,
+from hypothesis import given, settings, strategies as st
+
+from hivekit import (Lattice, RingConfig, Submodule, ValuedMatrix,
+                     adapted_slice, greedy_slice_first_min,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
                      min_direct_sum_norm, pair_invariant, saturate)
 from hivekit.cli import InstanceSpec, random_pair
+from hivekit.lattice import _minor_norms
 
-from conftest import lat, mat, seeded
+from conftest import lat, mat, ring_entries, seeded
 
 
 def test_lattice_invariants_examples(p2):
@@ -216,6 +221,63 @@ def test_duality_small(p2):
                 lhs = size - min_direct_sum_norm(lam_lat, n_lat, 3 - t, t - s)
                 rhs = max_direct_sum_norm(lam_lat, m_lat, s, t - s)
                 assert lhs == rhs
+
+
+@st.composite
+def minor_table_inputs(draw):
+    """X, Y of size n x n over p=2, p=3 or t-adic, n in 1..4 (1..3 for
+    t-adic), with zero columns and rank-deficient column sets."""
+    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3),
+                                RingConfig.tadic()]))
+    n = draw(st.integers(1, 4 if cfg.kind == RingConfig.PADIC else 3))
+    entry = ring_entries(cfg)
+    cols = [[draw(entry) for _ in range(n)] for _ in range(2 * n)]
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, 2 * n - 1))
+        kind = draw(st.sampled_from(["zero", "multiple"]))
+        if kind == "zero":
+            cols[j] = [0] * n
+        else:
+            # a multiple of another column: every selection holding both
+            # is rank deficient
+            src, f = draw(st.integers(0, 2 * n - 1)), draw(entry)
+            cols[j] = [f * x for x in cols[src]]
+    rows = [list(r) for r in zip(*cols)]
+    return (ValuedMatrix(cfg, [r[:n] for r in rows]),
+            ValuedMatrix(cfg, [r[n:] for r in rows]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(xy=minor_table_inputs())
+def test_minor_table_matches_matrix_norm(xy):
+    x, y = xy
+    n = x.rows
+    both = x.hstack(y)
+    norms = _minor_norms(x, y)
+    sels = [sel for k in range(1, n + 1)
+            for sel in combinations(range(2 * n), k)]
+    assert sorted(norms) == sorted(sels)
+    for sel in sels:
+        assert norms[sel] == matrix_norm(both.select_columns(sel)), sel
+
+
+def test_max_scan_matrix_is_n(p2, p3, tadic):
+    """Lambda M^-1 = N entrywise for M = N^-1 Lambda, so the max route's
+    own scan of [Lambda | Lambda M^-1] is the min route's scan of
+    [Lambda | N]; ``build_hive`` relies on this to share the witness."""
+    for cfg, n, seeds in ((p2, 4, range(6)), (p2, 3, range(6)),
+                          (p3, 3, range(6)), (tadic, 2, range(4)),
+                          (tadic, 3, range(2))):
+        for seed in seeds:
+            spec = InstanceSpec(n=n, ring=cfg, exponent_range=(0, 3),
+                                seed=seed, unimodular_mix_steps=4)
+            n_lat, lam_lat = random_pair(spec)
+            m_lat, _ = pair_invariant(n_lat, lam_lat)
+            swapped = (Lattice(m_lat.gens.transpose()),
+                       Lattice(lam_lat.gens.transpose()))
+            for a_lat, l_lat in ((n_lat, lam_lat), swapped):
+                m, _ = pair_invariant(a_lat, l_lat)
+                assert l_lat.gens @ m.gens.inverse() == a_lat.gens
 
 
 def test_tadic_pair_and_min(tadic):

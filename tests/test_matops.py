@@ -9,7 +9,7 @@ from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
 
 from conftest import (brute_minor_norm, mat, random_padic_matrix,
-                       random_tadic_matrix, seeded)
+                       random_tadic_matrix, ring_entries, seeded)
 
 
 def check_smith(a):
@@ -170,16 +170,7 @@ def kernel_inputs(draw):
     padic = cfg.kind == RingConfig.PADIC
     rows = draw(st.integers(1, 4 if padic else 3))
     cols = draw(st.integers(1, 4 if padic else 3))
-    if padic:
-        entry = st.builds(lambda num, den, k: Fraction(num, den) * cfg.p ** k,
-                          st.integers(-6, 6), st.integers(1, 6),
-                          st.integers(-1, 3))
-    else:
-        coeffs = st.tuples(*[st.integers(-2, 2).map(Fraction)] * 3)
-        dens = st.sampled_from([(1,), (1, 1), (0, 1), (2, 0, 1)])
-        entry = st.builds(
-            lambda num, den: cfg.element((num, tuple(map(Fraction, den)))),
-            coeffs, dens)
+    entry = ring_entries(cfg)
     shape = draw(st.sampled_from(["random", "deficient", "zero"]))
     if shape == "zero":
         return ValuedMatrix(cfg, [[0] * cols for _ in range(rows)])
