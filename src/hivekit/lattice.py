@@ -29,17 +29,20 @@ min route (the check in ``build_hive``), the true maximum is at least
 that entry.  Equality is certified only by the brute-force oracle.  The
 witness's value is always computed by ``_max_value``, independently of
 the minor table, so a table that undershot the min would fail that check.
+``_max_value`` works on raw values: one raw product A V and one quotient
+elimination (``matops._quotient_valuations``) on [A V | A].  The witness
+V is always made of C.gens^-1 columns, so the norm(C(V)) term of the
+objective is identically 0 and is not computed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
-from .matops import (INFINITY, ValuedMatrix, invariant_partition, matrix_norm,
+from .matops import (INFINITY, ValuedMatrix, _quotient_valuations,
+                     _raw_entries, invariant_partition,
                      quotient_free_invariants, reduce_to_top_rows,
                      smith_decompose, unimodular_check)
-from .ring import RingConfig, _int_pval
 
 
 class Lattice:
@@ -252,28 +255,16 @@ def _minor_norms(x_gens, y_gens) -> dict:
     minor is the Laplace expansion along its last column over the
     (k-1) x (k-1) minors, so the C(3n, n) - 1 minors cost only
     multiplications and additions.  A selection's norm is the minimal
-    valuation of its maximal minors.  Entries are raw values, as in
-    ``matops._pivot_valuations``: Fractions with the p-adic valuation, or
-    the t-adic ring elements themselves.
+    valuation of its maximal minors.  Entries are raw values
+    (``matops._raw_entries``).
     """
     n = x_gens.rows
-    cols = list(zip(*x_gens.entries)) + list(zip(*y_gens.entries))
-    if x_gens.config.kind == RingConfig.PADIC:
-        p = x_gens.config.p
-        cols = [[e.value for e in col] for col in cols]
-        one = Fraction(1)
-
-        def val(x):
-            return _int_pval(x.numerator, p) - _int_pval(x.denominator, p)
-    else:
-        one = x_gens.config.one
-
-        def val(x):
-            return x.valuation()
+    x_rows, val = _raw_entries(x_gens)
+    cols = list(zip(*x_rows)) + list(zip(*_raw_entries(y_gens)[0]))
     row_sets = [list(combinations(range(n), k)) for k in range(n + 1)]
     # dets[(S, R)] = det of the minor on columns S, rows R; zero minors are
-    # left out
-    dets = {((), ()): one}
+    # left out, and the empty minor is the int 1, which both raw kinds take
+    dets = {((), ()): 1}
     norms = {}
     for k in range(1, n + 1):
         level = {}
@@ -343,7 +334,9 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
 
     The witness is V = the C.gens^-1-columns of the first minimizing
     column selection of the dual minimum, found by this route's own
-    selection scan.  Its value is the objective at one feasible V, so it
+    selection scan; there C(V) is spanned by unit columns, so the value
+    is |inv A| - norm(A(V)) minus the optimal U's quotient invariants
+    (``_max_value``).  Its value is the objective at one feasible V, so it
     proves only a lower bound on the maximum; ``build_hive`` shows that it
     reaches |inv A| minus the min route, and the brute-force oracle
     (acceptance criterion 4, ``hivekit oracle``) certifies equality.
@@ -356,18 +349,30 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     c_inv = c_lat.gens.inverse()
     norms = _minor_norms(a_lat.gens, a_lat.gens @ c_inv)
     _, (_, jw) = _selection_min(norms, a_lat.n, u, c)
-    v_mat = c_inv.select_columns(jw)
-    return _max_value(a_lat, c_lat, u, sum(lam), v_mat)
+    return _max_value(a_lat.gens, c_inv.select_columns(jw), u, sum(lam))
 
 
-def _max_value(a_lat, c_lat, u, size, v_mat):
-    """Objective for one span V with K-independent columns."""
-    cv = matrix_norm(c_lat.gens @ v_mat)
-    av_mat = a_lat.gens @ v_mat
-    av = matrix_norm(av_mat)
-    penalty = 0
-    if u:
-        p, _ = reduce_to_top_rows(av_mat)
-        bottom = (p @ a_lat.gens).bottom_rows(a_lat.n - v_mat.cols)
-        penalty = sum(sorted(invariant_partition(bottom))[:u])
-    return int(cv + size - av - penalty)
+def _max_value(a_gens, v_mat, u, size):
+    """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at one span V,
+    given by K-independent columns ``v_mat`` of C.gens^-1.
+
+    Both callers take V from C.gens^-1, so C.gens @ V is made of unit
+    columns and norm(C(V)) is identically 0; the value is |inv A| minus
+    norm(A(V)) minus the u smallest quotient invariants of A relative to
+    A(V).  A @ V is formed as a raw product (it never reads the minor
+    table) and one ``matops._quotient_valuations`` run on [A V | A]
+    gives both sums.
+    """
+    a_rows, val = _raw_entries(a_gens)
+    v_cols = list(zip(*_raw_entries(v_mat)[0]))
+    av = []
+    for row in a_rows:
+        av_row = []
+        for col in v_cols:
+            terms = [x * y for x, y in zip(row, col) if x and y]
+            av_row.append(sum(terms[1:], terms[0]) if terms else 0)
+        av.append(av_row)
+    # with u = 0 the quotient is not needed, so T is left empty
+    av_vals, quot = _quotient_valuations(av, a_rows if u else [()] * len(av),
+                                         val)
+    return int(size - sum(av_vals) - sum(sorted(quot)[:u]))

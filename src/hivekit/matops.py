@@ -2,18 +2,25 @@
 
 Smith decomposition over a DVR, invariant partitions, matrix norms
 (sums of invariant orders), unimodularity tests, row reduction to block
-forms, and the bottom-block quotient invariants used by the lattice
-optimizers.  All operations are pure functions of immutable inputs.
+forms, and the quotient invariants used by the lattice optimizers.  All
+operations are pure functions of immutable inputs.
 
-Two routes share one pivoting rule (an entry of minimal valuation):
+Every route shares one pivoting rule (an entry of minimal valuation):
 
 * norms -- ``invariant_partition``, ``matrix_norm`` and
   ``unimodular_check`` -- run the valuation kernel ``_pivot_valuations``,
   which carries only the Schur complement on raw values and builds no
   transforms;
+* quotient invariants -- ``quotient_free_invariants`` and the lattice
+  layer's max witness -- run ``_quotient_valuations``, the same
+  elimination on [S | T] with pivots taken only in S's columns;
 * ``smith_decompose`` builds D together with P, Q and their inverses, for
-  the callers that need the transforms (``reduce_to_top_rows`` and,
-  through the lattice layer, adapted bases and saturation).
+  the callers that need the transforms (``reduce_to_top_rows``, which
+  serves ``lattice._coordinates_in``, and, through the lattice layer,
+  adapted bases and saturation).
+
+The kernels work on raw values (``_raw_entries``): Fractions with the
+p-adic valuation, or the t-adic ring elements themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +36,11 @@ class ValuedMatrix:
     __slots__ = ("config", "rows", "cols", "entries")
 
     def __init__(self, config: RingConfig, entries):
-        entries = tuple(tuple(config.element(e) for e in row) for row in entries)
+        # entries already over this config are kept as they are; anything
+        # else goes through config.element, which rejects a foreign config
+        entries = tuple(tuple(e if isinstance(e, RingElement) and e.config is config
+                              else config.element(e) for e in row)
+                        for row in entries)
         if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
         cols = len(entries[0])
@@ -340,31 +351,38 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
     return SmithDecomposition(p, d, q, p_inv, q_inv)
 
 
-def _pivot_valuations(a: ValuedMatrix) -> list:
-    """Pivot valuations of minimal-valuation elimination, one per K-rank.
+def _element_valuation(x):
+    return x.valuation()
 
-    The pivoting of ``smith_decompose`` without its transforms: after each
-    pivot only the Schur complement is kept.  Every clearing multiplier
-    lies in O, so the pivot valuations are the Smith diagonal valuations
-    (in non-decreasing order).  Entries are raw values: Fractions with the
-    p-adic valuation, or the t-adic ring elements themselves.
-    """
+
+def _raw_entries(a: ValuedMatrix):
+    """(rows, val): the entries of A as lists of raw values, and their
+    valuation.  Raw values are Fractions with the p-adic valuation, or the
+    t-adic ring elements themselves; both accept the int 0 as zero."""
     if a.config.kind == RingConfig.PADIC:
         p = a.config.p
-        rows = [[e.value for e in row] for row in a.entries]
 
         def val(x):
             return _int_pval(x.numerator, p) - _int_pval(x.denominator, p)
-    else:
-        rows = [list(row) for row in a.entries]
+        return [[e.value for e in row] for row in a.entries], val
+    return [list(row) for row in a.entries], _element_valuation
 
-        def val(x):
-            return x.valuation()
+
+def _eliminate(rows, width, val) -> list:
+    """Minimal-valuation elimination of raw rows, pivoting only in the
+    first ``width`` columns; returns the pivot valuations.
+
+    After each pivot its row and column are removed and only the Schur
+    complement is kept, in place: on return ``rows`` holds the rows left
+    over, without the pivoted columns.  Every clearing multiplier lies in
+    O, so the row operations are unimodular.
+    """
     vals = []
     while rows:
         best, piv = INFINITY, None
         for i, row in enumerate(rows):
-            for j, x in enumerate(row):
+            for j in range(width):
+                x = row[j]
                 if x:
                     v = val(x)
                     if v < best:
@@ -379,7 +397,37 @@ def _pivot_valuations(a: ValuedMatrix) -> list:
             if e:
                 f = e / pivot
                 rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+        width -= 1
     return vals
+
+
+def _pivot_valuations(a: ValuedMatrix) -> list:
+    """Pivot valuations of minimal-valuation elimination, one per K-rank.
+
+    The pivoting of ``smith_decompose`` without its transforms.  Every
+    clearing multiplier lies in O, so the pivot valuations are the Smith
+    diagonal valuations (in non-decreasing order).
+    """
+    rows, val = _raw_entries(a)
+    return _eliminate(rows, a.cols, val)
+
+
+def _quotient_valuations(s_rows, t_rows, val) -> tuple:
+    """(S pivots, quotient pivots) of one elimination on raw [S | T].
+
+    Pivots are taken only in S's columns, so the row operations are
+    unimodular and leave S supported on its pivot rows: the S pivot
+    valuations are S's invariant orders, and the T rows left over are the
+    image of T in O^n modulo the saturation of S's span, whose own pivot
+    valuations are the quotient invariants (in no particular order).
+    Raises ValueError when S has K-rank below its column count.
+    """
+    k = len(s_rows[0])
+    rows = [list(s) + list(t) for s, t in zip(s_rows, t_rows)]
+    s_vals = _eliminate(rows, k, val)
+    if len(s_vals) < k:
+        raise ValueError("S must have full column rank")
+    return s_vals, _eliminate(rows, len(t_rows[0]), val)
 
 
 def invariant_partition(a: ValuedMatrix) -> tuple:
@@ -425,15 +473,17 @@ def reduce_to_top_rows(s: ValuedMatrix):
 def quotient_free_invariants(t: ValuedMatrix, s: ValuedMatrix) -> tuple:
     """Invariant orders of the free part of T's image modulo the span of S.
 
-    Reduces S to its top rows, then reads the invariant partition of the
-    bottom (n - r) x n block of P @ T.
+    Non-increasing, one per row of the quotient O^n / sat(S); computed by
+    ``_quotient_valuations`` on raw values, with no transforms.
     """
     if t.rows != t.cols:
         raise ValueError("T must be square")
+    if s.rows != t.rows or s.config != t.config:
+        raise ValueError("S and T must share their rows and ring")
     if t.rank() < t.rows:
         raise ValueError("T must have full rank")
     if s.cols >= t.rows:
         raise ValueError("S must have rank below the ambient dimension")
-    p, _ = reduce_to_top_rows(s)
-    bottom = (p @ t).bottom_rows(t.rows - s.cols)
-    return invariant_partition(bottom)
+    t_rows, val = _raw_entries(t)
+    _, quot = _quotient_valuations(_raw_entries(s)[0], t_rows, val)
+    return tuple(sorted(quot, reverse=True))

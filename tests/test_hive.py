@@ -4,10 +4,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from hivekit import hive as hive_module
 from hivekit import (DualityError, Hive, LRFilling, RingConfig, build_hive,
                      check_rhombus, hive_to_lr_filling, hive_type,
                      lattice_invariants, pair_invariant, render, validate_lr)
 from hivekit.hive import NotAHiveError
+from hivekit.lattice import _minor_norms, _selection_min
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import lat, seeded
@@ -194,6 +196,30 @@ def test_duality_error_formatting():
                         "min route 5, witness 4")
     assert err.min_value == 5 and err.max_value == 4
     assert err.variant == "swapped"
+
+
+@pytest.mark.parametrize("variant", ["primary", "swapped"])
+@pytest.mark.parametrize("s,t", [(0, 1), (1, 3), (0, 3)])
+def test_witness_ignores_minor_table(monkeypatch, p2, variant, s, t):
+    # a table whose minimizing selection at (s,t) undershoots by 1 must be
+    # caught there: the witness value is computed without the table
+    spec = InstanceSpec(n=3, ring=p2, exponent_range=(0, 3), seed=7,
+                        unimodular_mix_steps=4)
+    n_lat, lam_lat = random_pair(spec)
+    build_hive(n_lat, lam_lat, variant)  # consistent before the patch
+
+    def undershooting(x_gens, y_gens):
+        norms = _minor_norms(x_gens, y_gens)
+        n = x_gens.rows
+        _, (jx, jy) = _selection_min(norms, n, n - t, t - s)
+        norms[jx + tuple(n + j for j in jy)] -= 1
+        return norms
+
+    monkeypatch.setattr(hive_module, "_minor_norms", undershooting)
+    with pytest.raises(DualityError) as err:
+        build_hive(n_lat, lam_lat, variant)
+    assert (err.value.s, err.value.t, err.value.variant) == (s, t, variant)
+    assert err.value.min_value == err.value.max_value + 1
 
 
 # ---------------------------------------------------------------------------

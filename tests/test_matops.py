@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants,
@@ -124,6 +124,55 @@ def test_quotient_invariants_reduction_independent(p2):
         assert all((p_alt @ s)[i, 0].is_zero() for i in range(1, 3))
         bottom = (p_alt @ t).bottom_rows(2)
         assert invariant_partition(bottom) == base
+
+
+@st.composite
+def quotient_inputs(draw):
+    """(T, S, full): a full-rank n x n T and an n x k S, 1 <= k <= n-1,
+    over p=2, p=3 or t-adic; ``full`` says whether S has full column rank
+    (otherwise its last column is a multiple of its first, or zero)."""
+    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3),
+                                RingConfig.tadic()]))
+    n = draw(st.integers(2, 4 if cfg.kind == RingConfig.PADIC else 3))
+    k = draw(st.integers(1, n - 1))
+    entry = ring_entries(cfg)
+    t = ValuedMatrix(cfg, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(t.rank() == n)
+    data = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    full = draw(st.booleans())
+    if not full:
+        c = draw(entry)
+        for row in data:
+            row[-1] = c * row[0]
+    s = ValuedMatrix(cfg, data)
+    assume(full == (s.rank() == k))
+    return t, s, full
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=quotient_inputs())
+def test_quotient_kernel_matches_smith_route(case):
+    # the raw-value kernel against the transform route it replaced
+    t, s, full = case
+    if not full:
+        with pytest.raises(ValueError):
+            quotient_free_invariants(t, s)
+        return
+    n, k = t.rows, s.cols
+    smith = invariant_partition(
+        (reduce_to_top_rows(s)[0] @ t).bottom_rows(n - k))
+    assert quotient_free_invariants(t, s) == smith
+    assert len(smith) == n - k
+
+
+def test_valued_matrix_keeps_own_entries_and_rejects_foreign(p2, p3):
+    one = p2.one
+    assert ValuedMatrix(p2, [[one, 2]])[0, 0] is one
+    assert ValuedMatrix(RingConfig.padic(2), [[one]])[0, 0] == one
+    with pytest.raises(ValueError, match="mixed ring"):
+        ValuedMatrix(p2, [[1, p3.one]])
+    with pytest.raises(ValueError, match="mixed ring"):
+        ValuedMatrix(RingConfig.tadic(), [[one]])
 
 
 def test_smith_round_trip_randomized(p2, tadic):
