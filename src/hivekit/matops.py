@@ -38,9 +38,10 @@ class ValuedMatrix:
     def __init__(self, config: RingConfig, entries):
         # entries already over this config are kept as they are; anything
         # else goes through config.element, which rejects a foreign config
-        entries = tuple(tuple(e if isinstance(e, RingElement) and e.config is config
-                              else config.element(e) for e in row)
-                        for row in entries)
+        entries = tuple(
+            tuple(e if isinstance(e, RingElement) and e.config is config
+                  else config.element(e) for e in row)
+            for row in entries)
         if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
         cols = len(entries[0])
@@ -473,8 +474,9 @@ def reduce_to_top_rows(s: ValuedMatrix):
 def quotient_free_invariants(t: ValuedMatrix, s: ValuedMatrix) -> tuple:
     """Invariant orders of the free part of T's image modulo the span of S.
 
-    Non-increasing, one per row of the quotient O^n / sat(S); computed by
-    ``_quotient_valuations`` on raw values, with no transforms.
+    Non-increasing, n - k of them for an n x k S of full column rank (the
+    rank of O^n / sat(S)); computed by ``_quotient_valuations`` on raw
+    values, with no transforms.
     """
     if t.rows != t.cols:
         raise ValueError("T must be square")
