@@ -171,35 +171,35 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
 
     Every entry is also evaluated at the max route's witness, and the two
     values must agree; a mismatch raises DualityError.  The witness is
-    V = the M^-1-columns of the first minimizing N-selection of the same
-    table scan: ``max_direct_sum_norm`` would scan [Lambda | Lambda M^-1],
-    and Lambda M^-1 = N entrywise
-    (``tests/test_lattice.py::test_max_scan_matrix_is_n``).  The witness's
-    value comes from ``lattice._max_value``, which forms Lambda V as a raw
-    product and runs one quotient elimination on raw values, never reading
-    the table (``tests/test_hive.py::test_witness_ignores_minor_table``);
-    the objective's norm(M V) term is 0 because M V is made of unit
+    V = the M^-1-columns of the first minimizing N-selection jw of the
+    same table scan: ``max_direct_sum_norm`` would scan
+    [Lambda | Lambda M^-1], and Lambda M^-1 = N exactly
+    (``tests/test_lattice.py::test_max_scan_matrix_is_n``), so Lambda V is
+    the columns N_jw and no inverse is formed.  The witness's value comes
+    from ``lattice._max_value``, which runs one quotient elimination on
+    the raw form of [N_jw | Lambda]: the same input as the table, but a
+    different route, elimination instead of minors, and it never reads
+    the table (``tests/test_hive.py::test_witness_ignores_minor_table``).
+    The objective's norm(M V) term is 0 because M V is made of unit
     columns.  The witness value is at most the true max = |lambda| - true
     min, so agreement also shows that the table's min did not undershoot.
     Agreement shows that a feasible witness attains h(s,t), so the true
     max is at least h(s,t); only the brute-force oracle (acceptance
     criterion 4, ``hivekit oracle``) certifies that the max equals h(s,t).
+    Only the swapped variant computes M, once, with ``pair_invariant``.
     """
     if variant not in (PRIMARY, SWAPPED):
         raise ValueError(f"unknown hive variant {variant!r}")
     if n_lat.n != lam_lat.n or n_lat.config != lam_lat.config:
         raise ValueError("pair lattices must share dimension and ring")
-    m_lat, _ = pair_invariant(n_lat, lam_lat)
-    n_gens, m_gens, lam_gens = n_lat.gens, m_lat.gens, lam_lat.gens
+    n_gens, lam_gens = n_lat.gens, lam_lat.gens
     if variant == SWAPPED:
         # M in place of N, carried out on transposes: Lambda^T = M^T N^T is
         # the valid factorization with the roles exchanged, so the swapped
-        # hive is the primary construction on the pair (M^T, Lambda^T), its
-        # pair invariant is (M^T)^-1 Lambda^T = (Lambda M^-1)^T = N^T
-        # exactly, and its type comes out (nu, mu, lambda)
-        n_gens, m_gens = m_gens.transpose(), n_gens.transpose()
-        lam_gens = lam_gens.transpose()
-    m_inv = m_gens.inverse()
+        # hive is the primary construction on the pair (M^T, Lambda^T), and
+        # its type comes out (nu, mu, lambda)
+        m_lat, _ = pair_invariant(n_lat, lam_lat)
+        n_gens, lam_gens = m_lat.gens.transpose(), lam_gens.transpose()
     lam = sorted(invariant_partition(lam_gens), reverse=True)
     size = sum(lam)
     n = lam_lat.n
@@ -210,7 +210,7 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
         for s in range(t):
             best, (_, jw) = _selection_min(norms, n, n - t, t - s)
             hmin = size - best
-            hmax = _max_value(lam_gens, m_inv.select_columns(jw), n - t, size)
+            hmax = _max_value(lam_gens, n_gens.select_columns(jw), n - t, size)
             if hmax != hmin:
                 raise DualityError(s, t, hmin, hmax, variant)
             row.append(hmin)

@@ -27,12 +27,14 @@ its value is exact.  The max route evaluates one feasible witness, so its
 value is a lower bound on the maximum: when it equals |inv A| minus the
 min route (the check in ``build_hive``), the true maximum is at least
 that entry.  Equality is certified only by the brute-force oracle.  The
-witness's value is always computed by ``_max_value``, independently of
-the minor table, so a table that undershot the min would fail that check.
-``_max_value`` works on raw values: one raw product A V and one quotient
-elimination (``matops._quotient_valuations``) on [A V | A].  The witness
-V is always made of C.gens^-1 columns, so the norm(C(V)) term of the
-objective is identically 0 and is not computed.
+witness's value is always computed by ``_max_value``, by elimination and
+never from the minor table, so a table that undershot the min would fail
+that check.  ``_max_value`` takes the columns A V themselves and runs one
+quotient elimination (``matops._quotient_valuations``) on the raw form of
+[A V | A].  The witness V is always made of C.gens^-1 columns, so the
+norm(C(V)) term of the objective is identically 0 and is not computed;
+in the hive, A V = Lambda M^-1_jw = N_jw exactly, so ``build_hive``
+passes columns of N and needs no inverse.
 """
 
 from __future__ import annotations
@@ -256,11 +258,13 @@ def _minor_norms(x_gens, y_gens) -> dict:
     (k-1) x (k-1) minors, so the C(3n, n) - 1 minors cost only
     multiplications and additions.  A selection's norm is the minimal
     valuation of its maximal minors.  Entries are raw values
-    (``matops._raw_entries``).
+    (``matops._raw_entries``, one form for X and Y): p-adic minors are
+    plain integer products, and a k-column selection's raw norm exceeds
+    its norm by k times the form's shift.
     """
     n = x_gens.rows
-    x_rows, val = _raw_entries(x_gens)
-    cols = list(zip(*x_rows)) + list(zip(*_raw_entries(y_gens)[0]))
+    (x_rows, y_rows), val, _, shift = _raw_entries(x_gens, y_gens)
+    cols = list(zip(*x_rows)) + list(zip(*y_rows))
     row_sets = [list(combinations(range(n), k)) for k in range(n + 1)]
     # dets[(S, R)] = det of the minor on columns S, rows R; zero minors are
     # left out, and the empty minor is the int 1, which both raw kinds take
@@ -286,7 +290,7 @@ def _minor_norms(x_gens, y_gens) -> dict:
                     v = val(det)
                     if v < best:
                         best = v
-            norms[sel] = best
+            norms[sel] = best - k * shift
         dets = level
     return norms
 
@@ -334,45 +338,40 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
 
     The witness is V = the C.gens^-1-columns of the first minimizing
     column selection of the dual minimum, found by this route's own
-    selection scan; there C(V) is spanned by unit columns, so the value
-    is |inv A| - norm(A(V)) minus the optimal U's quotient invariants
-    (``_max_value``).  Its value is the objective at one feasible V, so it
-    proves only a lower bound on the maximum; ``build_hive`` shows that it
-    reaches |inv A| minus the min route, and the brute-force oracle
-    (acceptance criterion 4, ``hivekit oracle``) certifies equality.
+    selection scan of [A | A C^-1]; there C(V) is spanned by unit columns,
+    so the value is |inv A| - norm(A(V)) minus the optimal U's quotient
+    invariants (``_max_value``, given the selected A C^-1 columns).  Its
+    value is the objective at one feasible V, so it proves only a lower
+    bound on the maximum; ``build_hive`` shows that it reaches |inv A|
+    minus the min route, and the brute-force oracle (acceptance
+    criterion 4, ``hivekit oracle``) certifies equality.
     """
     _check_rank_args(a_lat, c_lat, a, c)
     lam = sorted(lattice_invariants(a_lat), reverse=True)
     if c == 0:
         return sum(lam[:a])
     u = a_lat.n - a - c
-    c_inv = c_lat.gens.inverse()
-    norms = _minor_norms(a_lat.gens, a_lat.gens @ c_inv)
+    av = a_lat.gens @ c_lat.gens.inverse()
+    norms = _minor_norms(a_lat.gens, av)
     _, (_, jw) = _selection_min(norms, a_lat.n, u, c)
-    return _max_value(a_lat.gens, c_inv.select_columns(jw), u, sum(lam))
+    return _max_value(a_lat.gens, av.select_columns(jw), u, sum(lam))
 
 
-def _max_value(a_gens, v_mat, u, size):
+def _max_value(a_gens, av_mat, u, size):
     """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at one span V,
-    given by K-independent columns ``v_mat`` of C.gens^-1.
+    given by the columns ``av_mat`` = A.gens @ V.
 
-    Both callers take V from C.gens^-1, so C.gens @ V is made of unit
-    columns and norm(C(V)) is identically 0; the value is |inv A| minus
-    norm(A(V)) minus the u smallest quotient invariants of A relative to
-    A(V).  A @ V is formed as a raw product (it never reads the minor
-    table) and one ``matops._quotient_valuations`` run on [A V | A]
-    gives both sums.
+    Both callers take V from C.gens^-1 columns, so C.gens @ V is made of
+    unit columns and norm(C(V)) is identically 0; the value is |inv A|
+    minus norm(A(V)) minus the u smallest quotient invariants of A
+    relative to A(V).  One ``matops._quotient_valuations`` run on the raw
+    form of [A V | A] gives both sums; the raw form's shift moves each of
+    the k pivots of A V and each quotient pivot by the same amount.  The
+    input is A V itself, never the minor table.
     """
-    a_rows, val = _raw_entries(a_gens)
-    v_cols = list(zip(*_raw_entries(v_mat)[0]))
-    av = []
-    for row in a_rows:
-        av_row = []
-        for col in v_cols:
-            terms = [x * y for x, y in zip(row, col) if x and y]
-            av_row.append(sum(terms[1:], terms[0]) if terms else 0)
-        av.append(av_row)
+    (av, a_rows), val, step, shift = _raw_entries(av_mat, a_gens)
     # with u = 0 the quotient is not needed, so T is left empty
     av_vals, quot = _quotient_valuations(av, a_rows if u else [()] * len(av),
-                                         val)
-    return int(size - sum(av_vals) - sum(sorted(quot)[:u]))
+                                         val, step)
+    return int(size - sum(av_vals) - sum(sorted(quot)[:u])
+               + (len(av_vals) + u) * shift)

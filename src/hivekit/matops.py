@@ -19,13 +19,18 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   serves ``lattice._coordinates_in``, and, through the lattice layer,
   adapted bases and saturation).
 
-The kernels work on raw values (``_raw_entries``): Fractions with the
-p-adic valuation, or the t-adic ring elements themselves.
+The kernels work on raw values (``_raw_entries``).  p-adic: one common
+denominator is cleared, so the raw values are Python ints with the p-adic
+valuation, elimination is fraction-free, and results are moved back by
+the denominator's valuation (the form's shift).  t-adic: the ring
+elements themselves, with division steps and no shift.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 from .ring import INFINITY, RingConfig, RingElement, _int_pval
 
@@ -356,27 +361,62 @@ def _element_valuation(x):
     return x.valuation()
 
 
-def _raw_entries(a: ValuedMatrix):
-    """(rows, val): the entries of A as lists of raw values, and their
-    valuation.  Raw values are Fractions with the p-adic valuation, or the
-    t-adic ring elements themselves; both accept the int 0 as zero."""
-    if a.config.kind == RingConfig.PADIC:
-        p = a.config.p
-
-        def val(x):
-            return _int_pval(x.numerator, p) - _int_pval(x.denominator, p)
-        return [[e.value for e in row] for row in a.entries], val
-    return [list(row) for row in a.entries], _element_valuation
+def _tadic_step(pivot, v):
+    def clear(row, prow, e):
+        f = e / pivot
+        return [x - f * y if y else x for x, y in zip(row, prow)]
+    return clear
 
 
-def _eliminate(rows, width, val) -> list:
+def _raw_entries(*mats):
+    """(rows, val, step, shift): the raw form of one or more matrices over
+    one ring.
+
+    ``rows`` holds each matrix's entries as lists of raw values, ``val``
+    is their valuation, ``step(pivot, v)`` gives the row clearing of an
+    elimination at a pivot of valuation v (see ``_eliminate``), and every
+    raw value's valuation exceeds its entry's by ``shift``.
+
+    p-adic: one common denominator d of all the matrices' entries is
+    cleared, so the raw values are the ints d * entry, ``val`` is
+    ``_int_pval`` and ``shift`` = v_p(d).  Scaling by d moves a k-column
+    selection's norm (and its pivot sum) by k * shift, and each quotient
+    pivot by shift, since sat(d S) = sat(S).  t-adic: the ring elements
+    themselves, with shift 0.  Both kinds accept the int 0 as zero.
+    """
+    cfg = mats[0].config
+    if cfg.kind == RingConfig.PADIC:
+        p = cfg.p
+        d = math.lcm(*(e.value.denominator for a in mats
+                       for row in a.entries for e in row))
+        rows = [[[e.value.numerator * (d // e.value.denominator) for e in row]
+                 for row in a.entries] for a in mats]
+
+        def step(pivot, v):
+            q = p ** v
+            u = pivot // q
+
+            def clear(row, prow, e):
+                f = e // q
+                return [u * x - f * y for x, y in zip(row, prow)]
+            return clear
+        return rows, partial(_int_pval, p=p), step, _int_pval(d, p)
+    return ([[list(row) for row in a.entries] for a in mats],
+            _element_valuation, _tadic_step, 0)
+
+
+def _eliminate(rows, width, val, step) -> list:
     """Minimal-valuation elimination of raw rows, pivoting only in the
-    first ``width`` columns; returns the pivot valuations.
+    first ``width`` columns; returns the pivot valuations of the raw values.
 
     After each pivot its row and column are removed and only the Schur
     complement is kept, in place: on return ``rows`` holds the rows left
-    over, without the pivoted columns.  Every clearing multiplier lies in
-    O, so the row operations are unimodular.
+    over, without the pivoted columns.  Each row is cleared by the raw
+    form's ``step``.  t-adic: row <- row - (e / pivot) prow.  p-adic,
+    fraction-free: with pivot = p^v u, row <- u row - (e / p^v) prow; both
+    multipliers are integers, and u is a unit of O.  Either way every row
+    operation is unimodular over O, so the pivot valuations are the Smith
+    invariants of the raw rows.
     """
     vals = []
     while rows:
@@ -393,11 +433,11 @@ def _eliminate(rows, width, val) -> list:
         vals.append(best)
         prow = rows.pop(piv[0])
         pivot = prow.pop(piv[1])
+        clear = step(pivot, best)
         for i, row in enumerate(rows):
             e = row.pop(piv[1])
             if e:
-                f = e / pivot
-                rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+                rows[i] = clear(row, prow, e)
         width -= 1
     return vals
 
@@ -406,14 +446,14 @@ def _pivot_valuations(a: ValuedMatrix) -> list:
     """Pivot valuations of minimal-valuation elimination, one per K-rank.
 
     The pivoting of ``smith_decompose`` without its transforms.  Every
-    clearing multiplier lies in O, so the pivot valuations are the Smith
-    diagonal valuations (in non-decreasing order).
+    row operation is unimodular over O, so the pivot valuations are the
+    Smith diagonal valuations (in non-decreasing order).
     """
-    rows, val = _raw_entries(a)
-    return _eliminate(rows, a.cols, val)
+    (rows,), val, step, shift = _raw_entries(a)
+    return [v - shift for v in _eliminate(rows, a.cols, val, step)]
 
 
-def _quotient_valuations(s_rows, t_rows, val) -> tuple:
+def _quotient_valuations(s_rows, t_rows, val, step) -> tuple:
     """(S pivots, quotient pivots) of one elimination on raw [S | T].
 
     Pivots are taken only in S's columns, so the row operations are
@@ -421,14 +461,15 @@ def _quotient_valuations(s_rows, t_rows, val) -> tuple:
     valuations are S's invariant orders, and the T rows left over are the
     image of T in O^n modulo the saturation of S's span, whose own pivot
     valuations are the quotient invariants (in no particular order).
-    Raises ValueError when S has K-rank below its column count.
+    Both are those of the raw values: callers take off the raw form's
+    shift.  Raises ValueError when S has K-rank below its column count.
     """
     k = len(s_rows[0])
     rows = [list(s) + list(t) for s, t in zip(s_rows, t_rows)]
-    s_vals = _eliminate(rows, k, val)
+    s_vals = _eliminate(rows, k, val, step)
     if len(s_vals) < k:
         raise ValueError("S must have full column rank")
-    return s_vals, _eliminate(rows, len(t_rows[0]), val)
+    return s_vals, _eliminate(rows, len(t_rows[0]), val, step)
 
 
 def invariant_partition(a: ValuedMatrix) -> tuple:
@@ -486,6 +527,6 @@ def quotient_free_invariants(t: ValuedMatrix, s: ValuedMatrix) -> tuple:
         raise ValueError("T must have full rank")
     if s.cols >= t.rows:
         raise ValueError("S must have rank below the ambient dimension")
-    t_rows, val = _raw_entries(t)
-    _, quot = _quotient_valuations(_raw_entries(s)[0], t_rows, val)
-    return tuple(sorted(quot, reverse=True))
+    (t_rows, s_rows), val, step, shift = _raw_entries(t, s)
+    _, quot = _quotient_valuations(s_rows, t_rows, val, step)
+    return tuple(sorted((v - shift for v in quot), reverse=True))

@@ -219,7 +219,9 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
     Saturated spans admit a generator matrix with an identity block at
     some pivot-row set, so they are enumerated directly (no saturation
     pass needed); an entry with a nonzero top digit marks the candidate
-    as touching the bound.  Returns (coords matrix, hot) pairs.
+    as touching the bound.  Returns (coords matrix, its integer columns,
+    hot) records; the coordinates are integers, so their columns need no
+    clearing by the callers.
     """
     p = cfg.p
     mod = p ** (m_bound + 1)
@@ -247,7 +249,7 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
             fp = span_fingerprint(mat)
             if fp not in seen:
                 hot = any(x >= p ** m_bound for i in others for x in rows[i])
-                seen[fp] = (mat, hot)
+                seen[fp] = (mat, [list(col) for col in zip(*rows)], hot)
     family = list(seen.values())
     if len(_COORDS_CACHE) > 64:
         _COORDS_CACHE.clear()
@@ -273,8 +275,8 @@ def _saturated_family(lattice: Lattice, r: int, budget: EnumerationBudget,
     basis = adapted_basis(lattice)
     basis_cols, dv = _int_columns(basis)
     family = []
-    for mat, hot in coords:
-        cols = _int_image(basis_cols, _int_columns(mat)[0])
+    for mat, dom, hot in coords:
+        cols = _int_image(basis_cols, dom)
         norm = _int_norm(cols, lattice.n, lattice.config.p) - r * dv
         family.append([(basis, mat), cols, r * dv, norm, hot])
     family.sort(key=lambda rec: rec[3])
@@ -388,9 +390,8 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
         if rank == 0:
             return [(None, [], [], 0, False)]
         out = []
-        for mat, hot in _saturated_coords(a_lat.config, n, rank, m_bound,
-                                          budget.count_cap):
-            dom = _int_columns(mat)[0]
+        for mat, dom, hot in _saturated_coords(a_lat.config, n, rank,
+                                               m_bound, budget.count_cap):
             img = _int_image(a_cols, dom)
             out.append((mat, dom, img, _int_norm(img, n, p) - rank * a_dv,
                         hot))

@@ -9,7 +9,8 @@ from hivekit import (DualityError, Hive, LRFilling, RingConfig, build_hive,
                      check_rhombus, hive_to_lr_filling, hive_type,
                      lattice_invariants, pair_invariant, render, validate_lr)
 from hivekit.hive import NotAHiveError
-from hivekit.lattice import _minor_norms, _selection_min
+from hivekit.lattice import _max_value, _minor_norms, _selection_min
+from hivekit.matops import reduce_to_top_rows, smith_decompose
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import lat, seeded
@@ -135,6 +136,15 @@ def test_build_hive_p3_n3(p3):
         _check_both_variants(*random_pair(spec))
 
 
+@pytest.mark.parametrize("ring", ["padic:2", "padic:3"])
+def test_build_hive_n6(ring):
+    # entry growth of the fraction-free kernel beyond the benchmark's n=4
+    spec = InstanceSpec(n=6, ring=RingConfig.parse_flag(ring),
+                        exponent_range=(0, 3), seed=501,
+                        unimodular_mix_steps=4)
+    _check_both_variants(*random_pair(spec))
+
+
 # (ring, n, exponent range, mix steps, seed, primary rows, swapped rows),
 # recorded from build_hive before it read its entries from one minor table
 PINNED_HIVES = [
@@ -220,6 +230,40 @@ def test_witness_ignores_minor_table(monkeypatch, p2, variant, s, t):
         build_hive(n_lat, lam_lat, variant)
     assert (err.value.s, err.value.t, err.value.variant) == (s, t, variant)
     assert err.value.min_value == err.value.max_value + 1
+
+
+@pytest.mark.parametrize("ring,n", [("padic:2", 2), ("padic:2", 3),
+                                    ("padic:2", 4), ("padic:3", 2),
+                                    ("padic:3", 3), ("padic:3", 4),
+                                    ("tadic", 2), ("tadic", 3)])
+def test_witness_value_matches_smith_route(ring, n):
+    # _max_value on the raw kernel against smith_decompose diagonals on
+    # RingElements, at every (s,t) with the scan's witness columns, for
+    # the pairs of both variants; negative exponents give the p-adic raw
+    # form a nonzero shift (1 or 2 on every p-adic case here)
+    cfg = RingConfig.parse_flag(ring)
+    spec = InstanceSpec(n=n, ring=cfg, exponent_range=(-2, 2), seed=11,
+                        unimodular_mix_steps=4)
+    n_lat, lam_lat = random_pair(spec)
+    m_lat, _ = pair_invariant(n_lat, lam_lat)
+
+    def smith_sum(a, count=None):
+        return sum(sorted(smith_decompose(a).diagonal_valuations)[:count])
+
+    for lam, n_gens in ((lam_lat.gens, n_lat.gens),
+                        (lam_lat.gens.transpose(), m_lat.gens.transpose())):
+        size = smith_sum(lam)
+        norms = _minor_norms(lam, n_gens)
+        for t in range(1, n + 1):
+            for s in range(t):
+                _, (_, jw) = _selection_min(norms, n, n - t, t - s)
+                n_jw = n_gens.select_columns(jw)
+                u = n - t
+                want = size - smith_sum(n_jw)
+                if u:
+                    p, _ = reduce_to_top_rows(n_jw)
+                    want -= smith_sum((p @ lam).bottom_rows(n - len(jw)), u)
+                assert _max_value(lam, n_jw, u, size) == want, (s, t)
 
 
 # ---------------------------------------------------------------------------

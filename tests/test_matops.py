@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
+from hivekit.lattice import _minor_norms
 
 from conftest import (brute_minor_norm, mat, random_padic_matrix,
                        random_tadic_matrix, ring_entries, seeded)
@@ -163,6 +164,45 @@ def test_quotient_kernel_matches_smith_route(case):
         (reduce_to_top_rows(s)[0] @ t).bottom_rows(n - k))
     assert quotient_free_invariants(t, s) == smith
     assert len(smith) == n - k
+
+
+@st.composite
+def shift_inputs(draw):
+    """(T, S, Y, k, c) over p=2 or p=3: a full-rank n x n T, an n x j S of
+    full column rank, an n x n Y (any rank), and c = p^k w with w a p-adic
+    unit carrying non-p factors above and below the line."""
+    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3)]))
+    n = draw(st.integers(2, 4))
+    entry = ring_entries(cfg)
+    t = ValuedMatrix(cfg, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(t.rank() == n)
+    j = draw(st.integers(1, n - 1))
+    s = ValuedMatrix(cfg, [[draw(entry) for _ in range(j)] for _ in range(n)])
+    assume(s.rank() == j)
+    y = ValuedMatrix(cfg, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    k = draw(st.integers(-2, 3))
+    w = draw(st.sampled_from([Fraction(3, 5), Fraction(-5, 7), Fraction(7, 11)]
+                             if cfg.p == 2 else
+                             [Fraction(2, 5), Fraction(-5, 7), Fraction(7, 4)]))
+    return t, s, y, k, Fraction(cfg.p) ** k * w
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=shift_inputs())
+def test_scaling_shifts_kernel_values(case):
+    # the p-adic raw form clears a common denominator whose valuation
+    # depends on the input; every kernel value must move by exactly k per
+    # column under scaling by p^k times a unit
+    t, s, y, k, c = case
+    assert invariant_partition(t.scale(c)) == tuple(
+        v + k for v in invariant_partition(t))
+    assert quotient_free_invariants(t.scale(c), s) == tuple(
+        v + k for v in quotient_free_invariants(t, s))
+    base = _minor_norms(t, y)
+    scaled = _minor_norms(t.scale(c), y.scale(c))
+    assert scaled.keys() == base.keys()
+    for sel, v in base.items():
+        assert scaled[sel] == v + k * len(sel), sel
 
 
 def test_valued_matrix_keeps_own_entries_and_rejects_foreign(p2, p3):
