@@ -7,7 +7,7 @@ from .hive import (DualityError, Hive, HiveType, LRFilling, RhombusReport,
 from .lattice import (Lattice, Submodule, adapted_basis, adapted_slice,
                       greedy_slice_first_min, lattice_invariants,
                       max_direct_sum_norm, min_direct_sum_norm,
-                      pair_invariant, saturate)
+                      pair_invariant)
 from .matops import (SmithDecomposition, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants,
                      reduce_to_top_rows, smith_decompose, unimodular_check)
@@ -25,7 +25,7 @@ __all__ = [
     "invariant_partition", "matrix_norm", "unimodular_check",
     "reduce_to_top_rows", "quotient_free_invariants",
     "Lattice", "Submodule", "lattice_invariants", "pair_invariant",
-    "adapted_basis", "adapted_slice", "saturate", "min_direct_sum_norm",
+    "adapted_basis", "adapted_slice", "min_direct_sum_norm",
     "max_direct_sum_norm", "greedy_slice_first_min",
     "Hive", "HiveType", "RhombusReport", "RhombusViolation", "DualityError",
     "build_hive", "check_rhombus", "hive_type", "hive_to_lr_filling",

@@ -34,7 +34,9 @@ quotient elimination (``matops._quotient_valuations``) on the raw form of
 [A V | A].  The witness V is always made of C.gens^-1 columns, so the
 norm(C(V)) term of the objective is identically 0 and is not computed;
 in the hive, A V = Lambda M^-1_jw = N_jw exactly, so ``build_hive``
-passes columns of N and needs no inverse.
+passes columns of N and needs no inverse.  ``build_hive`` clears
+[Lambda | N] once and gives ``_raw_max_value`` the raw N_jw columns and
+Lambda rows of that one form.
 """
 
 from __future__ import annotations
@@ -370,6 +372,14 @@ def _max_value(a_gens, av_mat, u, size):
     input is A V itself, never the minor table.
     """
     (av, a_rows), val, step, shift = _raw_entries(av_mat, a_gens)
+    return _raw_max_value(av, a_rows, u, size, val, step, shift)
+
+
+def _raw_max_value(av, a_rows, u, size, val, step, shift):
+    """``_max_value`` on rows of one raw form (``matops._raw_entries``)
+    that holds both A V and A, with that form's ``val``, ``step`` and
+    ``shift``: ``build_hive`` clears [Lambda | N] once per hive and passes
+    each witness's N_jw columns from it."""
     # with u = 0 the quotient is not needed, so T is left empty
     av_vals, quot = _quotient_valuations(av, a_rows if u else [()] * len(av),
                                          val, step)

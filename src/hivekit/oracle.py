@@ -6,22 +6,41 @@ direct-sum norms, exhaustive Littlewood-Richardson filling enumeration,
 and the stabilization protocol that re-runs an enumeration at a larger
 exponent bound until the value settles.
 
-The brute routes run on integer-cleared columns: each generator matrix
-is scaled once by a common denominator d, every candidate is an integer
+The brute routes run on integer-cleared columns: each lattice matrix is
+scaled once by a common denominator d, every candidate is an integer
 product with its coordinates, and a norm is the minimum p-valuation of
 the integer maximal minors minus (columns) * v(d).  This minor
 arithmetic is the oracle's own, independent of the Smith route it
-certifies.  Both pair scans prune by the Laplace bound
-norm[X | Y] >= norm X + norm Y; a pair whose bound only ties the best
-value is still scanned whenever it could change the boundary warning.
+certifies.
+
+Every span is carried by its Plücker vector, the tuple of its maximal
+minors, computed once.  A pair's minors come from the block Laplace
+expansion det [X | Y]_R = sum of +- det X_R1 * det Y_R2 over the splits
+of the row set R; each span's expansion rows are built once per partner
+rank, so a pair norm is one integer dot product per row set, and it
+stops at the first minor that reaches the Laplace bound
+norm[X | Y] >= norm X + norm Y.  Both pair scans also prune by that
+bound; a pair whose bound only ties the best value is still scanned
+whenever it could change the boundary warning.  Whether two coordinate
+spans are jointly a direct summand is read from an int bitmask per span
+and partner rank.
+
+One memo (``_Memo``) holds everything the scans reuse, each entry a pure
+function of its key: a lattice-independent table of coordinate spans,
+kept for the process, and a per-lattice LRU of adapted bases and image
+families, bounded at one trial's entries.  The count cap is checked
+before either table is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
+from operator import mul
 
 from .hive import LRFilling
 from .lattice import Lattice, Submodule, adapted_basis, lattice_invariants
@@ -172,44 +191,186 @@ def _int_columns(mat: ValuedMatrix):
     return cols, _int_pval(denom, mat.config.p)
 
 
-def _int_norm(cols: list, n: int, p: int):
-    """Minimum p-valuation over the maximal minors of integer columns in
-    Z^n (INFINITY when they are dependent or more than n)."""
-    k = len(cols)
-    if k > n:
-        return INFINITY
+def _plucker(cols: list, n: int) -> tuple:
+    """The maximal minors of k <= n integer columns in Z^n, one per row
+    set, in ``combinations(range(n), k)`` order: the span's Plücker
+    vector."""
+    return tuple(_int_det(rows) for rows in combinations(zip(*cols), len(cols)))
+
+
+def _min_pval(values, p: int):
+    """Minimum p-valuation over the nonzero integers, INFINITY if none."""
     best = INFINITY
-    for rows in combinations(zip(*cols), k):
-        det = _int_det(rows)
-        if det:
-            v = _int_pval(det, p)
+    for x in values:
+        if x:
+            if x % p:
+                return 0
+            v = _int_pval(x, p)
             if v < best:
                 best = v
-                if best == 0:
-                    break
     return best
+
+
+def _int_norm(cols: list, n: int, p: int):
+    """Minimum p-valuation over the maximal minors of integer columns in
+    Z^n (INFINITY when they are dependent or more than n): the norm of a
+    single block."""
+    if len(cols) > n:
+        return INFINITY
+    return _min_pval(_plucker(cols, n), p)
 
 
 def _int_image(cols: list, coords: list) -> list:
     """Integer columns of the product (cols as a matrix) @ (coords)."""
     rows = list(zip(*cols))
-    return [[sum(x * y for x, y in zip(row, vec)) for row in rows]
-            for vec in coords]
+    return [[sum(map(mul, row, vec)) for row in rows] for vec in coords]
+
+
+@cache
+def _laplace_terms(n: int, a: int, c: int) -> tuple:
+    """Block Laplace expansion of the (a + c)-minors of [X | Y], X with a
+    columns and Y with c columns in Z^n: for each row set R, the terms
+    (sign, index of R1, index of R2) of
+
+        det [X | Y]_R = sum over R = R1 + R2, |R1| = a, of
+                        sign * det X_R1 * det Y_R2,
+
+    indices into the Plücker vectors of X and Y.  A pure function of its
+    arguments, cached for the process."""
+    index_a = {s: i for i, s in enumerate(combinations(range(n), a))}
+    index_c = {s: i for i, s in enumerate(combinations(range(n), c))}
+    out = []
+    for rows in combinations(range(n), a + c):
+        terms = []
+        for pos in combinations(range(a + c), a):
+            r1 = tuple(rows[i] for i in pos)
+            r2 = tuple(r for i, r in enumerate(rows) if i not in pos)
+            sign = -1 if (sum(pos) - a * (a - 1) // 2) % 2 else 1
+            terms.append((sign, index_a[r1], index_c[r2]))
+        out.append(tuple(terms))
+    return tuple(out)
+
+
+def _laplace_rows(px: tuple, n: int, a: int, c: int) -> list:
+    """Expansion rows of a rank-a span with Plücker vector px against
+    rank-c partners: one row w per row set R, with det [X | Y]_R equal to
+    the dot product of w and Y's Plücker vector.  Rows that vanish
+    identically are left out."""
+    width = math.comb(n, c)
+    out = []
+    for terms in _laplace_terms(n, a, c):
+        w = [0] * width
+        for sign, i, j in terms:
+            w[j] = px[i] if sign > 0 else -px[i]
+        if any(w):
+            out.append(w)
+    return out
+
+
+def _pair_norm(rows: list, py: tuple, p: int, floor: int):
+    """norm [X | Y] = the minimum p-valuation of the minors det [X | Y]_R,
+    from X's expansion rows and Y's Plücker vector; INFINITY when every
+    minor vanishes.  ``floor`` is a lower bound on the norm (the Laplace
+    bound norm X + norm Y), so the first minor that reaches it ends the
+    scan."""
+    best = INFINITY
+    for w in rows:
+        det = sum(map(mul, w, py))
+        if det:
+            v = _int_pval(det, p)
+            if v < best:
+                if v <= floor:
+                    return v
+                best = v
+    return best
 
 
 # ---------------------------------------------------------------------------
-# brute minima and maxima
+# the memo: coordinate spans, lattice images
+
+
+class _Span:
+    """A saturated coordinate span: its coordinate matrix, its integer
+    columns, whether it touches the residue bound, its Plücker vector,
+    and its summand masks (partner rank -> int bitmask, built lazily)."""
+
+    __slots__ = ("mat", "dom", "hot", "pl", "masks")
+
+    def __init__(self, mat, dom, hot, n):
+        self.mat = mat
+        self.dom = dom
+        self.hot = hot
+        self.pl = _plucker(dom, n)
+        self.masks = {}
+
+
+class _Image:
+    """A coordinate span's image under a lattice matrix B: the Plücker
+    vector of the integer columns d * B * coords, the norm with the
+    offset rank * v(d) taken off, the span's index in its coordinate
+    family, and the expansion rows per partner rank (built lazily).  The
+    rank-0 image has no span and Plücker vector (1,), the empty minor."""
+
+    __slots__ = ("span", "index", "pl", "norm", "hot", "rows", "sub")
+
+    def __init__(self, span, index, pl, norm):
+        self.span = span
+        self.index = index
+        self.pl = pl
+        self.norm = norm
+        self.hot = span is not None and span.hot
+        self.rows = {}
+        self.sub = None  # the min route's Submodule, built on first use
+
+    def expansion(self, n: int, rank: int, partner: int) -> list:
+        rows = self.rows.get(partner)
+        if rows is None:
+            rows = self.rows[partner] = _laplace_rows(self.pl, n, rank,
+                                                      partner)
+        return rows
 
 
 @dataclass(frozen=True)
-class BruteResult:
-    value: int
-    minimizers: tuple  # pairs (Submodule | None, Submodule | None)
-    boundary_warning: bool
+class _Family:
+    by_span: list   # _Image records in coordinate-family order
+    by_norm: list   # the same records, stably sorted by norm
+    offset: int     # rank * v(d)
+    basis: ValuedMatrix | None
 
 
-_COORDS_CACHE: dict = {}
-_FAMILY_CACHE: dict = {}
+class _Memo:
+    """Everything the brute scans reuse; every entry is a pure function
+    of its key, and no table is ever cleared wholesale.
+
+    ``spans`` is lattice-independent: (n, p, r, M) -> the _Span records
+    of the saturated rank-r spans, with their Plücker vectors and summand
+    masks.  It lives for the process; enumerating it costs about as much
+    as a whole n = 3 trial.  ``lattices`` holds what depends on a lattice,
+    keyed by its p and generator entries and then by what is held: the
+    adapted basis, or an image family of (basis or generators, rank, M).
+    It is an LRU of at most ``size`` entries.  One oracle trial at n = 3
+    touches Lambda, N and M: two adapted bases and twelve families per
+    exponent bound, 26 entries over the two bounds a trial usually needs
+    and 50 over four, so 64 entries hold one trial.
+    """
+
+    def __init__(self, size: int):
+        self.spans: dict = {}
+        self.lattices: OrderedDict = OrderedDict()
+        self.size = size
+
+    def lattice_entry(self, key, build):
+        hit = self.lattices.get(key)
+        if hit is None:
+            hit = self.lattices[key] = build()
+            if len(self.lattices) > self.size:
+                self.lattices.popitem(last=False)
+        else:
+            self.lattices.move_to_end(key)
+        return hit
+
+
+_MEMO = _Memo(64)
 
 
 def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
@@ -219,19 +380,20 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
     Saturated spans admit a generator matrix with an identity block at
     some pivot-row set, so they are enumerated directly (no saturation
     pass needed); an entry with a nonzero top digit marks the candidate
-    as touching the bound.  Returns (coords matrix, its integer columns,
-    hot) records; the coordinates are integers, so their columns need no
-    clearing by the callers.
+    as touching the bound.  Returns the family's _Span records: the
+    coordinates are integers, so their columns need no clearing, and
+    each record carries its Plücker vector.  The family lives in the
+    memo's lattice-independent table; the count cap is checked before
+    the lookup, so a warm entry cannot lift it.
     """
     p = cfg.p
     mod = p ** (m_bound + 1)
     predicted = math.comb(n, r) * mod ** (r * (n - r))
-    # checked before the cache lookup, so a warm cache cannot lift the cap
     if predicted > count_cap:
         raise BudgetExceededError(
             f"predicted {predicted} saturated candidates exceed cap {count_cap}")
     key = (n, p, r, m_bound)
-    hit = _COORDS_CACHE.get(key)
+    hit = _MEMO.spans.get(key)
     if hit is not None:
         return hit
     seen = {}
@@ -249,49 +411,75 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
             fp = span_fingerprint(mat)
             if fp not in seen:
                 hot = any(x >= p ** m_bound for i in others for x in rows[i])
-                seen[fp] = (mat, [list(col) for col in zip(*rows)], hot)
-    family = list(seen.values())
-    if len(_COORDS_CACHE) > 64:
-        _COORDS_CACHE.clear()
-    _COORDS_CACHE[key] = family
+                seen[fp] = _Span(mat, [list(col) for col in zip(*rows)],
+                                 hot, n)
+    family = _MEMO.spans[key] = list(seen.values())
     return family
 
 
-def _saturated_family(lattice: Lattice, r: int, budget: EnumerationBudget,
-                      m_bound: int):
-    """Saturated rank-r submodules of the lattice, sorted by norm.
-
-    Records are [submodule, integer columns, offset, norm, hot]: the
-    columns are those of d * (adapted basis) * coords, the offset is
-    r * v(d), and the submodule slot holds (basis, coords) until
-    _submodule builds the Submodule on first use.
-    """
-    key = (lattice.gens.entries, r, m_bound, budget.count_cap)
-    hit = _FAMILY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    coords = _saturated_coords(lattice.config, lattice.n, r, m_bound,
-                               budget.count_cap)
-    basis = adapted_basis(lattice)
-    basis_cols, dv = _int_columns(basis)
-    family = []
-    for mat, dom, hot in coords:
-        cols = _int_image(basis_cols, dom)
-        norm = _int_norm(cols, lattice.n, lattice.config.p) - r * dv
-        family.append([(basis, mat), cols, r * dv, norm, hot])
-    family.sort(key=lambda rec: rec[3])
-    if len(_FAMILY_CACHE) > 64:
-        _FAMILY_CACHE.clear()
-    _FAMILY_CACHE[key] = family
-    return family
+def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
+                  p: int) -> int:
+    """Bit i is set iff the rank-c span + partners[i] (the rank-u family
+    of the same n, p and M) is a direct summand of O^n, i.e. some maximal
+    minor of their joint coordinates is a unit.  Built on first use and
+    kept in the span record, per partner rank."""
+    mask = span.masks.get(u)
+    if mask is None:
+        rows = _laplace_rows(span.pl, n, c, u)
+        mask = 0
+        for i, other in enumerate(partners):
+            py = other.pl
+            for w in rows:
+                if sum(map(mul, w, py)) % p:
+                    mask |= 1 << i
+                    break
+        span.masks[u] = mask
+    return mask
 
 
-def _submodule(rec):
-    """The record's Submodule, built at most once (None for rank 0)."""
-    if isinstance(rec[0], tuple):
-        basis, mat = rec[0]
-        rec[0] = Submodule(basis @ mat)
-    return rec[0]
+def _family(lattice: Lattice, r: int, m_bound: int, count_cap: int,
+            adapted: bool) -> _Family:
+    """The images of the saturated rank-r coordinate spans under the
+    lattice's adapted basis (``adapted``) or its generators, from the
+    memo's per-lattice table.  Rank 0 gives the one empty image."""
+    if r == 0:
+        empty = [_Image(None, 0, (1,), 0)]
+        return _Family(empty, empty, 0, None)
+    cfg, n = lattice.config, lattice.n
+    spans = _saturated_coords(cfg, n, r, m_bound, count_cap)
+    lat_key = (cfg.p, tuple(tuple(e.value for e in row)
+                            for row in lattice.gens.entries))
+
+    def cleared_basis():
+        basis = adapted_basis(lattice)
+        return (basis, *_int_columns(basis))
+
+    def build():
+        if adapted:
+            basis, cols, dv = _MEMO.lattice_entry((lat_key, "basis"),
+                                                  cleared_basis)
+        else:
+            basis = None
+            cols, dv = _int_columns(lattice.gens)
+        recs = []
+        for i, span in enumerate(spans):
+            pl = _plucker(_int_image(cols, span.dom), n)
+            recs.append(_Image(span, i, pl, _min_pval(pl, cfg.p) - r * dv))
+        return _Family(recs, sorted(recs, key=lambda rec: rec.norm),
+                       r * dv, basis)
+
+    return _MEMO.lattice_entry((lat_key, adapted, r, m_bound), build)
+
+
+# ---------------------------------------------------------------------------
+# brute minima and maxima
+
+
+@dataclass(frozen=True)
+class BruteResult:
+    value: int
+    minimizers: tuple  # pairs (Submodule | None, Submodule | None)
+    boundary_warning: bool
 
 
 def _brute_rank_args(a_lat, c_lat, a, c, budget):
@@ -308,7 +496,13 @@ def _brute_rank_args(a_lat, c_lat, a, c, budget):
     return m_bound
 
 
-_NONE_FAMILY = [[None, None, 0, 0, False]]
+def _adapted_submodule(rec: _Image, basis: ValuedMatrix):
+    """The min route's Submodule of an image record (None for rank 0)."""
+    if rec.span is None:
+        return None
+    if rec.sub is None:
+        rec.sub = Submodule(basis @ rec.span.mat)
+    return rec.sub
 
 
 def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -318,35 +512,38 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
 
     Enumeration runs over saturated submodules: saturating a generator
     never raises the concatenated norm, so the minimum is unchanged while
-    the families stay finite.  With collect=True all minimizing pairs are
-    returned.  The concatenated norm is bounded below by the sum of the
-    two norms, which prunes the sorted pair scan.  The boundary flag
-    warns when every minimizer touches the residue bound.
+    the families stay finite.  Each side's family holds the images of
+    the saturated coordinate spans under the lattice's adapted basis,
+    sorted by norm, with their Plücker vectors.  A pair's norm is the
+    minimum p-valuation of det [X | Y]_R over the row sets R, each one
+    dot product of an expansion row of X with Y's Plücker vector.  It is
+    bounded below by the sum of the two norms, which prunes the sorted
+    pair scan.  With collect=True all minimizing pairs are returned.  The
+    boundary flag warns when every minimizer touches the residue bound.
     """
     m_bound = _brute_rank_args(a_lat, c_lat, a, c, budget)
     n, p = a_lat.n, a_lat.config.p
-    fam_a = _saturated_family(a_lat, a, budget, m_bound) if a else _NONE_FAMILY
-    fam_c = _saturated_family(c_lat, c, budget, m_bound) if c else _NONE_FAMILY
+    fam_a = _family(a_lat, a, m_bound, budget.count_cap, True)
+    fam_c = _family(c_lat, c, m_bound, budget.count_cap, True)
+    offset = fam_a.offset + fam_c.offset
+    cs = fam_c.by_norm
     best = INFINITY
     hits = []
     found_calm = False  # a minimizer away from the bound
-    nc0 = fam_c[0][3]
-    for rec_a in fam_a:
-        _, cols_a, off_a, norm_a, hot_a = rec_a
+    nc0 = cs[0].norm
+    for rec_a in fam_a.by_norm:
+        norm_a, hot_a = rec_a.norm, rec_a.hot
         if norm_a + nc0 > best:
             break  # sorted families: no later pair can be minimizing
-        for rec_c in fam_c:
-            _, cols_c, off_c, norm_c, hot_c = rec_c
-            bound = norm_a + norm_c
+        rows = rec_a.expansion(n, a, c)
+        for rec_c in cs:
+            bound = norm_a + rec_c.norm
             if bound > best:
                 break  # families sorted: no later pair can reach best
-            hot = hot_a or hot_c
+            hot = hot_a or rec_c.hot
             if bound == best and not collect and (found_calm or hot):
                 continue
-            if cols_a is None or cols_c is None:
-                val = bound  # a rank-0 side has norm 0
-            else:
-                val = _int_norm(cols_a + cols_c, n, p) - off_a - off_c
+            val = _pair_norm(rows, rec_c.pl, p, bound + offset) - offset
             if val < best:
                 best = val
                 found_calm = not hot
@@ -357,9 +554,9 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
                     hits.append((rec_a, rec_c))
     if best == INFINITY:
         raise BudgetExceededError("no direct pair found within the budget")
-    return BruteResult(int(best),
-                       tuple((_submodule(x), _submodule(y)) for x, y in hits),
-                       not found_calm)
+    return BruteResult(int(best), tuple(
+        (_adapted_submodule(x, fam_a.basis), _adapted_submodule(y, fam_c.basis))
+        for x, y in hits), not found_calm)
 
 
 def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -369,68 +566,69 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     enumerated pairs of saturated spans V (rank c), U (rank n-a-c) of O^n
     that are jointly a direct summand.
 
-    The quotient norm is evaluated as |inv A| - norm[A(V) | A(U)], on
-    integer columns: A and C are cleared of denominators once per call,
-    and every image is an integer product with the span's coordinates.
-    Since norm[X | Y] >= norm X + norm Y, each pair's value is at most
-    norm(C(V)) + |inv A| - norm(A(V)) - norm(A(U)); the U side is scanned
-    in increasing norm(A(U)) and left once that bound falls below the
-    best value.  A pair whose bound only ties the best is still scanned
-    unless it cannot change the boundary flag.  Maximizing pairs are
-    returned as (V, U) with None for a rank-0 side.
+    The quotient norm is evaluated as |inv A| - norm[A(V) | A(U)].  The
+    memo holds each span's A-image (the integer columns d * A * coords)
+    as a Plücker vector with its norm, and each V's C-norm; the pair
+    norm is one dot product per row set, of an expansion row of A(V)
+    with the Plücker vector of A(U).  Whether V + U is a direct summand
+    depends only on the coordinate spans, so it is read from V's summand
+    mask over the rank-(n-a-c) spans.  Since norm[X | Y] >= norm X +
+    norm Y, each pair's value is at most norm(C(V)) + |inv A| -
+    norm(A(V)) - norm(A(U)); the U side is scanned in increasing
+    norm(A(U)) and left once that bound falls below the best value.  A
+    pair whose bound only ties the best is still scanned unless it
+    cannot change the boundary flag.  Maximizing pairs are returned as
+    (V, U) with None for a rank-0 side.
     """
     m_bound = _brute_rank_args(a_lat, c_lat, a, c, budget)
     n, p = a_lat.n, a_lat.config.p
+    cap = budget.count_cap
     size = sum(lattice_invariants(a_lat))
-    a_cols, a_dv = _int_columns(a_lat.gens)
-    c_cols, c_dv = _int_columns(c_lat.gens)
-
-    def family(rank):
-        """(coords, integer coords, integer A-image, its norm, hot)."""
-        if rank == 0:
-            return [(None, [], [], 0, False)]
-        out = []
-        for mat, dom, hot in _saturated_coords(a_lat.config, n, rank,
-                                               m_bound, budget.count_cap):
-            img = _int_image(a_cols, dom)
-            out.append((mat, dom, img, _int_norm(img, n, p) - rank * a_dv,
-                        hot))
-        return out
-
-    us = sorted(family(n - a - c), key=lambda rec: rec[3])
+    u = n - a - c
+    fam_u = _family(a_lat, u, m_bound, cap, False)
+    fam_v = _family(a_lat, c, m_bound, cap, False)
+    fam_cv = _family(c_lat, c, m_bound, cap, False)
+    offset = fam_v.offset + fam_u.offset
+    partners = [rec.span for rec in fam_u.by_span]
     best = -INFINITY
     hits = []
     found_calm = False
-    for mat_v, dom_v, av, norm_av, hot_v in family(c):
-        cv = (_int_norm(_int_image(c_cols, dom_v), n, p) - c * c_dv
-              if dom_v else 0)
-        ceiling = cv + size - norm_av
-        for mat_u, dom_u, au, norm_au, hot_u in us:
-            bound = ceiling - norm_au
+    for rec_v, rec_cv in zip(fam_v.by_span, fam_cv.by_span):
+        cv = rec_cv.norm
+        ceiling = cv + size - rec_v.norm
+        # every bit set when one side has rank 0: V + U is then saturated
+        mask = (_summand_mask(rec_v.span, c, u, partners, n, p)
+                if c and u else -1)
+        rows = rec_v.expansion(n, c, u)
+        hot_v = rec_v.hot
+        for rec_u in fam_u.by_norm:
+            bound = ceiling - rec_u.norm
             if bound < best:
                 break  # sorted by norm(A(U)): no later U can reach best
-            hot = hot_v or hot_u
+            hot = hot_v or rec_u.hot
             if bound == best and not collect and (found_calm or hot):
                 continue
-            if dom_v and dom_u and _int_norm(dom_v + dom_u, n, p) != 0:
+            if not mask >> rec_u.index & 1:
                 continue  # V + U is not a direct summand of O^n
-            img = av + au
-            reduction = _int_norm(img, n, p) - len(img) * a_dv if img else 0
+            reduction = (_pair_norm(rows, rec_u.pl, p,
+                                     rec_v.norm + rec_u.norm + offset)
+                         - offset)
             if reduction == INFINITY:
                 continue
             val = cv + size - reduction
             if val > best:
                 best = val
                 found_calm = not hot
-                hits = [(mat_v, mat_u)] if collect else []
+                hits = [(rec_v, rec_u)] if collect else []
             elif val == best:
                 found_calm = found_calm or not hot
                 if collect:
-                    hits.append((mat_v, mat_u))
+                    hits.append((rec_v, rec_u))
     if best == -INFINITY:
         raise BudgetExceededError("no summand pair found within the budget")
     return BruteResult(int(best), tuple(
-        tuple(None if m is None else Submodule(m) for m in pair)
+        tuple(None if rec.span is None else Submodule(rec.span.mat)
+              for rec in pair)
         for pair in hits), not found_calm)
 
 

@@ -40,7 +40,10 @@ def _is_prime(p: int) -> bool:
 
 
 def _int_pval(n: int, p: int) -> int:
-    # n != 0
+    # n != 0; at p = 2 the lowest set bit, which two's complement keeps
+    # for negative n too
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

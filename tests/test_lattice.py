@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hivekit import (Lattice, RingConfig, Submodule, ValuedMatrix,
                      adapted_slice, greedy_slice_first_min,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
-                     min_direct_sum_norm, pair_invariant, saturate)
+                     min_direct_sum_norm, pair_invariant)
 from hivekit.cli import InstanceSpec, random_pair
-from hivekit.lattice import _minor_norms
+from hivekit.lattice import _minor_norms, saturate
 
 from conftest import lat, mat, ring_entries, seeded
 

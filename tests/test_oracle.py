@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,10 +8,13 @@ from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
                      Submodule, brute_max_direct_sum, brute_min_direct_sum,
                      enumerate_lr_fillings, lattice_invariants,
                      max_direct_sum_norm, min_direct_sum_norm,
-                     pair_invariant, saturate, span_fingerprint,
-                     stabilized_value)
-from hivekit.cli import InstanceSpec, random_pair
-from hivekit.oracle import _int_norm, _saturated_coords
+                     pair_invariant, span_fingerprint, stabilized_value)
+from hivekit import oracle
+from hivekit.cli import InstanceSpec, main, random_pair
+from hivekit.lattice import saturate
+from hivekit.oracle import (_int_det, _int_norm, _laplace_rows, _pair_norm,
+                            _plucker, _saturated_coords, _summand_mask)
+from hivekit.ring import _int_pval
 
 from conftest import lat, mat, seeded
 
@@ -169,6 +175,82 @@ def test_int_norm_laplace_bound(blocks):
     # the max route's pruning premise: norm[X | Y] >= norm X + norm Y
     p, n, x, y = blocks
     assert _int_norm(x + y, n, p) >= _int_norm(x, n, p) + _int_norm(y, n, p)
+
+
+@st.composite
+def _any_blocks(draw):
+    # every block shape a + c <= n, a rank-0 block included; entries with
+    # zero columns and repeated columns are drawn as well
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 4))
+    a = draw(st.integers(0, n))
+    c = draw(st.integers(0, n - a))
+    entry = st.builds(lambda u, e: u * p ** e, st.integers(-9, 9),
+                      st.integers(0, 3))
+    col = st.lists(entry, min_size=n, max_size=n)
+    x = draw(st.lists(col, min_size=a, max_size=a))
+    y = draw(st.lists(col, min_size=c, max_size=c))
+    if a and c and draw(st.booleans()):
+        y[0] = x[0]
+    return p, n, x, y
+
+
+def _pl(cols, n):
+    return _plucker(cols, n) if cols else (1,)  # the empty minor
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_blocks())
+def test_laplace_rows_match_concatenated_minors(blocks):
+    # each expansion row dotted with Y's Plucker vector is the minor of
+    # [X | Y] on its row set, so the pair norm is _int_norm of [X | Y],
+    # with or without the Laplace floor
+    p, n, x, y = blocks
+    a, c = len(x), len(y)
+    rows = _laplace_rows(_pl(x, n), n, a, c)
+    py = _pl(y, n)
+    dets = [sum(w[i] * py[i] for i in range(len(py))) for w in rows]
+    direct = [_int_det(r) for r in combinations(zip(*(x + y)), a + c)] \
+        if a + c else [1]
+    assert [d for d in dets if d] == [d for d in direct if d]
+    want = _int_norm(x + y, n, p) if a + c else 0
+    floor = (_int_norm(x, n, p) if a else 0) + (_int_norm(y, n, p) if c else 0)
+    assert _pair_norm(rows, py, p, 0) == want
+    if want != float("inf"):
+        assert _pair_norm(rows, py, p, floor) == want
+
+
+@pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2)])
+def test_summand_masks_match_int_norm(n, p, m):
+    # V + U is a direct summand iff a maximal minor of the joint
+    # coordinates is a unit; the mask bits must say exactly that
+    cfg = RingConfig.padic(p)
+    for c in range(1, n):
+        for u in range(1, n - c + 1):
+            vs = _saturated_coords(cfg, n, c, m, 500_000)
+            us = _saturated_coords(cfg, n, u, m, 500_000)
+            for v in vs:
+                mask = _summand_mask(v, c, u, us, n, p)
+                assert mask == _summand_mask(v, c, u, us, n, p)
+                for i, other in enumerate(us):
+                    want = _int_norm(v.dom + other.dom, n, p) == 0
+                    assert bool(mask >> i & 1) == want, (c, u, i)
+
+
+def _pval_loop(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(0, 400))
+def test_int_pval_two_matches_division(unit, k):
+    x = unit * 2 ** k
+    assert _int_pval(x, 2) == _pval_loop(x, 2) == _pval_loop(unit, 2) + k
+    assert _int_pval(-x, 2) == _int_pval(x, 2)
 
 
 def test_oracle_vs_optimizer(p2):
@@ -349,3 +431,59 @@ def test_coords_cap_holds_on_warm_cache(p2):
     assert _saturated_coords(p2, 3, 1, 1, 500_000) is warm
     with pytest.raises(BudgetExceededError, match="predicted 48"):
         _saturated_coords(p2, 3, 1, 1, 10)
+    # nor can a warm per-lattice entry: both brute routes on a pair whose
+    # image families are in the memo
+    a = lat(p2, [[4, 0, 0], [0, 2, 0], [0, 0, 1]])
+    c = lat(p2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for fn in (brute_min_direct_sum, brute_max_direct_sum):
+        fn(a, c, 1, 1, budget(m=1))
+        with pytest.raises(BudgetExceededError, match="predicted 48"):
+            fn(a, c, 1, 1, budget(m=1, cap=10))
+
+
+# (p, n, pair seed, kind, a, c, exponent_bound): calls whose value, flag
+# and minimizer count must not depend on the memo's state
+HISTORY_CALLS = [(2, 2, 9220, "min", 1, 1, 1), (2, 2, 9220, "max", 1, 1, 2),
+                 (2, 3, 9233, "max", 1, 1, 2), (3, 2, 9320, "min", 1, 1, 1)]
+
+
+@pytest.mark.parametrize("call", HISTORY_CALLS)
+def test_brute_result_ignores_call_history(monkeypatch, call):
+    memo = oracle._Memo(oracle._MEMO.size)
+    monkeypatch.setattr(oracle, "_MEMO", memo)
+
+    def summary():
+        res = _brute_call(*call, collect=True)
+        return res.value, res.boundary_warning, len(res.minimizers)
+
+    cold = summary()
+    own = set(memo.lattices)
+    assert own and summary() == cold  # warm
+    p, n = call[:2]
+    seed = 0
+    while not own.isdisjoint(memo.lattices):
+        for kind in ("min", "max"):
+            _brute_call(p, n, seed, kind, 1, 1, call[-1])
+        assert len(memo.lattices) <= memo.size
+        seed += 1
+        assert seed < 100
+    assert summary() == cold  # evicted, then rebuilt
+
+
+# sha256 of the ``hivekit oracle`` JSON, recorded before the brute scans
+# moved to Plucker vectors and the memo
+ORACLE_DIGESTS = [
+    ("--ring padic:2 --n 3 --trials 4 --seed 11 --max-exp 2",
+     "99b79b964c7791ec69b6e6cbb90a66be282f52e518faa14047fc6717477a3e35"),
+    ("--ring padic:2 --n 2 --trials 10 --seed 100",
+     "57e2d2dda81eefe78f6bebc3786e67dc284f052242cd15e91259cd54cc357c35"),
+    ("--ring padic:3 --n 2 --trials 10 --seed 200",
+     "bcbf80dcd6b647d39bef0f550d25ca4e06d65d2887315285b1dd4cf65e34ffaa"),
+]
+
+
+@pytest.mark.parametrize("args,digest", ORACLE_DIGESTS)
+def test_oracle_payload_pinned(capsys, args, digest):
+    assert main(["oracle", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
