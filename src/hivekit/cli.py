@@ -329,7 +329,7 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    budget = EnumerationBudget(max_n=max(args.n, 3), count_cap=args.count_cap)
+    budget = EnumerationBudget(count_cap=args.count_cap)
     trials = []
     all_ok = True
     for i in range(args.trials):

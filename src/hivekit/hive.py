@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .lattice import (Lattice, _minor_norms, _raw_max_value, _selection_min,
-                      pair_invariant)
+from .lattice import Lattice, _minor_norms, _raw_max_value, _selection_min
 from .matops import _raw_entries, invariant_partition
 
 PRIMARY = "primary"
@@ -187,7 +186,7 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     Agreement shows that a feasible witness attains h(s,t), so the true
     max is at least h(s,t); only the brute-force oracle (acceptance
     criterion 4, ``hivekit oracle``) certifies that the max equals h(s,t).
-    Only the swapped variant computes M, once, with ``pair_invariant``.
+    Only the swapped variant forms M = N^-1 Lambda, once.
     """
     if variant not in (PRIMARY, SWAPPED):
         raise ValueError(f"unknown hive variant {variant!r}")
@@ -199,8 +198,8 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
         # the valid factorization with the roles exchanged, so the swapped
         # hive is the primary construction on the pair (M^T, Lambda^T), and
         # its type comes out (nu, mu, lambda)
-        m_lat, _ = pair_invariant(n_lat, lam_lat)
-        n_gens, lam_gens = m_lat.gens.transpose(), lam_gens.transpose()
+        m_gens = n_gens.inverse() @ lam_gens
+        n_gens, lam_gens = m_gens.transpose(), lam_gens.transpose()
     lam = sorted(invariant_partition(lam_gens), reverse=True)
     size = sum(lam)
     n = lam_lat.n

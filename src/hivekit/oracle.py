@@ -6,12 +6,14 @@ direct-sum norms, exhaustive Littlewood-Richardson filling enumeration,
 and the stabilization protocol that re-runs an enumeration at a larger
 exponent bound until the value settles.
 
-The brute routes run on integer-cleared columns: each lattice matrix is
-scaled once by a common denominator d, every candidate is an integer
-product with its coordinates, and a norm is the minimum p-valuation of
-the integer maximal minors minus (columns) * v(d).  This minor
-arithmetic is the oracle's own, independent of the Smith route it
-certifies.
+Both brute routes enumerate one kind of candidate: the images of the
+saturated coordinate spans of O^n under a lattice's generator matrix.
+Each generator matrix is scaled once by a common denominator d, every
+image is an integer product with its coordinates, and a norm is the
+minimum p-valuation of the integer maximal minors minus (columns) * v(d).
+This minor arithmetic is the oracle's own: the brute routes call neither
+the Smith route nor the optimizer's norm kernel, so the oracle can
+certify them.
 
 Every span is carried by its Plücker vector, the tuple of its maximal
 minors, computed once.  A pair's minors come from the block Laplace
@@ -19,31 +21,31 @@ expansion det [X | Y]_R = sum of +- det X_R1 * det Y_R2 over the splits
 of the row set R; each span's expansion rows are built once per partner
 rank, so a pair norm is one integer dot product per row set, and it
 stops at the first minor that reaches the Laplace bound
-norm[X | Y] >= norm X + norm Y.  Both pair scans also prune by that
-bound; a pair whose bound only ties the best value is still scanned
-whenever it could change the boundary warning.  Whether two coordinate
-spans are jointly a direct summand is read from an int bitmask per span
-and partner rank.
+norm[X | Y] >= norm X + norm Y.  Both routes run through one pair scan
+(``_scan``) that prunes by that bound; a pair whose bound only ties the
+best value is still scanned whenever it could change the boundary
+warning.  Whether two coordinate spans are jointly a direct summand is
+read from an int bitmask per span and partner rank.
 
 One memo (``_Memo``) holds everything the scans reuse, each entry a pure
 function of its key: a lattice-independent table of coordinate spans,
-kept for the process, and a per-lattice LRU of adapted bases and image
-families, bounded at one trial's entries.  The count cap is checked
-before either table is read.
+kept for the process, and a per-lattice LRU of image families, bounded
+at one trial's entries.  The count cap is checked before either table
+is read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from operator import mul
 
 from .hive import LRFilling
-from .lattice import Lattice, Submodule, adapted_basis, lattice_invariants
+from .lattice import Lattice, Submodule
 from .matops import INFINITY, ValuedMatrix
 from .ring import RingConfig, _int_pval
 
@@ -56,25 +58,20 @@ class BudgetExceededError(RuntimeError):
 class EnumerationBudget:
     """Caps for exhaustive enumeration.
 
-    exponent_bound is the largest invariant order explored (None derives
-    it from the lattice spread + 1); enumeration refuses to start if the
-    predicted candidate count exceeds count_cap.
+    exponent_bound is M, the largest invariant order explored: coordinates
+    are enumerated modulo p^(M+1), and ``stabilized_value`` starts there.
+    Enumeration refuses to start if the predicted candidate count exceeds
+    count_cap.
     """
 
-    max_n: int = 3
-    exponent_bound: int | None = None
+    exponent_bound: int = 1
     count_cap: int = 200_000
 
     def __post_init__(self):
-        if self.max_n <= 0 or self.count_cap <= 0:
-            raise ValueError("budget fields must be positive")
-        if self.exponent_bound is not None and self.exponent_bound < 0:
+        if self.count_cap <= 0:
+            raise ValueError("count cap must be positive")
+        if self.exponent_bound < 0:
             raise ValueError("exponent bound must be nonnegative")
-
-
-def _derived_bound(*lattices) -> int:
-    invs = [v for lat in lattices for v in lattice_invariants(lat)]
-    return max(invs) - min(invs) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +302,12 @@ class _Span:
 
 
 class _Image:
-    """A coordinate span's image under a lattice matrix B: the Plücker
-    vector of the integer columns d * B * coords, the norm with the
-    offset rank * v(d) taken off, the span's index in its coordinate
-    family, and the expansion rows per partner rank (built lazily).  The
-    rank-0 image has no span and Plücker vector (1,), the empty minor."""
+    """A coordinate span's image under a lattice's generator matrix B:
+    the Plücker vector of the integer columns d * B * coords, the norm
+    with the offset rank * v(d) taken off, the span's index in its
+    coordinate family, and the expansion rows per partner rank (built
+    lazily).  The rank-0 image has no span and Plücker vector (1,), the
+    empty minor."""
 
     __slots__ = ("span", "index", "pl", "norm", "hot", "rows", "sub")
 
@@ -320,7 +318,7 @@ class _Image:
         self.norm = norm
         self.hot = span is not None and span.hot
         self.rows = {}
-        self.sub = None  # the min route's Submodule, built on first use
+        self.sub = None
 
     def expansion(self, n: int, rank: int, partner: int) -> list:
         rows = self.rows.get(partner)
@@ -329,13 +327,21 @@ class _Image:
                                                       partner)
         return rows
 
+    def submodule(self, gens: ValuedMatrix):
+        """The image as a Submodule, gens @ coords (None for rank 0);
+        built on first use and kept on the record."""
+        if self.span is None:
+            return None
+        if self.sub is None:
+            self.sub = Submodule(gens @ self.span.mat)
+        return self.sub
+
 
 @dataclass(frozen=True)
 class _Family:
     by_span: list   # _Image records in coordinate-family order
     by_norm: list   # the same records, stably sorted by norm
     offset: int     # rank * v(d)
-    basis: ValuedMatrix | None
 
 
 class _Memo:
@@ -345,13 +351,12 @@ class _Memo:
     ``spans`` is lattice-independent: (n, p, r, M) -> the _Span records
     of the saturated rank-r spans, with their Plücker vectors and summand
     masks.  It lives for the process; enumerating it costs about as much
-    as a whole n = 3 trial.  ``lattices`` holds what depends on a lattice,
-    keyed by its p and generator entries and then by what is held: the
-    adapted basis, or an image family of (basis or generators, rank, M).
-    It is an LRU of at most ``size`` entries.  One oracle trial at n = 3
-    touches Lambda, N and M: two adapted bases and twelve families per
-    exponent bound, 26 entries over the two bounds a trial usually needs
-    and 50 over four, so 64 entries hold one trial.
+    as a whole n = 3 trial.  ``lattices`` holds the image families, keyed
+    by a lattice's p and generator entries, the rank and M.  It is an LRU
+    of at most ``size`` entries.  One oracle trial at n = 3 touches
+    Lambda, N and M at ranks 1 to 3: nine families per exponent bound,
+    shared by the min and max routes, so 18 entries over the two bounds a
+    trial usually needs and 36 over four; 64 entries hold one trial.
     """
 
     def __init__(self, size: int):
@@ -437,38 +442,31 @@ def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
     return mask
 
 
-def _family(lattice: Lattice, r: int, m_bound: int, count_cap: int,
-            adapted: bool) -> _Family:
+def _family(lattice: Lattice, r: int, m_bound: int,
+            count_cap: int) -> _Family:
     """The images of the saturated rank-r coordinate spans under the
-    lattice's adapted basis (``adapted``) or its generators, from the
-    memo's per-lattice table.  Rank 0 gives the one empty image."""
+    lattice's generator matrix, from the memo's per-lattice table.  Both
+    brute routes use this one kind of family, so they share entries: in
+    a trial the min's Lambda family at rank a = n - t is the max's U
+    family, since u = n - s - c = n - t.  Rank 0 gives the one empty
+    image."""
     if r == 0:
         empty = [_Image(None, 0, (1,), 0)]
-        return _Family(empty, empty, 0, None)
+        return _Family(empty, empty, 0)
     cfg, n = lattice.config, lattice.n
     spans = _saturated_coords(cfg, n, r, m_bound, count_cap)
-    lat_key = (cfg.p, tuple(tuple(e.value for e in row)
-                            for row in lattice.gens.entries))
-
-    def cleared_basis():
-        basis = adapted_basis(lattice)
-        return (basis, *_int_columns(basis))
 
     def build():
-        if adapted:
-            basis, cols, dv = _MEMO.lattice_entry((lat_key, "basis"),
-                                                  cleared_basis)
-        else:
-            basis = None
-            cols, dv = _int_columns(lattice.gens)
+        cols, dv = _int_columns(lattice.gens)
         recs = []
         for i, span in enumerate(spans):
             pl = _plucker(_int_image(cols, span.dom), n)
             recs.append(_Image(span, i, pl, _min_pval(pl, cfg.p) - r * dv))
-        return _Family(recs, sorted(recs, key=lambda rec: rec.norm),
-                       r * dv, basis)
+        return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv)
 
-    return _MEMO.lattice_entry((lat_key, adapted, r, m_bound), build)
+    key = (cfg.p, tuple(tuple(e.value for e in row)
+                        for row in lattice.gens.entries), r, m_bound)
+    return _MEMO.lattice_entry(key, build)
 
 
 # ---------------------------------------------------------------------------
@@ -482,81 +480,94 @@ class BruteResult:
     boundary_warning: bool
 
 
-def _brute_rank_args(a_lat, c_lat, a, c, budget):
+def _brute_rank_args(a_lat, c_lat, a, c):
     if a_lat.n != c_lat.n or a_lat.config != c_lat.config:
         raise ValueError("lattices must share dimension and ring")
     if a < 0 or c < 0 or a + c > a_lat.n:
         raise ValueError(f"ranks ({a},{c}) violate a,c >= 0, a+c <= n")
-    if a_lat.n > budget.max_n:
-        raise BudgetExceededError(
-            f"n={a_lat.n} exceeds budget max_n={budget.max_n}")
-    m_bound = budget.exponent_bound
-    if m_bound is None:
-        m_bound = _derived_bound(a_lat, c_lat)
-    return m_bound
 
 
-def _adapted_submodule(rec: _Image, basis: ValuedMatrix):
-    """The min route's Submodule of an image record (None for rank 0)."""
-    if rec.span is None:
-        return None
-    if rec.sub is None:
-        rec.sub = Submodule(basis @ rec.span.mat)
-    return rec.sub
+def _scan(outer: list, inner: list, n: int, a: int, c: int, p: int,
+          offset: int, collect: bool, summand=None):
+    """The pair scan of both brute routes: the minimum over pairs of
+    cost = norm[X | Y] - w(X).
+
+    ``outer`` holds (record X of rank a, weight w) pairs sorted by
+    norm X - w; ``inner`` holds records Y of rank c sorted by norm.
+    ``offset`` is the two families' rank * v(d) shifts.  By the Laplace
+    bound norm[X | Y] >= norm X + norm Y, a pair's cost is at least
+    norm X + norm Y - w, and both loops stop once that exceeds the best
+    cost.  A pair whose bound only ties the best is skipped under
+    ``collect=False`` when it can change neither the value nor the flag:
+    when a minimizer away from the residue bound is already known, or the
+    pair touches the bound.  ``summand`` maps X to a bitmask over the
+    inner records' ``index``; a pair whose bit is clear is not scanned.
+    Value and flag do not depend on the scan order.
+
+    Returns (best cost, the minimizing record pairs if ``collect``,
+    boundary flag: every minimizer touches the residue bound).
+    """
+    best = INFINITY
+    hits = []
+    found_calm = False  # a minimizer away from the bound
+    floor = inner[0].norm
+    for rec_x, w in outer:
+        if rec_x.norm - w + floor > best:
+            break  # outer sorted by norm X - w: no later X can reach best
+        rows = rec_x.expansion(n, a, c)
+        mask = -1 if summand is None else summand(rec_x)
+        for rec_y in inner:
+            bound = rec_x.norm + rec_y.norm
+            if bound - w > best:
+                break  # inner sorted by norm: no later Y can reach best
+            hot = rec_x.hot or rec_y.hot
+            if bound - w == best and not collect and (found_calm or hot):
+                continue
+            if not mask >> rec_y.index & 1:
+                continue
+            norm = _pair_norm(rows, rec_y.pl, p, bound + offset) - offset
+            if norm == INFINITY:
+                continue  # X + Y has rank below a + c
+            cost = norm - w
+            if cost < best:
+                best = cost
+                found_calm = not hot
+                hits = [(rec_x, rec_y)] if collect else []
+            elif cost == best:
+                found_calm = found_calm or not hot
+                if collect:
+                    hits.append((rec_x, rec_y))
+    return best, hits, not found_calm
 
 
 def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
                          budget: EnumerationBudget,
                          collect: bool = True) -> BruteResult:
-    """Exact minimum of the concatenated norm over enumerated pairs.
+    """Exact minimum of the concatenated norm norm[X | Y] over enumerated
+    pairs, X of rank a in A and Y of rank c in C.
 
     Enumeration runs over saturated submodules: saturating a generator
     never raises the concatenated norm, so the minimum is unchanged while
     the families stay finite.  Each side's family holds the images of
-    the saturated coordinate spans under the lattice's adapted basis,
-    sorted by norm, with their Plücker vectors.  A pair's norm is the
-    minimum p-valuation of det [X | Y]_R over the row sets R, each one
-    dot product of an expansion row of X with Y's Plücker vector.  It is
-    bounded below by the sum of the two norms, which prunes the sorted
-    pair scan.  With collect=True all minimizing pairs are returned.  The
-    boundary flag warns when every minimizer touches the residue bound.
+    the saturated coordinate spans under the lattice's generator matrix,
+    sorted by norm, with their Plücker vectors; ``_scan`` runs the pairs
+    with weight 0 and no summand mask.  With collect=True all minimizing
+    pairs are returned, as Submodules gens @ coords.  The boundary flag
+    warns when every minimizer touches the residue bound.
     """
-    m_bound = _brute_rank_args(a_lat, c_lat, a, c, budget)
+    _brute_rank_args(a_lat, c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
-    fam_a = _family(a_lat, a, m_bound, budget.count_cap, True)
-    fam_c = _family(c_lat, c, m_bound, budget.count_cap, True)
-    offset = fam_a.offset + fam_c.offset
-    cs = fam_c.by_norm
-    best = INFINITY
-    hits = []
-    found_calm = False  # a minimizer away from the bound
-    nc0 = cs[0].norm
-    for rec_a in fam_a.by_norm:
-        norm_a, hot_a = rec_a.norm, rec_a.hot
-        if norm_a + nc0 > best:
-            break  # sorted families: no later pair can be minimizing
-        rows = rec_a.expansion(n, a, c)
-        for rec_c in cs:
-            bound = norm_a + rec_c.norm
-            if bound > best:
-                break  # families sorted: no later pair can reach best
-            hot = hot_a or rec_c.hot
-            if bound == best and not collect and (found_calm or hot):
-                continue
-            val = _pair_norm(rows, rec_c.pl, p, bound + offset) - offset
-            if val < best:
-                best = val
-                found_calm = not hot
-                hits = [(rec_a, rec_c)] if collect else []
-            elif val == best and val != INFINITY:
-                found_calm = found_calm or not hot
-                if collect:
-                    hits.append((rec_a, rec_c))
+    m_bound, cap = budget.exponent_bound, budget.count_cap
+    fam_a = _family(a_lat, a, m_bound, cap)
+    fam_c = _family(c_lat, c, m_bound, cap)
+    best, hits, warning = _scan([(rec, 0) for rec in fam_a.by_norm],
+                                fam_c.by_norm, n, a, c, p,
+                                fam_a.offset + fam_c.offset, collect)
     if best == INFINITY:
         raise BudgetExceededError("no direct pair found within the budget")
     return BruteResult(int(best), tuple(
-        (_adapted_submodule(x, fam_a.basis), _adapted_submodule(y, fam_c.basis))
-        for x, y in hits), not found_calm)
+        (x.submodule(a_lat.gens), y.submodule(c_lat.gens)) for x, y in hits),
+        warning)
 
 
 def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -566,93 +577,59 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     enumerated pairs of saturated spans V (rank c), U (rank n-a-c) of O^n
     that are jointly a direct summand.
 
-    The quotient norm is evaluated as |inv A| - norm[A(V) | A(U)].  The
-    memo holds each span's A-image (the integer columns d * A * coords)
-    as a Plücker vector with its norm, and each V's C-norm; the pair
-    norm is one dot product per row set, of an expansion row of A(V)
-    with the Plücker vector of A(U).  Whether V + U is a direct summand
-    depends only on the coordinate spans, so it is read from V's summand
-    mask over the rank-(n-a-c) spans.  Since norm[X | Y] >= norm X +
-    norm Y, each pair's value is at most norm(C(V)) + |inv A| -
-    norm(A(V)) - norm(A(U)); the U side is scanned in increasing
-    norm(A(U)) and left once that bound falls below the best value.  A
-    pair whose bound only ties the best is still scanned unless it
-    cannot change the boundary flag.  Maximizing pairs are returned as
-    (V, U) with None for a rank-0 side.
+    The quotient norm is |inv A| - norm[A(V) | A(U)], with |inv A| the
+    norm of A's own integer columns, so the maximum is |inv A| minus the
+    minimum of cost = norm[A(V) | A(U)] - norm(C(V)).  ``_scan`` finds
+    that minimum: its outer list is the A-images of the V family with
+    weight norm(C(V)), stably sorted by norm(A(V)) - norm(C(V)); its inner
+    list is the A-images of the U family sorted by norm.  Whether V + U is
+    a direct summand depends only on the coordinate spans, so it is read
+    from V's summand mask over the rank-(n-a-c) spans.  Maximizing pairs
+    are returned as the coordinate spans (V, U), None for a rank-0 side.
     """
-    m_bound = _brute_rank_args(a_lat, c_lat, a, c, budget)
+    _brute_rank_args(a_lat, c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
-    cap = budget.count_cap
-    size = sum(lattice_invariants(a_lat))
+    m_bound, cap = budget.exponent_bound, budget.count_cap
+    cols, dv = _int_columns(a_lat.gens)
+    size = _int_norm(cols, n, p) - n * dv
     u = n - a - c
-    fam_u = _family(a_lat, u, m_bound, cap, False)
-    fam_v = _family(a_lat, c, m_bound, cap, False)
-    fam_cv = _family(c_lat, c, m_bound, cap, False)
-    offset = fam_v.offset + fam_u.offset
-    partners = [rec.span for rec in fam_u.by_span]
-    best = -INFINITY
-    hits = []
-    found_calm = False
-    for rec_v, rec_cv in zip(fam_v.by_span, fam_cv.by_span):
-        cv = rec_cv.norm
-        ceiling = cv + size - rec_v.norm
-        # every bit set when one side has rank 0: V + U is then saturated
-        mask = (_summand_mask(rec_v.span, c, u, partners, n, p)
-                if c and u else -1)
-        rows = rec_v.expansion(n, c, u)
-        hot_v = rec_v.hot
-        for rec_u in fam_u.by_norm:
-            bound = ceiling - rec_u.norm
-            if bound < best:
-                break  # sorted by norm(A(U)): no later U can reach best
-            hot = hot_v or rec_u.hot
-            if bound == best and not collect and (found_calm or hot):
-                continue
-            if not mask >> rec_u.index & 1:
-                continue  # V + U is not a direct summand of O^n
-            reduction = (_pair_norm(rows, rec_u.pl, p,
-                                     rec_v.norm + rec_u.norm + offset)
-                         - offset)
-            if reduction == INFINITY:
-                continue
-            val = cv + size - reduction
-            if val > best:
-                best = val
-                found_calm = not hot
-                hits = [(rec_v, rec_u)] if collect else []
-            elif val == best:
-                found_calm = found_calm or not hot
-                if collect:
-                    hits.append((rec_v, rec_u))
-    if best == -INFINITY:
+    fam_u = _family(a_lat, u, m_bound, cap)
+    fam_v = _family(a_lat, c, m_bound, cap)
+    fam_cv = _family(c_lat, c, m_bound, cap)
+    outer = sorted(zip(fam_v.by_span, (rec.norm for rec in fam_cv.by_span)),
+                   key=lambda pair: pair[0].norm - pair[1])
+    summand = None
+    if c and u:  # with a rank-0 side V + U is saturated
+        partners = [rec.span for rec in fam_u.by_span]
+        summand = lambda rec: _summand_mask(rec.span, c, u, partners, n, p)
+    best, hits, warning = _scan(outer, fam_u.by_norm, n, c, u, p,
+                                fam_v.offset + fam_u.offset, collect,
+                                summand)
+    if best == INFINITY:
         raise BudgetExceededError("no summand pair found within the budget")
-    return BruteResult(int(best), tuple(
+    return BruteResult(int(size - best), tuple(
         tuple(None if rec.span is None else Submodule(rec.span.mat)
               for rec in pair)
-        for pair in hits), not found_calm)
+        for pair in hits), warning)
 
 
 def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
-                     start_bound: int = 1, max_rounds: int = 4,
-                     budget: EnumerationBudget | None = None) -> BruteResult:
-    """Re-run a brute enumeration at growing exponent bounds until the
-    value repeats without a boundary warning (the adopted evidence
-    standard: no a-priori bound on minimizers is available)."""
+                     budget: EnumerationBudget = EnumerationBudget()
+                     ) -> BruteResult:
+    """Re-run a brute enumeration at growing exponent bounds, from
+    ``budget.exponent_bound`` on for at most four rounds, until the value
+    repeats without a boundary warning (the adopted evidence standard: no
+    a-priori bound on minimizers is available)."""
     fn = {"min": brute_min_direct_sum, "max": brute_max_direct_sum}[kind]
-    base = budget or EnumerationBudget(max_n=max(a_lat.n, 3))
     prev = None
-    m_bound = start_bound
-    result = None
-    for _ in range(max_rounds):
-        eff = EnumerationBudget(max_n=base.max_n, exponent_bound=m_bound,
-                                count_cap=base.count_cap)
-        result = fn(a_lat, c_lat, a, c, eff, collect=False)
-        if prev is not None and result.value == prev and not result.boundary_warning:
+    start = budget.exponent_bound
+    for m_bound in range(start, start + 4):
+        result = fn(a_lat, c_lat, a, c,
+                    replace(budget, exponent_bound=m_bound), collect=False)
+        if result.value == prev and not result.boundary_warning:
             return result
         prev = result.value
-        m_bound += 1
-    raise BudgetExceededError(
-        f"{kind} value did not stabilize after {max_rounds} rounds")
+    raise BudgetExceededError(f"{kind} value did not stabilize after 4 rounds")
 
 
 # ---------------------------------------------------------------------------

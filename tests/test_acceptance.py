@@ -185,7 +185,7 @@ def test_criterion_8_amalgam_nestedness(p2):
     from hivekit import brute_min_direct_sum, EnumerationBudget
     ok = True
     found = 0
-    budget = EnumerationBudget(max_n=3, exponent_bound=2, count_cap=500_000)
+    budget = EnumerationBudget(exponent_bound=2, count_cap=500_000)
     rank_pairs = [((1, 1), (1, 2)), ((1, 1), (0, 2)), ((0, 1), (0, 2)),
                   ((2, 1), (1, 2)), ((0, 1), (1, 2))]
     i = 0

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import sys
 from itertools import combinations
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
                      Submodule, brute_max_direct_sum, brute_min_direct_sum,
                      enumerate_lr_fillings, lattice_invariants,
-                     max_direct_sum_norm, min_direct_sum_norm,
+                     matrix_norm, max_direct_sum_norm, min_direct_sum_norm,
                      pair_invariant, span_fingerprint, stabilized_value)
 from hivekit import oracle
 from hivekit.cli import InstanceSpec, main, random_pair
@@ -19,8 +21,8 @@ from hivekit.ring import _int_pval
 from conftest import lat, mat, seeded
 
 
-def budget(m=None, cap=500_000, max_n=3):
-    return EnumerationBudget(max_n=max_n, exponent_bound=m, count_cap=cap)
+def budget(m, cap=500_000):
+    return EnumerationBudget(exponent_bound=m, count_cap=cap)
 
 
 def test_span_fingerprint_identifies_spans(p2):
@@ -58,16 +60,22 @@ def test_brute_max_examples(p2):
     assert brute_max_direct_sum(a, c, 2, 0, budget(m=1)).value == 2  # = |lam|
 
 
-def _brute_call(p, n, seed, kind, a, c, m, collect=False):
-    """One brute call on the oracle's pair: min on (Lambda, N), max on
-    (Lambda, M)."""
+def _oracle_pair(p, n, seed):
+    """The oracle's lattices (Lambda, N, M) for a pair seed."""
     spec = InstanceSpec(n=n, ring=RingConfig.padic(p), exponent_range=(0, 2),
                         seed=seed, unimodular_mix_steps=4)
     n_lat, lam_lat = random_pair(spec)
+    m_lat, _ = pair_invariant(n_lat, lam_lat)
+    return lam_lat, n_lat, m_lat
+
+
+def _brute_call(p, n, seed, kind, a, c, m, collect=False):
+    """One brute call on the oracle's pair: min on (Lambda, N), max on
+    (Lambda, M)."""
+    lam_lat, n_lat, m_lat = _oracle_pair(p, n, seed)
     if kind == "min":
         return brute_min_direct_sum(lam_lat, n_lat, a, c, budget(m=m),
                                     collect=collect)
-    m_lat, _ = pair_invariant(n_lat, lam_lat)
     return brute_max_direct_sum(lam_lat, m_lat, a, c, budget(m=m),
                                 collect=collect)
 
@@ -135,6 +143,84 @@ def test_brute_values_pinned():
     for p, n, seed, kind, a, c, m, count in PINNED_HITS:
         res = _brute_call(p, n, seed, kind, a, c, m, collect=True)
         assert len(res.minimizers) == count, (p, n, seed, kind, a, c, m)
+
+
+# what the oracle certifies: the Smith route and the optimizer's norm
+# kernel, each under its defining module
+OPTIMIZER_KERNELS = [("hivekit.lattice", "smith_decompose"),
+                     ("hivekit.lattice", "adapted_basis"),
+                     ("hivekit.lattice", "lattice_invariants"),
+                     ("hivekit.matops", "_pivot_valuations")]
+
+
+def test_brute_routes_independent_of_optimizer_kernels(monkeypatch):
+    # with every optimizer kernel raising, in every hivekit module that
+    # holds it, and a cold memo, the brute routes still give the pinned
+    # values, so a fault in those kernels cannot hide in the oracle too
+    pairs = {row[:3]: _oracle_pair(*row[:3]) for row in PINNED_BRUTE}
+    monkeypatch.setattr(oracle, "_MEMO", oracle._Memo(oracle._MEMO.size))
+    for home, name in OPTIMIZER_KERNELS:
+        kernel = getattr(sys.modules[home], name)
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"the oracle called {_name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "hivekit":
+                for attr, value in list(vars(module).items()):
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, refuse)
+    stabilized = {}
+    for p, n, seed, kind, a, c, m, value, warning in PINNED_BRUTE:
+        lam_lat, n_lat, m_lat = pairs[p, n, seed]
+        fn, other = ((brute_min_direct_sum, n_lat) if kind == "min"
+                     else (brute_max_direct_sum, m_lat))
+        res = fn(lam_lat, other, a, c, budget(m=m), collect=False)
+        assert (res.value, res.boundary_warning) == (value, warning)
+        if m == 2:  # pinned at bounds 1 and 2: a stabilization record
+            stabilized[p, n, seed, kind, a, c] = value
+    for (p, n, seed, kind, a, c), value in stabilized.items():
+        lam_lat, n_lat, m_lat = pairs[p, n, seed]
+        other = n_lat if kind == "min" else m_lat
+        assert stabilized_value(kind, lam_lat, other, a, c).value == value
+
+
+def test_oracle_imports_only_data_types_from_the_optimizer():
+    # the import side of the independence above: from the optimizer's
+    # modules the oracle takes its data types and nothing that computes
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hivekit") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "hivekit":
+                    continue
+                module = module[len("hivekit."):]
+            names = {a.name for a in node.names}
+            if not module:  # from . import <modules>
+                assert not names & {"lattice", "matops"}
+            taken.setdefault(module, set()).update(names)
+    assert taken["lattice"] == {"Lattice", "Submodule"}
+    assert taken["matops"] == {"INFINITY", "ValuedMatrix"}
+
+
+def test_min_minimizers_lie_in_both_lattices():
+    # every collected minimizing pair (X, Y) of an n = 3 entry: X lies in
+    # Lambda, Y in N, and norm[X | Y] is the reported minimum
+    lam_lat, n_lat, _ = _oracle_pair(2, 3, 9233)
+    res = brute_min_direct_sum(lam_lat, n_lat, 1, 1, budget(m=1),
+                               collect=True)
+    assert res.value == 2 and len(res.minimizers) == 790
+    lam_sub, n_sub = Submodule(lam_lat.gens), Submodule(n_lat.gens)
+    xs = {id(x): x for x, _ in res.minimizers}
+    ys = {id(y): y for _, y in res.minimizers}
+    assert all(lam_sub.contains(x) for x in xs.values())
+    assert all(n_sub.contains(y) for y in ys.values())
+    for x, y in res.minimizers:
+        assert matrix_norm(x.gens.hstack(y.gens)) == res.value
 
 
 @pytest.mark.parametrize("p,n,seed", [(2, 2, 9220), (2, 3, 9233),
@@ -403,8 +489,8 @@ def test_amalgam_nested_minimizers(p2):
     # larger's adapted basis
     a = lat(p2, [[4, 0], [0, 1]])
     c = lat(p2, [[2, 0], [0, 2]])
-    small = brute_min_direct_sum(a, c, 1, 1, budget(m=2, max_n=2))
-    large = brute_min_direct_sum(a, c, 0, 2, budget(m=2, max_n=2))
+    small = brute_min_direct_sum(a, c, 1, 1, budget(m=2))
+    large = brute_min_direct_sum(a, c, 0, 2, budget(m=2))
     assert _has_nested_chain(small, large)
 
 
