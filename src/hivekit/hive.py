@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .lattice import Lattice, _minor_norms, _raw_max_value, _selection_min
+from .lattice import Lattice, _minor_norms, _selection_min, _witness_value
 from .matops import _raw_entries, invariant_partition
 
 PRIMARY = "primary"
@@ -175,11 +175,12 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     [Lambda | Lambda M^-1], and Lambda M^-1 = N exactly
     (``tests/test_lattice.py::test_max_scan_matrix_is_n``), so Lambda V is
     the columns N_jw and no inverse is formed.  The witness's value comes
-    from ``lattice._raw_max_value``, which runs one quotient elimination
-    on the N_jw columns and the Lambda rows of the raw form of
-    [Lambda | N], cleared once per hive: the same input as the table, but
-    a different route, elimination instead of minors, and it never reads
-    the table (``tests/test_hive.py::test_witness_ignores_minor_table``).
+    from ``lattice._witness_value``, the max route's own witness entry,
+    which runs one quotient elimination on the N_jw columns and the Lambda
+    rows of the raw form of [Lambda | N], cleared once per hive: the same
+    input as the table, but a different route, elimination instead of
+    minors, and it never reads the table
+    (``tests/test_hive.py::test_witness_ignores_minor_table``).
     The objective's norm(M V) term is 0 because M V is made of unit
     columns.  The witness value is at most the true max = |lambda| - true
     min, so agreement also shows that the table's min did not undershoot.
@@ -204,15 +205,14 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     size = sum(lam)
     n = lam_lat.n
     norms = _minor_norms(lam_gens, n_gens)
-    (lam_raw, n_raw), *form = _raw_entries(lam_gens, n_gens)
+    form = _raw_entries(lam_gens, n_gens)
     rows = []
     for t in range(n + 1):
         row = []
         for s in range(t):
             best, (_, jw) = _selection_min(norms, n, n - t, t - s)
             hmin = size - best
-            n_jw = [[r[j] for j in jw] for r in n_raw]
-            hmax = _raw_max_value(n_jw, lam_raw, n - t, size, *form)
+            hmax = _witness_value(form, jw, n - t, size)
             if hmax != hmin:
                 raise DualityError(s, t, hmin, hmax, variant)
             row.append(hmin)

@@ -27,16 +27,21 @@ its value is exact.  The max route evaluates one feasible witness, so its
 value is a lower bound on the maximum: when it equals |inv A| minus the
 min route (the check in ``build_hive``), the true maximum is at least
 that entry.  Equality is certified only by the brute-force oracle.  The
-witness's value is always computed by ``_max_value``, by elimination and
-never from the minor table, so a table that undershot the min would fail
-that check.  ``_max_value`` takes the columns A V themselves and runs one
-quotient elimination (``matops._quotient_valuations``) on the raw form of
-[A V | A].  The witness V is always made of C.gens^-1 columns, so the
-norm(C(V)) term of the objective is identically 0 and is not computed;
-in the hive, A V = Lambda M^-1_jw = N_jw exactly, so ``build_hive``
-passes columns of N and needs no inverse.  ``build_hive`` clears
-[Lambda | N] once and gives ``_raw_max_value`` the raw N_jw columns and
-Lambda rows of that one form.
+witness's value is always computed by ``_witness_value``, by elimination
+and never from the minor table, so a table that undershot the min would
+fail that check.  ``_witness_value`` is the one witness entry: given the
+raw form of [A | A C^-1] and the witness columns jw, it runs one quotient
+elimination (``matops._quotient_valuations``) on [A V | A], A V being
+the jw columns of A C^-1.  The witness V is always made of C.gens^-1
+columns, so the norm(C(V)) term of the objective is identically 0 and is
+not computed.  ``max_direct_sum_norm`` forms A C^-1; in the hive,
+A C^-1 = Lambda M^-1 = N exactly, so ``build_hive`` passes the raw form
+of [Lambda | N] and needs no inverse.
+
+Containment is a norm comparison, not a solve: for O-modules S within
+T of equal K-rank, |inv S| - |inv T| = length(T / S).  The Smith
+transforms (``smith_decompose``) are read only by ``adapted_slice`` and
+``saturate``.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from itertools import combinations
 
 from .matops import (INFINITY, ValuedMatrix, _quotient_valuations,
                      _raw_entries, invariant_partition,
-                     quotient_free_invariants, reduce_to_top_rows,
-                     smith_decompose, unimodular_check)
+                     quotient_free_invariants, smith_decompose,
+                     unimodular_check)
 
 
 class Lattice:
@@ -118,9 +123,15 @@ class Submodule:
         return sum(self.invariants)
 
     def contains(self, other: "Submodule") -> bool:
-        """Span containment with O-coefficients."""
-        coords = _coordinates_in(self.gens, other.gens)
-        return coords is not None and coords.min_entry_valuation() >= 0
+        """Span containment with O-coefficients.
+
+        T = self + other contains self, so other lies in self exactly when
+        T has self's K-rank and T = self; for O-modules S within T of
+        equal rank |inv S| - |inv T| = length(T / S), so T = self exactly
+        when their norms agree.
+        """
+        inv = invariant_partition(self.gens.hstack(other.gens))
+        return len(inv) == self.rank and sum(inv) == self.norm
 
     def same_span(self, other: "Submodule") -> bool:
         return (self.rank == other.rank and self.contains(other)
@@ -138,18 +149,6 @@ class Submodule:
         if sub.rank != obj.get("rank", sub.rank):
             raise ValueError("submodule rank does not match generators")
         return sub
-
-
-def _coordinates_in(basis: ValuedMatrix, vectors: ValuedMatrix):
-    """Solve basis @ X = vectors over K; None if inconsistent."""
-    p, top = reduce_to_top_rows(basis)
-    moved = p @ vectors
-    r = basis.cols
-    if moved.rows > r:
-        tail = moved.bottom_rows(moved.rows - r)
-        if any(not e.is_zero() for row in tail.entries for e in row):
-            return None
-    return top.inverse() @ moved.top_rows(r)
 
 
 # ---------------------------------------------------------------------------
@@ -173,28 +172,27 @@ def pair_invariant(n_lat: Lattice, lam_lat: Lattice):
     return m_lat, lattice_invariants(m_lat)
 
 
-def adapted_basis(lattice: Lattice) -> ValuedMatrix:
-    """Generator matrix whose column i is t^(alpha_i) u_i, alpha non-increasing."""
-    dec = smith_decompose(lattice.gens)
-    return dec.p @ dec.d
-
-
 def adapted_slice(lattice: Lattice, i: int, j: int) -> Submodule:
-    """Submodule spanned by invariant-adapted basis vectors i..j (1-based)."""
+    """Submodule spanned by invariant-adapted basis vectors i..j (1-based).
+
+    The adapted basis is P @ D of the Smith decomposition: its column k
+    is t^(alpha_k) u_k, alpha non-increasing.
+    """
     if not (1 <= i <= j <= lattice.n):
         raise ValueError(f"slice ({i},{j}) out of range for n={lattice.n}")
-    basis = adapted_basis(lattice)
-    return Submodule(basis.select_columns(range(i - 1, j)))
+    dec = smith_decompose(lattice.gens)
+    return Submodule((dec.p @ dec.d).select_columns(range(i - 1, j)))
 
 
 def saturate(lattice: Lattice, sub: Submodule) -> Submodule:
     """Smallest saturated submodule of the lattice containing sub.
 
     Computes (K sub) intersect lattice; requires sub to lie inside the
-    lattice.
+    lattice.  The lattice basis is square of full rank, so sub's
+    coordinates in it are unique.
     """
-    coords = _coordinates_in(lattice.gens, sub.gens)
-    if coords is None or coords.min_entry_valuation() < 0:
+    coords = lattice.gens.inverse() @ sub.gens
+    if coords.min_entry_valuation() < 0:
         raise ValueError("submodule is not contained in the lattice")
     dec = smith_decompose(coords)
     sat_coords = dec.p.select_columns(range(sub.rank))
@@ -342,7 +340,7 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     column selection of the dual minimum, found by this route's own
     selection scan of [A | A C^-1]; there C(V) is spanned by unit columns,
     so the value is |inv A| - norm(A(V)) minus the optimal U's quotient
-    invariants (``_max_value``, given the selected A C^-1 columns).  Its
+    invariants (``_witness_value``, on the raw form of [A | A C^-1]).  Its
     value is the objective at one feasible V, so it proves only a lower
     bound on the maximum; ``build_hive`` shows that it reaches |inv A|
     minus the min route, and the brute-force oracle (acceptance
@@ -356,30 +354,25 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     av = a_lat.gens @ c_lat.gens.inverse()
     norms = _minor_norms(a_lat.gens, av)
     _, (_, jw) = _selection_min(norms, a_lat.n, u, c)
-    return _max_value(a_lat.gens, av.select_columns(jw), u, sum(lam))
+    return _witness_value(_raw_entries(a_lat.gens, av), jw, u, sum(lam))
 
 
-def _max_value(a_gens, av_mat, u, size):
-    """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at one span V,
-    given by the columns ``av_mat`` = A.gens @ V.
+def _witness_value(form, jw, u, size):
+    """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at the span V made
+    of the C.gens^-1 columns ``jw``, given the raw form
+    ``form = matops._raw_entries(A.gens, Y)`` of [A | Y], Y = A C^-1 (in
+    the hive, Y = N), and ``size`` = |inv A|.
 
-    Both callers take V from C.gens^-1 columns, so C.gens @ V is made of
-    unit columns and norm(C(V)) is identically 0; the value is |inv A|
-    minus norm(A(V)) minus the u smallest quotient invariants of A
-    relative to A(V).  One ``matops._quotient_valuations`` run on the raw
-    form of [A V | A] gives both sums; the raw form's shift moves each of
-    the k pivots of A V and each quotient pivot by the same amount.  The
-    input is A V itself, never the minor table.
+    C.gens @ V is made of unit columns, so norm(C(V)) is identically 0;
+    the value is |inv A| minus norm(A(V)) minus the u smallest quotient
+    invariants of A relative to A(V).  One ``matops._quotient_valuations``
+    run on the raw [A V | A], A V being the jw columns of Y, gives both
+    sums; the raw form's shift moves each of the k pivots of A V and each
+    quotient pivot by the same amount.  The input is the matrices
+    themselves, never the minor table.
     """
-    (av, a_rows), val, step, shift = _raw_entries(av_mat, a_gens)
-    return _raw_max_value(av, a_rows, u, size, val, step, shift)
-
-
-def _raw_max_value(av, a_rows, u, size, val, step, shift):
-    """``_max_value`` on rows of one raw form (``matops._raw_entries``)
-    that holds both A V and A, with that form's ``val``, ``step`` and
-    ``shift``: ``build_hive`` clears [Lambda | N] once per hive and passes
-    each witness's N_jw columns from it."""
+    (a_rows, y_rows), val, step, shift = form
+    av = [[row[j] for j in jw] for row in y_rows]
     # with u = 0 the quotient is not needed, so T is left empty
     av_vals, quot = _quotient_valuations(av, a_rows if u else [()] * len(av),
                                          val, step)

@@ -1,23 +1,23 @@
 """Exact linear algebra over K with O-structure.
 
 Smith decomposition over a DVR, invariant partitions, matrix norms
-(sums of invariant orders), unimodularity tests, row reduction to block
-forms, and the quotient invariants used by the lattice optimizers.  All
-operations are pure functions of immutable inputs.
+(sums of invariant orders), unimodularity tests, and the quotient
+invariants used by the lattice optimizers.  All operations are pure
+functions of immutable inputs.
 
 Every route shares one pivoting rule (an entry of minimal valuation):
 
 * norms -- ``invariant_partition``, ``matrix_norm`` and
   ``unimodular_check`` -- run the valuation kernel ``_pivot_valuations``,
   which carries only the Schur complement on raw values and builds no
-  transforms;
+  transforms; ``lattice.Submodule.contains`` is a norm comparison too;
 * quotient invariants -- ``quotient_free_invariants`` and the lattice
-  layer's max witness -- run ``_quotient_valuations``, the same
-  elimination on [S | T] with pivots taken only in S's columns;
-* ``smith_decompose`` builds D together with P, Q and their inverses, for
-  the callers that need the transforms (``reduce_to_top_rows``, which
-  serves ``lattice._coordinates_in``, and, through the lattice layer,
-  adapted bases and saturation).
+  layer's max witness (``lattice._witness_value``, its one entry) -- run
+  ``_quotient_valuations``, the same elimination on [S | T] with pivots
+  taken only in S's columns;
+* ``smith_decompose`` builds D together with the transforms P and Q, for
+  the callers that need them: ``lattice.adapted_slice`` and
+  ``lattice.saturate`` read P, and ``cli.cmd_smith`` prints all three.
 
 The kernels work on raw values (``_raw_entries``).  p-adic: one common
 denominator is cleared, so the raw values are Python ints with the p-adic
@@ -215,16 +215,14 @@ class SmithDecomposition:
     """A = P @ D @ Q with P, Q unimodular over O and D diagonal.
 
     Diagonal entries are pure uniformizer powers with non-increasing
-    valuations; rank deficiency shows up as trailing zeros.  The inverses
-    accumulated during elimination are kept because downstream block
-    reductions need them.
+    valuations; rank deficiency shows up as trailing zeros.  Built only by
+    ``smith_decompose``, for ``lattice.adapted_slice``, ``lattice.saturate``
+    and ``cli.cmd_smith``.
     """
 
     p: ValuedMatrix
     d: ValuedMatrix
     q: ValuedMatrix
-    p_inv: ValuedMatrix
-    q_inv: ValuedMatrix
 
     @property
     def diagonal_valuations(self) -> tuple:
@@ -237,26 +235,23 @@ class SmithDecomposition:
 
 
 class _Eliminator:
-    # mutable worker: tracks current = Pacc @ A @ Qacc together with
-    # P = Pacc^-1 and Q = Qacc^-1 so that A = P @ current @ Q throughout
+    # mutable worker: tracks current = P^-1 @ A @ Q^-1 and the transforms
+    # P, Q themselves, so that A = P @ current @ Q throughout
 
     def __init__(self, a: ValuedMatrix):
         self.cfg = a.config
         self.m = a.rows
         self.k = a.cols
         self.cur = [list(row) for row in a.entries]
-        ident_m = ValuedMatrix.identity(a.config, a.rows).entries
-        ident_k = ValuedMatrix.identity(a.config, a.cols).entries
-        self.p = [list(r) for r in ident_m]
-        self.p_inv = [list(r) for r in ident_m]
-        self.q = [list(r) for r in ident_k]
-        self.q_inv = [list(r) for r in ident_k]
+        self.p = [list(r) for r in
+                  ValuedMatrix.identity(a.config, a.rows).entries]
+        self.q = [list(r) for r in
+                  ValuedMatrix.identity(a.config, a.cols).entries]
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.cur[i], self.cur[j] = self.cur[j], self.cur[i]
-        self.p_inv[i], self.p_inv[j] = self.p_inv[j], self.p_inv[i]
         for row in self.p:
             row[i], row[j] = row[j], row[i]
 
@@ -265,14 +260,11 @@ class _Eliminator:
             return
         for row in self.cur:
             row[i], row[j] = row[j], row[i]
-        for row in self.q_inv:
-            row[i], row[j] = row[j], row[i]
         self.q[i], self.q[j] = self.q[j], self.q[i]
 
     def add_row(self, i, j, c):
         # row_i += c * row_j
         self.cur[i] = [a + c * b for a, b in zip(self.cur[i], self.cur[j])]
-        self.p_inv[i] = [a + c * b for a, b in zip(self.p_inv[i], self.p_inv[j])]
         for row in self.p:
             row[j] = row[j] - c * row[i]
 
@@ -280,23 +272,20 @@ class _Eliminator:
         # col_i += c * col_j
         for row in self.cur:
             row[i] = row[i] + c * row[j]
-        for row in self.q_inv:
-            row[i] = row[i] + c * row[j]
         self.q[j] = [a - c * b for a, b in zip(self.q[j], self.q[i])]
 
     def scale_row(self, i, u):
         # u must be a unit of O
         self.cur[i] = [u * e for e in self.cur[i]]
-        self.p_inv[i] = [u * e for e in self.p_inv[i]]
         uinv = self.cfg.one / u
         for row in self.p:
             row[i] = row[i] * uinv
 
-    def matrices(self):
+    def decomposition(self) -> SmithDecomposition:
         cfg = self.cfg
-        return (ValuedMatrix(cfg, self.p), ValuedMatrix(cfg, self.cur),
-                ValuedMatrix(cfg, self.q), ValuedMatrix(cfg, self.p_inv),
-                ValuedMatrix(cfg, self.q_inv))
+        return SmithDecomposition(ValuedMatrix(cfg, self.p),
+                                  ValuedMatrix(cfg, self.cur),
+                                  ValuedMatrix(cfg, self.q))
 
 
 def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
@@ -353,8 +342,7 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
             work.swap_cols(target, cur)
             placed[target], placed[cur] = placed[cur], placed[target]
             pos[src], pos[other] = target, cur
-    p, d, q, p_inv, q_inv = work.matrices()
-    return SmithDecomposition(p, d, q, p_inv, q_inv)
+    return work.decomposition()
 
 
 def _element_valuation(x):
@@ -496,20 +484,6 @@ def unimodular_check(p: ValuedMatrix) -> bool:
         return False
     parts = invariant_partition(p)
     return len(parts) == p.rows and sum(parts) == 0
-
-
-def reduce_to_top_rows(s: ValuedMatrix):
-    """Unimodular P with P @ S supported in the first r rows (r = K-rank).
-
-    Returns (P, S_top) where S_top is the top r x r block of P @ S;
-    matrix_norm(S_top) == matrix_norm(S).  Rank-deficient input is an error.
-    """
-    dec = smith_decompose(s)
-    r = dec.rank
-    if r < s.cols:
-        raise ValueError("reduce_to_top_rows requires full column rank")
-    reduced = dec.d @ dec.q  # equals P_inv @ S, zero below row r
-    return dec.p_inv, reduced.top_rows(r)
 
 
 def quotient_free_invariants(t: ValuedMatrix, s: ValuedMatrix) -> tuple:

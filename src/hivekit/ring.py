@@ -20,9 +20,6 @@ from fractions import Fraction
 
 INFINITY = math.inf
 
-#: A valuation is an integer, or INFINITY exactly for the zero element.
-Valuation = "int | float"
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -239,8 +236,6 @@ class RingConfig:
                 raise ValueError("mixed ring configurations")
             return value
         if self.kind == self.PADIC:
-            if isinstance(value, str):
-                return PadicElement(self, Fraction(value))
             return PadicElement(self, Fraction(value))
         if isinstance(value, str):
             return self._parse_ratfunc(value)
@@ -495,7 +490,6 @@ class RatFuncElement(RingElement):
     def unit_part(self):
         if not self.num:
             raise ValueError("no unit part of zero")
-        v = self.valuation()
         return RatFuncElement(self.config, _pshift(self.num, -_pord(self.num)),
                               _pshift(self.den, -_pord(self.den)))
 
@@ -537,11 +531,3 @@ def _poly_str_q(a: tuple) -> str:
         return "0"
     return " + ".join(f"{c}*t^{k}" for k, c in enumerate(a) if c)
 
-
-def valuation(x: RingElement):
-    """The order of x: x = u * t^k with u a unit; INFINITY iff x = 0."""
-    return x.valuation()
-
-
-def unit_part(x: RingElement) -> RingElement:
-    return x.unit_part()

@@ -210,14 +210,16 @@ def test_criterion_8_amalgam_nestedness(p2):
 
 
 def _nested_chain_exists(small, large):
+    # keyed by identity: each oracle image record caches its one
+    # Submodule, and a duplicate could not change an existential verdict
     big_sides = {}
     for _, c_big in large.minimizers:
         if c_big is not None:
-            big_sides.setdefault(c_big.gens.entries, c_big)
+            big_sides.setdefault(id(c_big), c_big)
     small_sides = {}
     for _, c_small in small.minimizers:
         if c_small is not None:
-            small_sides.setdefault(c_small.gens.entries, c_small)
+            small_sides.setdefault(id(c_small), c_small)
     for c_big in big_sides.values():
         tail = c_big.invariants
         for c_small in small_sides.values():

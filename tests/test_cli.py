@@ -112,18 +112,21 @@ def test_render_ascii_and_json(tmp_path, capsys):
     assert Hive.from_json(json.loads(out)) == Hive(PAPER["rows"])
 
 
-def test_smith_command(tmp_path, capsys):
-    m_file = write(tmp_path / "m.json", matrix_json([[2, 0], [0, 1]]))
-    code, out = run(capsys, "smith", m_file)
+@pytest.mark.parametrize("ring,rows,invariants", [
+    ("padic:2", [[2, 0], [0, 1]], [1, 0]),
+    ("tadic", [["t^2", "1+t"], ["t", "(1)/(t)"]], [3, -1])],
+    ids=["padic", "tadic"])
+def test_smith_command(tmp_path, capsys, ring, rows, invariants):
+    m_file = write(tmp_path / "m.json", matrix_json(rows))
+    code, out = run(capsys, "smith", m_file, "--ring", ring)
     assert code == 0
     payload = json.loads(out)
-    assert payload["invariants"] == [1, 0]
-    cfg = RingConfig.padic(2)
+    assert payload["invariants"] == invariants
+    cfg = RingConfig.parse_flag(ring)
     p = ValuedMatrix.from_json(cfg, payload["P"])
     d = ValuedMatrix.from_json(cfg, payload["D"])
     q = ValuedMatrix.from_json(cfg, payload["Q"])
-    assert (p @ d) @ q == ValuedMatrix.from_json(
-        cfg, matrix_json([[2, 0], [0, 1]]))
+    assert (p @ d) @ q == ValuedMatrix.from_json(cfg, matrix_json(rows))
 
 
 def test_random_deterministic(capsys):

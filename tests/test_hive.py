@@ -9,8 +9,8 @@ from hivekit import (DualityError, Hive, LRFilling, RingConfig, build_hive,
                      check_rhombus, hive_to_lr_filling, hive_type,
                      lattice_invariants, pair_invariant, render, validate_lr)
 from hivekit.hive import NotAHiveError
-from hivekit.lattice import _max_value, _minor_norms, _selection_min
-from hivekit.matops import reduce_to_top_rows, smith_decompose
+from hivekit.lattice import _minor_norms, _selection_min, _witness_value
+from hivekit.matops import _raw_entries, smith_decompose
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import lat, seeded
@@ -237,7 +237,7 @@ def test_witness_ignores_minor_table(monkeypatch, p2, variant, s, t):
                                     ("padic:3", 3), ("padic:3", 4),
                                     ("tadic", 2), ("tadic", 3)])
 def test_witness_value_matches_smith_route(ring, n):
-    # _max_value on the raw kernel against smith_decompose diagonals on
+    # _witness_value on the raw kernel against smith_decompose diagonals on
     # RingElements, at every (s,t) with the scan's witness columns, for
     # the pairs of both variants; negative exponents give the p-adic raw
     # form a nonzero shift (1 or 2 on every p-adic case here)
@@ -254,6 +254,7 @@ def test_witness_value_matches_smith_route(ring, n):
                         (lam_lat.gens.transpose(), m_lat.gens.transpose())):
         size = smith_sum(lam)
         norms = _minor_norms(lam, n_gens)
+        form = _raw_entries(lam, n_gens)
         for t in range(1, n + 1):
             for s in range(t):
                 _, (_, jw) = _selection_min(norms, n, n - t, t - s)
@@ -261,9 +262,10 @@ def test_witness_value_matches_smith_route(ring, n):
                 u = n - t
                 want = size - smith_sum(n_jw)
                 if u:
-                    p, _ = reduce_to_top_rows(n_jw)
-                    want -= smith_sum((p @ lam).bottom_rows(n - len(jw)), u)
-                assert _max_value(lam, n_jw, u, size) == want, (s, t)
+                    p_inv = smith_decompose(n_jw).p.inverse()
+                    want -= smith_sum((p_inv @ lam).bottom_rows(n - len(jw)),
+                                      u)
+                assert _witness_value(form, jw, u, size) == want, (s, t)
 
 
 # ---------------------------------------------------------------------------

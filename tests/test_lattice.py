@@ -3,12 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hivekit import (Lattice, RingConfig, Submodule, ValuedMatrix,
                      adapted_slice, greedy_slice_first_min,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
-                     min_direct_sum_norm, pair_invariant)
+                     min_direct_sum_norm, pair_invariant, unimodular_check)
 from hivekit.cli import InstanceSpec, random_pair
 from hivekit.lattice import _minor_norms, saturate
 
@@ -93,6 +93,68 @@ def test_saturate_examples(p2):
     outside = Submodule(mat(p2, [[1], [0]]))  # (1,0) not in diag(4,1)
     with pytest.raises(ValueError, match="not contained"):
         saturate(d41, outside)
+
+
+def integral_entries(cfg):
+    """Hypothesis strategy for entries of O over cfg, zero included."""
+    if cfg.kind == RingConfig.PADIC:
+        return st.builds(lambda num, den, k: Fraction(num, den) * cfg.p ** k,
+                         st.integers(-6, 6),
+                         st.integers(1, 6).filter(lambda d: d % cfg.p),
+                         st.integers(0, 3))
+    coeffs = st.tuples(*[st.integers(-2, 2).map(Fraction)] * 3)
+    dens = st.sampled_from([(1,), (1, 1), (2, 0, 1)])
+    return st.builds(
+        lambda num, den: cfg.element((num, tuple(map(Fraction, den)))),
+        coeffs, dens)
+
+
+@st.composite
+def containment_cases(draw):
+    """(S, X, i, j, w): an n x k S of full column rank, 1 <= k < n, over
+    p=2, p=3 or t-adic; a k x k X over O with S X of full rank; a position
+    (i, j) of X; and a column w outside the K-span of S."""
+    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3),
+                                RingConfig.tadic()]))
+    n = draw(st.integers(2, 4 if cfg.kind == RingConfig.PADIC else 3))
+    k = draw(st.integers(1, n - 1))
+    entry = ring_entries(cfg)
+    s = ValuedMatrix(cfg, [[draw(entry) for _ in range(k)] for _ in range(n)])
+    assume(s.rank() == k)
+    coeff = integral_entries(cfg)
+    x = ValuedMatrix(cfg, [[draw(coeff) for _ in range(k)] for _ in range(k)])
+    assume(x.rank() == k)
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    w = ValuedMatrix(cfg, [[draw(entry)] for _ in range(n)])
+    assume(s.hstack(w).rank() == k + 1)
+    return s, x, i, j, w
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=containment_cases())
+def test_contains_and_same_span(case):
+    # S X lies in S for X over O, and spans S exactly when X is unimodular;
+    # a coefficient of negative valuation, or a vector outside the K-span,
+    # takes the module out of S (S's coordinates are unique)
+    s, x, i, j, w = case
+    cfg = s.config
+    sub = Submodule(s)
+    inside = Submodule(s @ x)
+    assert sub.contains(inside)
+    assert sub.same_span(inside) == unimodular_check(x)
+    assert inside.contains(sub) == unimodular_check(x)
+    bump = [list(row) for row in x.entries]
+    bump[i][j] = bump[i][j] + cfg.one / cfg.uniformizer
+    fractional = ValuedMatrix(cfg, bump)
+    if fractional.rank() == x.cols:
+        assert not sub.contains(Submodule(s @ fractional))
+    outside = Submodule(w)
+    assert not sub.contains(outside)
+    assert not sub.contains(Submodule(s.hstack(w)))
+    # S X with its last column replaced by w: rank k, but not in S
+    mixed = ValuedMatrix(cfg, [row[:-1] + wrow for row, wrow
+                               in zip((s @ x).entries, w.entries)])
+    assert not sub.same_span(Submodule(mixed))
 
 
 def test_saturate_lowers_invariants(p2):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
-                     matrix_norm, quotient_free_invariants,
-                     reduce_to_top_rows, smith_decompose, unimodular_check)
+                     matrix_norm, quotient_free_invariants, smith_decompose,
+                     unimodular_check)
 from hivekit.lattice import _minor_norms
 
 from conftest import (brute_minor_norm, mat, random_padic_matrix,
@@ -18,8 +18,6 @@ def check_smith(a):
     assert (dec.p @ dec.d) @ dec.q == a
     assert unimodular_check(dec.p)
     assert unimodular_check(dec.q)
-    assert dec.p @ dec.p_inv == ValuedMatrix.identity(a.config, a.rows)
-    assert dec.q @ dec.q_inv == ValuedMatrix.identity(a.config, a.cols)
     vals = dec.diagonal_valuations
     finite = [v for v in vals if v != INFINITY]
     assert finite == sorted(finite, reverse=True)
@@ -74,27 +72,6 @@ def test_unimodular_check_examples(p2):
         mat(p2, [[1], [1]])))  # singular square
 
 
-def test_reduce_to_top_rows_examples(p2):
-    s = mat(p2, [[0], [1]])
-    p, top = reduce_to_top_rows(s)
-    assert unimodular_check(p)
-    moved = p @ s
-    assert moved[1, 0].is_zero()
-    assert top.entries == ((p2.one,),)
-
-    ident = ValuedMatrix.identity(p2, 2)
-    p, top = reduce_to_top_rows(ident)
-    assert top == ident
-
-    s = mat(p2, [[2], [2]])
-    p, top = reduce_to_top_rows(s)
-    assert (p @ s)[1, 0].is_zero()
-    assert matrix_norm(top) == matrix_norm(s) == 1
-
-    with pytest.raises(ValueError):
-        reduce_to_top_rows(mat(p2, [[1, 2], [2, 4]]))
-
-
 def test_quotient_free_invariants_examples(p2):
     assert quotient_free_invariants(
         ValuedMatrix.identity(p2, 2), mat(p2, [[1], [0]])) == (0,)
@@ -116,7 +93,7 @@ def test_quotient_invariants_reduction_independent(p2):
         if s.rank() < 1:
             continue
         base = quotient_free_invariants(t, s)
-        p, _ = reduce_to_top_rows(s)
+        p = smith_decompose(s).p.inverse()
         # an alternative reduction: post-compose with a unimodular matrix
         # fixing the top-supported shape (first column e1)
         b = mat(p2, [[1, 3, 5], [0, 1, 6], [0, 2, 13]])
@@ -161,7 +138,7 @@ def test_quotient_kernel_matches_smith_route(case):
         return
     n, k = t.rows, s.cols
     smith = invariant_partition(
-        (reduce_to_top_rows(s)[0] @ t).bottom_rows(n - k))
+        (smith_decompose(s).p.inverse() @ t).bottom_rows(n - k))
     assert quotient_free_invariants(t, s) == smith
     assert len(smith) == n - k
 

@@ -148,7 +148,7 @@ def test_brute_values_pinned():
 # what the oracle certifies: the Smith route and the optimizer's norm
 # kernel, each under its defining module
 OPTIMIZER_KERNELS = [("hivekit.lattice", "smith_decompose"),
-                     ("hivekit.lattice", "adapted_basis"),
+                     ("hivekit.lattice", "adapted_slice"),
                      ("hivekit.lattice", "lattice_invariants"),
                      ("hivekit.matops", "_pivot_valuations")]
 

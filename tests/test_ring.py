@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hivekit import INFINITY, RingConfig, unit_part, valuation
+from hivekit import INFINITY, RingConfig
 
 
 def test_padic_valuation_examples(p2):
@@ -133,10 +133,10 @@ def test_canonical_form_equality(tadic):
     assert a == b and hash(a) == hash(b)
 
 
-def test_module_level_helpers(p2):
+def test_valuation_and_unit_part_methods(p2):
     x = p2.element(12)
-    assert valuation(x) == 2
-    assert unit_part(x).value == 3
+    assert x.valuation() == 2
+    assert x.unit_part().value == 3
 
 
 def test_parse_flag_accepts_exactly_padic_prime_and_tadic():
