@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .lattice import Lattice, _minor_norms, _selection_min, _witness_value
-from .matops import _raw_entries, invariant_partition
+from .matops import _eliminate, _raw_entries, _swap_form
 
 PRIMARY = "primary"
 SWAPPED = "swapped"
@@ -25,23 +25,26 @@ class DualityError(RuntimeError):
     min route's value |lambda| - min.
 
     (s,t) indexes the hive of ``variant``; for the swapped hive that is
-    the entry of the transposed pair (M^T, Lambda^T).  Raised by
-    ``build_hive``.  The witness value is only a lower bound on the true
-    max, so the error does not say which route is wrong: a witness above
-    the min route's value refutes the min route (or the duality), one
-    below it may just be a poor witness.  The oracle decides.
+    the entry of the transposed pair (M^T, Lambda^T).  ``jw`` holds the
+    witness columns: the selected columns of N (of M^T in the swapped
+    hive).  Raised by ``build_hive``.  The witness value is only a lower
+    bound on the true max, so the error does not say which route is wrong:
+    a witness above the min route's value refutes the min route (or the
+    duality), one below it may just be a poor witness.  The oracle decides.
     """
 
     def __init__(self, s: int, t: int, min_value: int, max_value: int,
-                 variant: str):
+                 variant: str, jw: tuple):
         super().__init__(
             f"duality check failed at ({s},{t}) of the {variant} hive: "
-            f"min route {min_value}, witness {max_value}")
+            f"min route {min_value}, witness {max_value} "
+            f"on columns jw={jw}")
         self.s = s
         self.t = t
         self.min_value = min_value
         self.max_value = max_value
         self.variant = variant
+        self.jw = jw
 
 
 class Hive:
@@ -168,6 +171,17 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     min route reads one table of the minors of [Lambda | N]
     (``lattice._minor_norms``) per hive.
 
+    All of it runs on one raw form of [Lambda | N] (``matops._raw_entries``:
+    integers, or integer polynomials over t), cleared once per hive; lambda
+    is read from its Lambda block, and no RingElement arithmetic is made
+    after the input checks.  The swapped hive is the primary construction
+    on (M^T, Lambda^T), and no inverse is formed for it: with the cleared
+    blocks L, B of Lambda and N, M = adj(B) L / det(B), and
+    ``matops._swap_form`` builds the raw form of [Lambda^T | M^T] as
+    ((det(B) L)^T, (pi^shift adj(B) L)^T), adj(B) from cofactors.  The
+    second block is M scaled by the first block's scale times a unit, and
+    scaling a block by a unit moves no minor or pivot valuation.
+
     Every entry is also evaluated at the max route's witness, and the two
     values must agree; a mismatch raises DualityError.  The witness is
     V = the M^-1-columns of the first minimizing N-selection jw of the
@@ -177,9 +191,8 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     the columns N_jw and no inverse is formed.  The witness's value comes
     from ``lattice._witness_value``, the max route's own witness entry,
     which runs one quotient elimination on the N_jw columns and the Lambda
-    rows of the raw form of [Lambda | N], cleared once per hive: the same
-    input as the table, but a different route, elimination instead of
-    minors, and it never reads the table
+    rows of the raw form: the same input as the table, but a different
+    route, elimination instead of minors, and it never reads the table
     (``tests/test_hive.py::test_witness_ignores_minor_table``).
     The objective's norm(M V) term is 0 because M V is made of unit
     columns.  The witness value is at most the true max = |lambda| - true
@@ -187,25 +200,25 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     Agreement shows that a feasible witness attains h(s,t), so the true
     max is at least h(s,t); only the brute-force oracle (acceptance
     criterion 4, ``hivekit oracle``) certifies that the max equals h(s,t).
-    Only the swapped variant forms M = N^-1 Lambda, once.
     """
     if variant not in (PRIMARY, SWAPPED):
         raise ValueError(f"unknown hive variant {variant!r}")
     if n_lat.n != lam_lat.n or n_lat.config != lam_lat.config:
         raise ValueError("pair lattices must share dimension and ring")
-    n_gens, lam_gens = n_lat.gens, lam_lat.gens
+    n = lam_lat.n
+    form = _raw_entries(lam_lat.gens, n_lat.gens)
+    (lam_rows, _), val, step, shift = form
+    # lambda from the same form: transposing leaves it unchanged
+    lam = sorted((v - shift for v in _eliminate([list(r) for r in lam_rows],
+                                                  n, val, step)), reverse=True)
+    size = sum(lam)
     if variant == SWAPPED:
         # M in place of N, carried out on transposes: Lambda^T = M^T N^T is
         # the valid factorization with the roles exchanged, so the swapped
         # hive is the primary construction on the pair (M^T, Lambda^T), and
         # its type comes out (nu, mu, lambda)
-        m_gens = n_gens.inverse() @ lam_gens
-        n_gens, lam_gens = m_gens.transpose(), lam_gens.transpose()
-    lam = sorted(invariant_partition(lam_gens), reverse=True)
-    size = sum(lam)
-    n = lam_lat.n
-    norms = _minor_norms(lam_gens, n_gens)
-    form = _raw_entries(lam_gens, n_gens)
+        form = _swap_form(form, n_lat.config)
+    norms = _minor_norms(form)
     rows = []
     for t in range(n + 1):
         row = []
@@ -214,7 +227,7 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
             hmin = size - best
             hmax = _witness_value(form, jw, n - t, size)
             if hmax != hmin:
-                raise DualityError(s, t, hmin, hmax, variant)
+                raise DualityError(s, t, hmin, hmax, variant, jw)
             row.append(hmin)
         # s = t: with no N side both routes give the t largest invariants
         row.append(sum(lam[:t]))

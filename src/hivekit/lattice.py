@@ -8,10 +8,11 @@ selections, so the minimum over all submodule pairs is attained on column
 subsets of the generator matrices (any representatives).  Each selection
 norm is the minimal valuation of a maximal minor, and every such minor is
 a minor of the one n x 2n matrix [A | C], so the min route reads one
-table (``_minor_norms``) that computes all of them once;
-``_selection_min`` scans it.  ``build_hive`` builds the table of
-[Lambda | N] once per hive and takes each entry's min value and its max
-witness columns from the same scan.
+table (``_minor_norms``) that computes all of them once, on the raw form
+of [A | C] (``matops._raw_entries``: integers, or integer polynomials
+over t); ``_selection_min`` scans it.  ``build_hive`` clears the raw form
+of [Lambda | N] once per hive, builds the table from it, and takes each
+entry's min value and its max witness columns from the same scan.
 
 The maximum ranges over summand-realized pairs: submodules A(Y), C(V)
 where Y and V are jointly a direct summand of O^n under the stored
@@ -48,8 +49,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .matops import (INFINITY, ValuedMatrix, _quotient_valuations,
-                     _raw_entries, invariant_partition,
+from .matops import (INFINITY, ValuedMatrix, _minor_levels,
+                     _quotient_valuations, _raw_entries, invariant_partition,
                      quotient_free_invariants, smith_decompose,
                      unimodular_check)
 
@@ -222,7 +223,7 @@ def min_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
         return sum(sorted(lattice_invariants(a_lat))[:a])
     if a == 0:
         return sum(sorted(lattice_invariants(c_lat))[:c])
-    norms = _minor_norms(a_lat.gens, c_lat.gens)
+    norms = _minor_norms(_raw_entries(a_lat.gens, c_lat.gens))
     best, _ = _selection_min(norms, a_lat.n, a, c)
     if best == INFINITY:
         raise ValueError("no direct sum of the requested ranks exists")
@@ -248,50 +249,32 @@ def _selection_min(norms, n, kx, ky):
     return best, first
 
 
-def _minor_norms(x_gens, y_gens) -> dict:
+def _minor_norms(form) -> dict:
     """matrix_norm of every column selection of [X | Y] with at most n
     columns, keyed by the selected column indices (Y's columns are
     n..2n-1); INFINITY when every maximal minor of the selection is zero.
 
-    Computes every square minor of [X | Y] once, size by size: a k x k
-    minor is the Laplace expansion along its last column over the
-    (k-1) x (k-1) minors, so the C(3n, n) - 1 minors cost only
-    multiplications and additions.  A selection's norm is the minimal
-    valuation of its maximal minors.  Entries are raw values
-    (``matops._raw_entries``, one form for X and Y): p-adic minors are
-    plain integer products, and a k-column selection's raw norm exceeds
-    its norm by k times the form's shift.
+    ``form`` is the raw form ``matops._raw_entries(X, Y)`` (or
+    ``matops._swap_form`` of one): p-adic raw values are ints, t-adic ones
+    integer polynomials.  Every square minor of [X | Y] is computed once,
+    size by size, by ``matops._minor_levels``: the C(3n, n) - 1 minors
+    cost only multiplications and additions.  A selection's norm is the
+    minimal valuation of its maximal minors; a k-column selection's raw
+    norm exceeds its norm by k times the form's shift.
     """
-    n = x_gens.rows
-    (x_rows, y_rows), val, _, shift = _raw_entries(x_gens, y_gens)
-    cols = list(zip(*x_rows)) + list(zip(*y_rows))
-    row_sets = [list(combinations(range(n), k)) for k in range(n + 1)]
-    # dets[(S, R)] = det of the minor on columns S, rows R; zero minors are
-    # left out, and the empty minor is the int 1, which both raw kinds take
-    dets = {((), ()): 1}
+    (x_rows, y_rows), val, _, shift = form
     norms = {}
-    for k in range(1, n + 1):
-        level = {}
-        for sel in combinations(range(2 * n), k):
-            head, col = sel[:-1], cols[sel[-1]]
+    levels = _minor_levels(list(zip(*x_rows)) + list(zip(*y_rows)),
+                           len(x_rows))
+    for k, level in enumerate(levels, 1):
+        for sel, dets in level.items():
             best = INFINITY
-            for rows in row_sets[k]:
-                det = None
-                for pos, i in enumerate(rows):
-                    sub = dets.get((head, rows[:pos] + rows[pos + 1:]))
-                    if sub is None or not col[i]:
-                        continue
-                    term = col[i] * sub
-                    if (k - 1 - pos) % 2:
-                        term = -term
-                    det = term if det is None else det + term
+            for det in dets:
                 if det:
-                    level[(sel, rows)] = det
                     v = val(det)
                     if v < best:
                         best = v
             norms[sel] = best - k * shift
-        dets = level
     return norms
 
 
@@ -352,9 +335,9 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
         return sum(lam[:a])
     u = a_lat.n - a - c
     av = a_lat.gens @ c_lat.gens.inverse()
-    norms = _minor_norms(a_lat.gens, av)
-    _, (_, jw) = _selection_min(norms, a_lat.n, u, c)
-    return _witness_value(_raw_entries(a_lat.gens, av), jw, u, sum(lam))
+    form = _raw_entries(a_lat.gens, av)
+    _, (_, jw) = _selection_min(_minor_norms(form), a_lat.n, u, c)
+    return _witness_value(form, jw, u, sum(lam))
 
 
 def _witness_value(form, jw, u, size):

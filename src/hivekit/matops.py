@@ -19,20 +19,31 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   the callers that need them: ``lattice.adapted_slice`` and
   ``lattice.saturate`` read P, and ``cli.cmd_smith`` prints all three.
 
-The kernels work on raw values (``_raw_entries``).  p-adic: one common
-denominator is cleared, so the raw values are Python ints with the p-adic
-valuation, elimination is fraction-free, and results are moved back by
-the denominator's valuation (the form's shift).  t-adic: the ring
-elements themselves, with division steps and no shift.
+The kernels work on raw values (``_raw_entries``): one common scale c is
+cleared from all entries, and results are moved back by its valuation
+(the form's shift).  p-adic: c is the common denominator, and the raw
+values are Python ints with the p-adic valuation.  t-adic: c is the
+common denominator polynomial D(t) times the integer that clears the
+rational coefficients, the raw values are integer polynomials
+(``_TPoly``) whose valuation is their order at t, and the shift is
+ord_t(D).  Either way elimination is fraction-free and the same in shape
+(``_eliminate``), and every square minor comes from one Laplace
+recursion with multiplications and additions only (``_minor_levels``),
+which also gives the adjugate behind ``_swap_form``: the raw form of the
+swapped hive's pair, made without an inverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from itertools import combinations
+from operator import attrgetter
 
-from .ring import INFINITY, RingConfig, RingElement, _int_pval
+from .ring import (INFINITY, RingConfig, RingElement, _int_pval, _pdivmod,
+                   _pgcd, _pmul, _pord)
 
 
 class ValuedMatrix:
@@ -345,14 +356,99 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
     return work.decomposition()
 
 
-def _element_valuation(x):
-    return x.valuation()
+class _TPoly:
+    """An integer polynomial t^v (c[0] + c[1] t + ... + c[d] t^d) with
+    c[0] and c[d] nonzero: a raw t-adic value, whose valuation is v.
+    Zero has c = ().  Immutable; it has only the operations the kernels
+    make: ``*``, ``+``, ``-``, negation and truth."""
+
+    __slots__ = ("v", "c")
+
+    def __init__(self, v: int, c: tuple):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_TPoly is immutable")
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __neg__(self):
+        return _TPoly(self.v, tuple(-x for x in self.c))
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        if not a or not b:
+            return _TZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            y = b[0]
+            return _TPoly(self.v + other.v, tuple(x * y for x in a))
+        # Z is a domain, so the end coefficients of the product are nonzero
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+        return _TPoly(self.v + other.v, tuple(out))
+
+    def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        if not other.c:
+            return self
+        if not self.c:
+            return -other if negate else other
+        lo = min(self.v, other.v)
+        a, b = self.v - lo, other.v - lo
+        out = [0] * max(a + len(self.c), b + len(other.c))
+        out[a:a + len(self.c)] = self.c
+        if negate:
+            for i, y in enumerate(other.c, b):
+                out[i] -= y
+        else:
+            for i, y in enumerate(other.c, b):
+                out[i] += y
+        return _tpoly(out, lo)
 
 
-def _tadic_step(pivot, v):
+_TZERO = _TPoly(0, ())
+
+
+def _tpoly(coeffs, v=0) -> _TPoly:
+    """t^v times the integer polynomial with ascending ``coeffs``."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _TZERO
+    lo = 0
+    while not coeffs[lo]:
+        lo += 1
+    return _TPoly(v + lo, tuple(coeffs[lo:hi]))
+
+
+def _tpoly_step(pivot, v):
+    u = _TPoly(0, pivot.c)
+
     def clear(row, prow, e):
-        f = e / pivot
-        return [x - f * y if y else x for x, y in zip(row, prow)]
+        f = _TPoly(e.v - v, e.c)
+        return [u * x - f * y for x, y in zip(row, prow)]
+    return clear
+
+
+def _int_step(p, pivot, v):
+    q = p ** v
+    u = pivot // q
+
+    def clear(row, prow, e):
+        f = e // q
+        return [u * x - f * y for x, y in zip(row, prow)]
     return clear
 
 
@@ -365,32 +461,47 @@ def _raw_entries(*mats):
     elimination at a pivot of valuation v (see ``_eliminate``), and every
     raw value's valuation exceeds its entry's by ``shift``.
 
-    p-adic: one common denominator d of all the matrices' entries is
-    cleared, so the raw values are the ints d * entry, ``val`` is
-    ``_int_pval`` and ``shift`` = v_p(d).  Scaling by d moves a k-column
-    selection's norm (and its pivot sum) by k * shift, and each quotient
-    pivot by shift, since sat(d S) = sat(S).  t-adic: the ring elements
-    themselves, with shift 0.  Both kinds accept the int 0 as zero.
+    One common scale c is cleared from all the matrices' entries, so the
+    raw values are the entries times c and ``shift`` = v(c).  p-adic: c is
+    the common denominator d, the raw values are Python ints and ``val``
+    is ``_int_pval``.  t-adic: c = m D(t), D the common denominator
+    polynomial and m the integer that clears the rational coefficients of
+    D * entry; the raw values are integer polynomials (``_TPoly``), ``val``
+    is the order at t and ``shift`` = ord_t(D).  Scaling by c moves a
+    k-column selection's norm (and its pivot sum) by k * shift, and each
+    quotient pivot by shift, since sat(c S) = sat(S).
     """
     cfg = mats[0].config
     if cfg.kind == RingConfig.PADIC:
-        p = cfg.p
         d = math.lcm(*(e.value.denominator for a in mats
                        for row in a.entries for e in row))
         rows = [[[e.value.numerator * (d // e.value.denominator) for e in row]
                  for row in a.entries] for a in mats]
+        return (rows, partial(_int_pval, p=cfg.p), partial(_int_step, cfg.p),
+                _int_pval(d, cfg.p))
+    dens = {e.den for a in mats for row in a.entries for e in row}
+    d = (Fraction(1),)
+    for den in dens:
+        d = _pmul(d, _pdivmod(den, _pgcd(d, den))[0])
+    cofactor = {den: _integral(_pdivmod(d, den)[0]) for den in dens}
 
-        def step(pivot, v):
-            q = p ** v
-            u = pivot // q
+    def clear(e):
+        # (s, x) with x = s D entry = num (D / den) an integer polynomial
+        s, x = _integral(e.num)
+        t, y = cofactor[e.den]
+        return s * t, x * y
+    rows = [[[clear(e) for e in row] for row in a.entries] for a in mats]
+    m = math.lcm(*(s for a in rows for row in a for s, _ in row))
+    rows = [[[x * _TPoly(0, (m // s,)) for s, x in row] for row in a]
+            for a in rows]
+    return rows, attrgetter("v"), _tpoly_step, _pord(d)
 
-            def clear(row, prow, e):
-                f = e // q
-                return [u * x - f * y for x, y in zip(row, prow)]
-            return clear
-        return rows, partial(_int_pval, p=p), step, _int_pval(d, p)
-    return ([[list(row) for row in a.entries] for a in mats],
-            _element_valuation, _tadic_step, 0)
+
+def _integral(coeffs) -> tuple:
+    """(s, x): the integer polynomial x = s * the polynomial with Fraction
+    ``coeffs``, s the lcm of their denominators."""
+    s = math.lcm(*(c.denominator for c in coeffs))
+    return s, _tpoly([c.numerator * (s // c.denominator) for c in coeffs])
 
 
 def _eliminate(rows, width, val, step) -> list:
@@ -400,11 +511,12 @@ def _eliminate(rows, width, val, step) -> list:
     After each pivot its row and column are removed and only the Schur
     complement is kept, in place: on return ``rows`` holds the rows left
     over, without the pivoted columns.  Each row is cleared by the raw
-    form's ``step``.  t-adic: row <- row - (e / pivot) prow.  p-adic,
-    fraction-free: with pivot = p^v u, row <- u row - (e / p^v) prow; both
-    multipliers are integers, and u is a unit of O.  Either way every row
-    operation is unimodular over O, so the pivot valuations are the Smith
-    invariants of the raw rows.
+    form's ``step``, fraction-free for both ring kinds: with pivot =
+    pi^v u (pi = p or t), row <- u row - (e / pi^v) prow.  Both multipliers
+    are raw values (e / pi^v is an exact division, or an exact shift of
+    coefficients), and u is a unit of O, so every row operation is
+    unimodular over O and the pivot valuations are the Smith invariants of
+    the raw rows.
     """
     vals = []
     while rows:
@@ -458,6 +570,99 @@ def _quotient_valuations(s_rows, t_rows, val, step) -> tuple:
     if len(s_vals) < k:
         raise ValueError("S must have full column rank")
     return s_vals, _eliminate(rows, len(t_rows[0]), val, step)
+
+
+def _minor_levels(cols, n):
+    """Every square minor of the n-row matrix with columns ``cols`` (raw
+    values), level by level.
+
+    Yields, for k = 1..n, a dict from each k-column selection (an
+    ascending index tuple) to the list of its k x k minors, one per row
+    set in ``combinations(range(n), k)`` order; a vanishing minor is None
+    or a zero raw value.  A k x k minor is the Laplace expansion along its
+    last column over the (k-1) x (k-1) minors of the selection without
+    that column, so only multiplications and additions are made.  The
+    expansion of each row set, (row, position of the row set without it,
+    sign), is worked out once per level.
+    """
+    row_sets = [list(combinations(range(n), k)) for k in range(n + 1)]
+    level = {(j,): list(col) for j, col in enumerate(cols)}
+    yield level
+    for k in range(2, n + 1):
+        index = {rows: r for r, rows in enumerate(row_sets[k - 1])}
+        expansions = [[(i, index[rows[:pos] + rows[pos + 1:]],
+                        (k - 1 - pos) % 2) for pos, i in enumerate(rows)]
+                      for rows in row_sets[k]]
+        below, level = level, {}
+        for sel in combinations(range(len(cols)), k):
+            subs, col = below[sel[:-1]], cols[sel[-1]]
+            dets = []
+            for expansion in expansions:
+                # a None start: an int 0 start slows the t-adic sums
+                det = None
+                for i, r, negative in expansion:
+                    x = col[i]
+                    if x:
+                        y = subs[r]
+                        if y:
+                            term = x * y
+                            if det is None:
+                                det = -term if negative else term
+                            elif negative:
+                                det = det - term
+                            else:
+                                det = det + term
+                dets.append(det)
+            level[sel] = dets
+        yield level
+
+
+def _swap_form(form, config):
+    """The raw form of [Lambda^T | M^T], M = N^-1 Lambda, from the raw form
+    ``form`` of [Lambda | N], made with no division.
+
+    With the cleared blocks L and B of ``form`` (raw Lambda and N, scaled
+    by c with v(c) = shift), adj(B) comes from the cofactors of
+    ``_minor_levels`` on B alone, and the form is (X^T, Y^T) with
+    X = det(B) L and Y = pi^shift adj(B) L, of shift shift + v(det B).
+    X is Lambda scaled by c det(B), and Y = pi^shift det(B) M is M scaled
+    by c det(B) times the unit pi^shift / c; scaling a block by a unit
+    moves no minor or pivot valuation.  p-adic: the form is divided by the
+    gcd of its entries and the shift lowered by that gcd's valuation,
+    which keeps its integers as small as those of ``form``.
+    """
+    (lam_rows, n_rows), val, step, shift = form
+    n = len(n_rows)
+    padic = config.kind == RingConfig.PADIC
+    pi_shift = config.p ** shift if padic else _TPoly(shift, (1,))
+    zero, one = (0, 1) if padic else (_TZERO, _TPoly(0, (1,)))
+    levels = list(_minor_levels(list(zip(*n_rows)), n))
+    det = levels[-1][tuple(range(n))][0]
+    # minors[j][i] = det(B without row i and column j); the row sets of the
+    # (n-1)-minors leave out rows n-1, ..., 0 in turn
+    minors = [[one]] if n == 1 else [
+        levels[-2][tuple(c for c in range(n) if c != j)][::-1]
+        for j in range(n)]
+    x_t = [[det * row[l] for row in lam_rows] for l in range(n)]
+    y_t = []
+    for l in range(n):
+        y_row = []
+        for j, minor_row in enumerate(minors):
+            # (adj(B) L)[j][l], adj(B)[j][i] = (-1)^(i+j) minors[j][i]
+            acc = zero
+            for i, (m, row) in enumerate(zip(minor_row, lam_rows)):
+                if m and row[l]:
+                    term = m * row[l]
+                    acc = acc - term if (i + j) % 2 else acc + term
+            y_row.append(pi_shift * acc)
+        y_t.append(y_row)
+    shift += val(det)
+    if padic:
+        g = math.gcd(*(x for row in x_t + y_t for x in row))
+        x_t = [[x // g for x in row] for row in x_t]
+        y_t = [[y // g for y in row] for row in y_t]
+        shift -= val(g)
+    return (x_t, y_t), val, step, shift
 
 
 def invariant_partition(a: ValuedMatrix) -> tuple:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hivekit import hive as hive_module
-from hivekit import (DualityError, Hive, LRFilling, RingConfig, build_hive,
-                     check_rhombus, hive_to_lr_filling, hive_type,
-                     lattice_invariants, pair_invariant, render, validate_lr)
+from hivekit import (DualityError, Hive, Lattice, LRFilling, RingConfig,
+                     RingElement, build_hive, check_rhombus,
+                     hive_to_lr_filling, hive_type, lattice_invariants,
+                     pair_invariant, render, validate_lr)
 from hivekit.hive import NotAHiveError
 from hivekit.lattice import _minor_norms, _selection_min, _witness_value
 from hivekit.matops import _raw_entries, smith_decompose
@@ -187,6 +188,53 @@ def test_build_hive_rows_pinned(ring, n, exps, mix, seed, primary, swapped):
     assert build_hive(n_lat, lam_lat, "swapped").rows == swapped
 
 
+@pytest.mark.parametrize("ring,n",
+                         [(ring, n) for ring in ("padic:2", "padic:3")
+                          for n in range(2, 6)]
+                         + [("tadic", n) for n in range(2, 5)])
+def test_swapped_hive_matches_inverse_route(ring, n):
+    # the adjugate swap against the inverse route it replaced: the swapped
+    # hive is the primary hive of (M^T, Lambda^T), M = N^-1 Lambda from
+    # pair_invariant.  Exponents -2..3 make the raw form's shift and
+    # v(det N_r) = |nu| + n * shift nonzero
+    spec = InstanceSpec(n=n, ring=RingConfig.parse_flag(ring),
+                        exponent_range=(-2, 3), seed=1,
+                        unimodular_mix_steps=4)
+    n_lat, lam_lat = random_pair(spec)
+    *_, shift = _raw_entries(lam_lat.gens, n_lat.gens)
+    assert shift and sum(lattice_invariants(n_lat)) + n * shift
+    m_lat, _ = pair_invariant(n_lat, lam_lat)
+    want = build_hive(Lattice(m_lat.gens.transpose()),
+                      Lattice(lam_lat.gens.transpose()), "primary")
+    assert build_hive(n_lat, lam_lat, "swapped") == want
+
+
+@pytest.mark.parametrize("variant", ["primary", "swapped"])
+@pytest.mark.parametrize("ring,n", [("padic:2", 4), ("padic:3", 3),
+                                    ("tadic", 3)])
+def test_build_hive_makes_no_ring_element_arithmetic(monkeypatch, ring, n,
+                                                     variant):
+    # after input validation build_hive runs on raw integers or integer
+    # polynomials only: with every RingElement operator raising it must
+    # still give the same hive
+    spec = InstanceSpec(n=n, ring=RingConfig.parse_flag(ring),
+                        exponent_range=(-2, 3), seed=3,
+                        unimodular_mix_steps=4)
+    n_lat, lam_lat = random_pair(spec)
+    want = build_hive(n_lat, lam_lat, variant)
+
+    def forbidden(*args):
+        raise AssertionError("RingElement arithmetic in build_hive")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(RingElement, op, forbidden, raising=False)
+    entry = n_lat.gens[0, 0]
+    with pytest.raises(AssertionError):
+        entry * entry
+    assert build_hive(n_lat, lam_lat, variant) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(ring=st.sampled_from(["padic:2", "padic:3", "tadic"]),
        n=st.integers(2, 3), hi=st.integers(0, 3), mix=st.integers(0, 4),
@@ -201,11 +249,11 @@ def test_build_hive_properties(ring, n, hi, mix, seed):
 
 
 def test_duality_error_formatting():
-    err = DualityError(1, 2, 5, 4, "swapped")
+    err = DualityError(1, 2, 5, 4, "swapped", (0, 2))
     assert str(err) == ("duality check failed at (1,2) of the swapped hive: "
-                        "min route 5, witness 4")
+                        "min route 5, witness 4 on columns jw=(0, 2)")
     assert err.min_value == 5 and err.max_value == 4
-    assert err.variant == "swapped"
+    assert err.variant == "swapped" and err.jw == (0, 2)
 
 
 @pytest.mark.parametrize("variant", ["primary", "swapped"])
@@ -218,9 +266,9 @@ def test_witness_ignores_minor_table(monkeypatch, p2, variant, s, t):
     n_lat, lam_lat = random_pair(spec)
     build_hive(n_lat, lam_lat, variant)  # consistent before the patch
 
-    def undershooting(x_gens, y_gens):
-        norms = _minor_norms(x_gens, y_gens)
-        n = x_gens.rows
+    def undershooting(form):
+        norms = _minor_norms(form)
+        n = len(form[0][0])
         _, (jx, jy) = _selection_min(norms, n, n - t, t - s)
         norms[jx + tuple(n + j for j in jy)] -= 1
         return norms
@@ -253,8 +301,8 @@ def test_witness_value_matches_smith_route(ring, n):
     for lam, n_gens in ((lam_lat.gens, n_lat.gens),
                         (lam_lat.gens.transpose(), m_lat.gens.transpose())):
         size = smith_sum(lam)
-        norms = _minor_norms(lam, n_gens)
         form = _raw_entries(lam, n_gens)
+        norms = _minor_norms(form)
         for t in range(1, n + 1):
             for s in range(t):
                 _, (_, jw) = _selection_min(norms, n, n - t, t - s)

@@ -11,6 +11,7 @@ from hivekit import (Lattice, RingConfig, Submodule, ValuedMatrix,
                      min_direct_sum_norm, pair_invariant, unimodular_check)
 from hivekit.cli import InstanceSpec, random_pair
 from hivekit.lattice import _minor_norms, saturate
+from hivekit.matops import _raw_entries
 
 from conftest import lat, mat, ring_entries, seeded
 
@@ -315,7 +316,7 @@ def test_minor_table_matches_matrix_norm(xy):
     x, y = xy
     n = x.rows
     both = x.hstack(y)
-    norms = _minor_norms(x, y)
+    norms = _minor_norms(_raw_entries(x, y))
     sels = [sel for k in range(1, n + 1)
             for sel in combinations(range(2 * n), k)]
     assert sorted(norms) == sorted(sels)

@@ -8,6 +8,7 @@ from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants, smith_decompose,
                      unimodular_check)
 from hivekit.lattice import _minor_norms
+from hivekit.matops import _raw_entries
 
 from conftest import (brute_minor_norm, mat, random_padic_matrix,
                        random_tadic_matrix, ring_entries, seeded)
@@ -145,11 +146,14 @@ def test_quotient_kernel_matches_smith_route(case):
 
 @st.composite
 def shift_inputs(draw):
-    """(T, S, Y, k, c) over p=2 or p=3: a full-rank n x n T, an n x j S of
-    full column rank, an n x n Y (any rank), and c = p^k w with w a p-adic
-    unit carrying non-p factors above and below the line."""
-    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3)]))
-    n = draw(st.integers(2, 4))
+    """(T, S, Y, k, c) over p=2, p=3 or t-adic: a full-rank n x n T, an
+    n x j S of full column rank, an n x n Y (any rank), and c = pi^k w with
+    w a unit carrying non-pi factors above and below the line (t-adic:
+    polynomials with nonzero constant terms, such as (1+t)/(2-t))."""
+    cfg = draw(st.sampled_from([RingConfig.padic(2), RingConfig.padic(3),
+                                RingConfig.tadic()]))
+    tadic = cfg.kind == RingConfig.TADIC
+    n = draw(st.integers(2, 3 if tadic else 4))
     entry = ring_entries(cfg)
     t = ValuedMatrix(cfg, [[draw(entry) for _ in range(n)] for _ in range(n)])
     assume(t.rank() == n)
@@ -158,6 +162,14 @@ def shift_inputs(draw):
     assume(s.rank() == j)
     y = ValuedMatrix(cfg, [[draw(entry) for _ in range(n)] for _ in range(n)])
     k = draw(st.integers(-2, 3))
+    if tadic:
+        # (num, den) coefficient tuples, ascending; t^k moves into one side
+        num, den = draw(st.sampled_from([((1, 1), (2, -1)),
+                                         ((-3, 0, 1), (2, 3)),
+                                         ((5,), (7, 0, 2))]))
+        lift = (0,) * abs(k)
+        c = cfg.element((lift + num, den) if k >= 0 else (num, lift + den))
+        return t, s, y, k, c
     w = draw(st.sampled_from([Fraction(3, 5), Fraction(-5, 7), Fraction(7, 11)]
                              if cfg.p == 2 else
                              [Fraction(2, 5), Fraction(-5, 7), Fraction(7, 4)]))
@@ -167,16 +179,16 @@ def shift_inputs(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=shift_inputs())
 def test_scaling_shifts_kernel_values(case):
-    # the p-adic raw form clears a common denominator whose valuation
-    # depends on the input; every kernel value must move by exactly k per
-    # column under scaling by p^k times a unit
+    # each raw form clears a common scale whose valuation depends on the
+    # input; every kernel value must move by exactly k per column under
+    # scaling by pi^k times a unit
     t, s, y, k, c = case
     assert invariant_partition(t.scale(c)) == tuple(
         v + k for v in invariant_partition(t))
     assert quotient_free_invariants(t.scale(c), s) == tuple(
         v + k for v in quotient_free_invariants(t, s))
-    base = _minor_norms(t, y)
-    scaled = _minor_norms(t.scale(c), y.scale(c))
+    base = _minor_norms(_raw_entries(t, y))
+    scaled = _minor_norms(_raw_entries(t.scale(c), y.scale(c)))
     assert scaled.keys() == base.keys()
     for sel, v in base.items():
         assert scaled[sel] == v + k * len(sel), sel
