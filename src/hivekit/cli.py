@@ -326,17 +326,20 @@ def cmd_oracle(args) -> int:
         ring = RingConfig.parse_flag(args.ring)
         if ring.kind != RingConfig.PADIC:
             raise ValueError("oracle certification requires a p-adic ring")
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
+        budget = EnumerationBudget(count_cap=args.count_cap)
+        specs = [InstanceSpec(n=args.n, ring=ring,
+                              exponent_range=(0, args.max_exp),
+                              seed=args.seed + i,
+                              unimodular_mix_steps=args.mix_steps)
+                 for i in range(args.trials)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    budget = EnumerationBudget(count_cap=args.count_cap)
     trials = []
     all_ok = True
-    for i in range(args.trials):
-        spec = InstanceSpec(n=args.n, ring=ring,
-                            exponent_range=(0, args.max_exp),
-                            seed=args.seed + i,
-                            unimodular_mix_steps=args.mix_steps)
+    for spec in specs:
         n_lat, lam_lat = random_pair(spec)
         trial = _certify_trial(n_lat, lam_lat, budget)
         trial["seed"] = spec.seed

@@ -1,4 +1,4 @@
-"""Lattices in K^n, pair invariants, saturated submodules, and the
+"""Lattices and submodules in K^n, pair invariants, and the
 direct-sum-norm extrema that drive the hive construction.
 
 The minimum of ``norm(A_a (+) C_c)`` over submodule pairs is computed
@@ -35,14 +35,16 @@ raw form of [A | A C^-1] and the witness columns jw, it runs one quotient
 elimination (``matops._quotient_valuations``) on [A V | A], A V being
 the jw columns of A C^-1.  The witness V is always made of C.gens^-1
 columns, so the norm(C(V)) term of the objective is identically 0 and is
-not computed.  ``max_direct_sum_norm`` forms A C^-1; in the hive,
+not computed.  ``max_direct_sum_norm`` forms no inverse: it takes the
+raw form of [A | A C^-1] from ``matops._swap_form`` on the raw form of
+[A^T | C^T], through the adjugate of C's cleared block.  In the hive,
 A C^-1 = Lambda M^-1 = N exactly, so ``build_hive`` passes the raw form
-of [Lambda | N] and needs no inverse.
+of [Lambda | N] itself.
 
-Containment is a norm comparison, not a solve: for O-modules S within
-T of equal K-rank, |inv S| - |inv T| = length(T / S).  The Smith
-transforms (``smith_decompose``) are read only by ``adapted_slice`` and
-``saturate``.
+Containment and lattice equality are norm comparisons, not solves: for
+O-modules S within T of equal K-rank, |inv S| - |inv T| = length(T / S).
+The Smith transforms (``smith_decompose``) are read only by
+``adapted_slice``.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .matops import (INFINITY, ValuedMatrix, _minor_levels,
-                     _quotient_valuations, _raw_entries, invariant_partition,
-                     quotient_free_invariants, smith_decompose,
-                     unimodular_check)
+                     _quotient_valuations, _raw_entries, _swap_form,
+                     invariant_partition, quotient_free_invariants,
+                     smith_decompose)
 
 
 class Lattice:
@@ -76,11 +78,15 @@ class Lattice:
         return self.gens.config
 
     def __eq__(self, other):
+        """Equal spans: A + B contains A and B with the same K-rank, so
+        A = B exactly when |inv [A | B]| = |inv A| = |inv B|."""
         if not isinstance(other, Lattice):
             return NotImplemented
         if self.n != other.n or self.config != other.config:
             return False
-        return unimodular_check(self.gens.inverse() @ other.gens)
+        return sum(lattice_invariants(self)) == sum(
+            lattice_invariants(other)) == sum(
+            invariant_partition(self.gens.hstack(other.gens)))
 
     __hash__ = None
 
@@ -101,8 +107,7 @@ class Submodule:
     __slots__ = ("n", "rank", "gens")
 
     def __init__(self, gens: ValuedMatrix):
-        r = gens.rank()
-        if r < gens.cols:
+        if gens.rank() < gens.cols:
             raise ValueError("submodule generators must be K-independent")
         object.__setattr__(self, "n", gens.rows)
         object.__setattr__(self, "rank", gens.cols)
@@ -183,21 +188,6 @@ def adapted_slice(lattice: Lattice, i: int, j: int) -> Submodule:
         raise ValueError(f"slice ({i},{j}) out of range for n={lattice.n}")
     dec = smith_decompose(lattice.gens)
     return Submodule((dec.p @ dec.d).select_columns(range(i - 1, j)))
-
-
-def saturate(lattice: Lattice, sub: Submodule) -> Submodule:
-    """Smallest saturated submodule of the lattice containing sub.
-
-    Computes (K sub) intersect lattice; requires sub to lie inside the
-    lattice.  The lattice basis is square of full rank, so sub's
-    coordinates in it are unique.
-    """
-    coords = lattice.gens.inverse() @ sub.gens
-    if coords.min_entry_valuation() < 0:
-        raise ValueError("submodule is not contained in the lattice")
-    dec = smith_decompose(coords)
-    sat_coords = dec.p.select_columns(range(sub.rank))
-    return Submodule(lattice.gens @ sat_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +313,21 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     column selection of the dual minimum, found by this route's own
     selection scan of [A | A C^-1]; there C(V) is spanned by unit columns,
     so the value is |inv A| - norm(A(V)) minus the optimal U's quotient
-    invariants (``_witness_value``, on the raw form of [A | A C^-1]).  Its
-    value is the objective at one feasible V, so it proves only a lower
-    bound on the maximum; ``build_hive`` shows that it reaches |inv A|
-    minus the min route, and the brute-force oracle (acceptance
-    criterion 4, ``hivekit oracle``) certifies equality.
+    invariants (``_witness_value``).  The scan and the witness both read
+    the raw form of [A | A C^-1] that ``matops._swap_form`` makes from
+    the raw form of [A^T | C^T], as for the swapped hive: no inverse is
+    formed.  Its value is the objective at one feasible V, so it proves
+    only a lower bound on the maximum; ``build_hive`` shows that it
+    reaches |inv A| minus the min route, and the brute-force oracle
+    (acceptance criterion 4, ``hivekit oracle``) certifies equality.
     """
     _check_rank_args(a_lat, c_lat, a, c)
     lam = sorted(lattice_invariants(a_lat), reverse=True)
     if c == 0:
         return sum(lam[:a])
     u = a_lat.n - a - c
-    av = a_lat.gens @ c_lat.gens.inverse()
-    form = _raw_entries(a_lat.gens, av)
+    form = _swap_form(_raw_entries(a_lat.gens.transpose(),
+                                   c_lat.gens.transpose()), a_lat.config)
     _, (_, jw) = _selection_min(_minor_norms(form), a_lat.n, u, c)
     return _witness_value(form, jw, u, sum(lam))
 

@@ -7,17 +7,23 @@ functions of immutable inputs.
 
 Every route shares one pivoting rule (an entry of minimal valuation):
 
-* norms -- ``invariant_partition``, ``matrix_norm`` and
-  ``unimodular_check`` -- run the valuation kernel ``_pivot_valuations``,
-  which carries only the Schur complement on raw values and builds no
-  transforms; ``lattice.Submodule.contains`` is a norm comparison too;
+* norms -- ``invariant_partition``, ``matrix_norm``,
+  ``unimodular_check`` and the K-rank ``ValuedMatrix.rank`` -- run the
+  valuation kernel ``_pivot_valuations``, which carries only the Schur
+  complement on raw values and builds no transforms;
+  ``lattice.Submodule.contains`` and ``lattice.Lattice.__eq__`` are norm
+  comparisons too;
 * quotient invariants -- ``quotient_free_invariants`` and the lattice
   layer's max witness (``lattice._witness_value``, its one entry) -- run
   ``_quotient_valuations``, the same elimination on [S | T] with pivots
   taken only in S's columns;
 * ``smith_decompose`` builds D together with the transforms P and Q, for
-  the callers that need them: ``lattice.adapted_slice`` and
-  ``lattice.saturate`` read P, and ``cli.cmd_smith`` prints all three.
+  the callers that need them: ``lattice.adapted_slice`` reads P, and
+  ``cli.cmd_smith`` prints all three.
+
+Elimination on ``RingElement`` entries is left only where a transform or
+an inverse is itself the result: ``smith_decompose`` and
+``ValuedMatrix.inverse`` (for ``lattice.pair_invariant``).
 
 The kernels work on raw values (``_raw_entries``): one common scale c is
 cleared from all entries, and results are moved back by its valuation
@@ -29,8 +35,9 @@ rational coefficients, the raw values are integer polynomials
 ord_t(D).  Either way elimination is fraction-free and the same in shape
 (``_eliminate``), and every square minor comes from one Laplace
 recursion with multiplications and additions only (``_minor_levels``),
-which also gives the adjugate behind ``_swap_form``: the raw form of the
-swapped hive's pair, made without an inverse.
+which also gives the adjugate behind ``_swap_form``: the raw form of
+[A | A C^-1] from that of [A^T | C^T], made without an inverse, for the
+swapped hive's pair and for ``lattice.max_direct_sum_norm``.
 """
 
 from __future__ import annotations
@@ -87,21 +94,11 @@ class ValuedMatrix:
         return cls(config, [[diag[i] if i == j else zero for j in range(n)]
                             for i in range(n)])
 
-    @classmethod
-    def column(cls, config: RingConfig, vec) -> "ValuedMatrix":
-        return cls(config, [[v] for v in vec])
-
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, key) -> RingElement:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
-    def col(self, j) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, ValuedMatrix) and self.config == other.config
@@ -143,9 +140,6 @@ class ValuedMatrix:
         return ValuedMatrix(self.config,
                             [[row[j] for j in js] for row in self.entries])
 
-    def top_rows(self, k) -> "ValuedMatrix":
-        return ValuedMatrix(self.config, self.entries[:k])
-
     def bottom_rows(self, k) -> "ValuedMatrix":
         return ValuedMatrix(self.config, self.entries[self.rows - k:])
 
@@ -173,25 +167,8 @@ class ValuedMatrix:
         return ValuedMatrix(cfg, [row[n:] for row in work])
 
     def rank(self) -> int:
-        """K-rank by Gaussian elimination."""
-        work = [list(row) for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            piv = next((r for r in range(rank, self.rows)
-                        if not work[r][col].is_zero()), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            prow = work[rank]
-            pinv = self.config.one / prow[col]
-            for r in range(rank + 1, self.rows):
-                if not work[r][col].is_zero():
-                    f = work[r][col] * pinv
-                    work[r] = [a - f * b for a, b in zip(work[r], prow)]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        """K-rank: the pivot count of the valuation kernel."""
+        return len(_pivot_valuations(self))
 
     def min_entry_valuation(self):
         return min(e.valuation() for row in self.entries for e in row)
@@ -227,8 +204,8 @@ class SmithDecomposition:
 
     Diagonal entries are pure uniformizer powers with non-increasing
     valuations; rank deficiency shows up as trailing zeros.  Built only by
-    ``smith_decompose``, for ``lattice.adapted_slice``, ``lattice.saturate``
-    and ``cli.cmd_smith``.
+    ``smith_decompose``, for ``lattice.adapted_slice`` and
+    ``cli.cmd_smith``.
     """
 
     p: ValuedMatrix
@@ -620,6 +597,12 @@ def _minor_levels(cols, n):
 def _swap_form(form, config):
     """The raw form of [Lambda^T | M^T], M = N^-1 Lambda, from the raw form
     ``form`` of [Lambda | N], made with no division.
+
+    It serves two callers.  ``hive.build_hive`` passes the primary form of
+    [Lambda | N] to get the swapped hive's pair.
+    ``lattice.max_direct_sum_norm`` passes the form of [A^T | C^T]: then
+    M^T = A C^-1, and the result is the raw [A | A C^-1] that the max
+    route scans, with no inverse formed.
 
     With the cleared blocks L and B of ``form`` (raw Lambda and N, scaled
     by c with v(c) = shift), adj(B) comes from the cofactors of

@@ -201,3 +201,15 @@ def test_malformed_ring_flag_exits_1(capsys, command):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "padic3" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "0"], ["--max-exp", "-1"], ["--mix-steps", "-1"],
+    ["--count-cap", "0"], ["--trials", "0"]])
+def test_oracle_bad_input_exits_1(capsys, flags):
+    # bad input is an error line and exit 1 before any trial runs, not a
+    # traceback, and zero trials are not reported as all certified
+    code = main(["oracle", "--trials", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -9,8 +9,8 @@ from hivekit import (Lattice, RingConfig, Submodule, ValuedMatrix,
                      adapted_slice, greedy_slice_first_min,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
                      min_direct_sum_norm, pair_invariant, unimodular_check)
-from hivekit.cli import InstanceSpec, random_pair
-from hivekit.lattice import _minor_norms, saturate
+from hivekit.cli import InstanceSpec, _random_unimodular, random_pair
+from hivekit.lattice import _minor_norms, _selection_min, _witness_value
 from hivekit.matops import _raw_entries
 
 from conftest import lat, mat, ring_entries, seeded
@@ -26,6 +26,26 @@ def test_lattice_equality(p2):
     # [[2,0],[2,2]] spans the same lattice as 2*O^2
     assert lat(p2, [[2, 0], [2, 2]]) == lat(p2, [[2, 0], [0, 2]])
     assert lat(p2, [[2, 0], [0, 2]]) != lat(p2, [[4, 0], [0, 1]])
+    # distinct lattices of equal norm: a norm match alone is not equality
+    assert lat(p2, [[2, 0], [0, 1]]) != lat(p2, [[1, 0], [0, 2]])
+    assert lat(p2, [[4, 0], [0, Fraction(1, 2)]]) != lat(p2, [[1, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("ring", ["p3", "tadic"])
+def test_lattice_equal_under_unimodular_change(ring, request):
+    cfg = request.getfixturevalue(ring)
+    t = cfg.uniformizer
+    rng = seeded(11)
+    for _ in range(8):
+        n = rng.choice((2, 3))
+        spec = InstanceSpec(n=n, ring=cfg, exponent_range=(-1, 2),
+                            seed=rng.randrange(10**6), unimodular_mix_steps=4)
+        l, _ = random_pair(spec)
+        u = _random_unimodular(cfg, n, 6, 2, rng)
+        assert l == Lattice(l.gens @ u) and Lattice(l.gens @ u) == l
+        # t and t^-1 on two columns keep the norm but change the lattice
+        d = ValuedMatrix.diagonal(cfg, [t, cfg.one / t] + [1] * (n - 2))
+        assert l != Lattice(l.gens @ u @ d)
 
 
 def test_lattice_rejects_singular(p2):
@@ -75,25 +95,6 @@ def test_adapted_slice_partition(p2):
         for i in range(1, 4):
             for j in range(i, 4):
                 assert adapted_slice(n_lat, i, j).invariants == inv[i - 1:j]
-
-
-def test_saturate_examples(p2):
-    o2 = lat(p2, [[1, 0], [0, 1]])
-    v = Submodule(mat(p2, [[2], [0]]))
-    assert saturate(o2, v).same_span(Submodule(mat(p2, [[1], [0]])))
-
-    d41 = lat(p2, [[4, 0], [0, 1]])
-    v = Submodule(mat(p2, [[4], [2]]))
-    sat = saturate(d41, v)
-    assert sat.norm == 1
-    assert sat.same_span(Submodule(mat(p2, [[4], [2]])))
-
-    already = Submodule(mat(p2, [[0], [1]]))
-    assert saturate(d41, already).same_span(already)
-
-    outside = Submodule(mat(p2, [[1], [0]]))  # (1,0) not in diag(4,1)
-    with pytest.raises(ValueError, match="not contained"):
-        saturate(d41, outside)
 
 
 def integral_entries(cfg):
@@ -156,21 +157,6 @@ def test_contains_and_same_span(case):
     mixed = ValuedMatrix(cfg, [row[:-1] + wrow for row, wrow
                                in zip((s @ x).entries, w.entries)])
     assert not sub.same_span(Submodule(mixed))
-
-
-def test_saturate_lowers_invariants(p2):
-    rng = seeded(9)
-    for _ in range(10):
-        spec = InstanceSpec(n=3, ring=p2, exponent_range=(0, 2),
-                            seed=rng.randrange(10**6), unimodular_mix_steps=4)
-        l, _ = random_pair(spec)
-        coeffs = [[rng.randint(0, 4) for _ in range(2)] for _ in range(3)]
-        v_gens = l.gens @ mat(p2, coeffs)
-        if v_gens.rank() < 2:
-            continue
-        v = Submodule(v_gens)
-        sat = saturate(l, v)
-        assert all(a <= b for a, b in zip(sat.invariants, v.invariants))
 
 
 def test_min_examples(p2):
@@ -343,6 +329,32 @@ def test_max_scan_matrix_is_n(p2, p3, tadic):
                 assert l_lat.gens @ m.gens.inverse() == a_lat.gens
 
 
+@pytest.mark.parametrize("ring,n", [("p3", 3), ("tadic", 3), ("p2", 4)])
+def test_max_matches_inverse_route(ring, n, request):
+    """max_direct_sum_norm, whose raw [A | A C^-1] comes from the adjugate
+    (``matops._swap_form``), against the scan and witness on the raw form
+    of A and A @ C.inverse(), for pairs (A, C) other than the hive's
+    (Lambda, M), with negative exponents."""
+    cfg = request.getfixturevalue(ring)
+    for seed in range(3):
+        spec = InstanceSpec(n=n, ring=cfg, exponent_range=(-1, 2),
+                            seed=seed, unimodular_mix_steps=4)
+        n_lat, lam_lat = random_pair(spec)
+        m_lat, _ = pair_invariant(n_lat, lam_lat)
+        for a_lat, c_lat in ((lam_lat, n_lat), (n_lat, lam_lat),
+                             (m_lat, n_lat)):
+            form = _raw_entries(a_lat.gens,
+                                a_lat.gens @ c_lat.gens.inverse())
+            norms = _minor_norms(form)
+            size = sum(lattice_invariants(a_lat))
+            for c in range(1, n + 1):
+                for a in range(n + 1 - c):
+                    u = n - a - c
+                    _, (_, jw) = _selection_min(norms, n, u, c)
+                    assert max_direct_sum_norm(a_lat, c_lat, a, c) == \
+                        _witness_value(form, jw, u, size), (seed, a, c)
+
+
 def test_tadic_pair_and_min(tadic):
     t = tadic.uniformizer
     n = lat(tadic, [[t * t, tadic.zero], [tadic.zero, tadic.one]])
@@ -351,6 +363,19 @@ def test_tadic_pair_and_min(tadic):
     assert mu == (2, 0)
     assert min_direct_sum_norm(l, n, 1, 1) == 2
     assert max_direct_sum_norm(l, m, 1, 0) == 4
+
+
+def test_submodule_rejects_dependent_tadic_generators(tadic):
+    t, one = tadic.uniformizer, tadic.one
+    x = [t * t, one + t, one / t]
+    y = [one, t, t + t]
+    Submodule(mat(tadic, [[a, b] for a, b in zip(x, y)]))
+    # third column (1 + t) x - y / t is in the K-span of the first two
+    z = [(one + t) * a - b / t for a, b in zip(x, y)]
+    with pytest.raises(ValueError, match="K-independent"):
+        Submodule(mat(tadic, [[a, b, c] for a, b, c in zip(x, y, z)]))
+    with pytest.raises(ValueError, match="K-independent"):
+        Submodule(mat(tadic, [[a, a * (one + t) / t] for a in x]))
 
 
 def test_lattice_json_round_trip(p2):

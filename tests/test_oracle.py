@@ -13,7 +13,6 @@ from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
                      pair_invariant, span_fingerprint, stabilized_value)
 from hivekit import oracle
 from hivekit.cli import InstanceSpec, main, random_pair
-from hivekit.lattice import saturate
 from hivekit.oracle import (_int_det, _int_norm, _laplace_rows, _pair_norm,
                             _plucker, _saturated_coords, _summand_mask)
 from hivekit.ring import _int_pval
@@ -398,21 +397,6 @@ def test_duality_certified_by_brute(p2):
                     if c else sum(sorted(lattice_invariants(lam_lat),
                                          reverse=True)[:s])
                 assert bmin + bmax == size
-
-
-def test_saturation_lowers_norm(p2):
-    d = lat(p2, [[4, 0], [0, 2]])
-    # rank-1 submodules of d; the last four are not saturated
-    gens = ([4, 0], [0, 2], [4, 2], [4, 6], [8, 2], [8, 6],
-            [8, 0], [0, 4], [8, 4], [16, 8])
-    lowered = 0
-    for x, y in gens:
-        sub = Submodule(mat(p2, [[x], [y]]))
-        sat = saturate(d, sub)
-        assert sat.contains(sub)
-        assert all(a <= b for a, b in zip(sat.invariants, sub.invariants))
-        lowered += sat.norm < sub.norm
-    assert lowered == 4
 
 
 def test_boundary_warning_is_reported(p2):
