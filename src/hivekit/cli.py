@@ -50,6 +50,8 @@ class InstanceSpec:
 
 def _random_unimodular(cfg: RingConfig, n: int, steps: int, hi: int,
                        rng: random.Random) -> ValuedMatrix:
+    if n < 2:  # no two rows to mix; rng is left untouched
+        return ValuedMatrix.identity(cfg, n)
     t = cfg.uniformizer
     rows = [list(row) for row in ValuedMatrix.identity(cfg, n).entries]
     for _ in range(steps):

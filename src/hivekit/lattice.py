@@ -1,5 +1,5 @@
-"""Lattices and submodules in K^n, pair invariants, and the
-direct-sum-norm extrema that drive the hive construction.
+"""Submodules of K^n, with lattices as the full-rank ones, pair
+invariants, and the direct-sum-norm extrema of the hive construction.
 
 The minimum of ``norm(A_a (+) C_c)`` over submodule pairs is computed
 exactly: by multilinearity every maximal minor of ``[A S | C T]`` with
@@ -41,10 +41,11 @@ raw form of [A | A C^-1] from ``matops._swap_form`` on the raw form of
 A C^-1 = Lambda M^-1 = N exactly, so ``build_hive`` passes the raw form
 of [Lambda | N] itself.
 
-Containment and lattice equality are norm comparisons, not solves: for
-O-modules S within T of equal K-rank, |inv S| - |inv T| = length(T / S).
-The Smith transforms (``smith_decompose``) are read only by
-``adapted_slice``.
+Containment and equality are norm comparisons, not solves: for O-modules
+S within T of equal K-rank, |inv S| - |inv T| = length(T / S), so A = B
+exactly when A + B has the rank and the norm of each (one elimination of
+[A | B] in ``Submodule.same_span``, which is ``Lattice.__eq__``).  The
+Smith transforms are read only by ``adapted_slice``, once per lattice.
 """
 
 from __future__ import annotations
@@ -57,50 +58,6 @@ from .matops import (INFINITY, ValuedMatrix, _minor_levels,
                      smith_decompose)
 
 
-class Lattice:
-    """Full-rank O-module in K^n, carried by an n x n generator matrix."""
-
-    __slots__ = ("n", "gens")
-
-    def __init__(self, gens: ValuedMatrix):
-        if gens.rows != gens.cols:
-            raise ValueError("lattice generators must be square")
-        if gens.rank() < gens.rows:
-            raise ValueError("lattice generators must have full K-rank")
-        object.__setattr__(self, "n", gens.rows)
-        object.__setattr__(self, "gens", gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lattice is immutable")
-
-    @property
-    def config(self):
-        return self.gens.config
-
-    def __eq__(self, other):
-        """Equal spans: A + B contains A and B with the same K-rank, so
-        A = B exactly when |inv [A | B]| = |inv A| = |inv B|."""
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        if self.n != other.n or self.config != other.config:
-            return False
-        return sum(lattice_invariants(self)) == sum(
-            lattice_invariants(other)) == sum(
-            invariant_partition(self.gens.hstack(other.gens)))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Lattice(n={self.n}, inv={lattice_invariants(self)})"
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "gens": self.gens.to_json()}
-
-    @classmethod
-    def from_json(cls, config, obj: dict) -> "Lattice":
-        return cls(ValuedMatrix.from_json(config, obj["gens"]))
-
-
 class Submodule:
     """Rank-k O-module in K^n; the rank always equals the K-rank of gens."""
 
@@ -108,13 +65,14 @@ class Submodule:
 
     def __init__(self, gens: ValuedMatrix):
         if gens.rank() < gens.cols:
-            raise ValueError("submodule generators must be K-independent")
+            raise ValueError(
+                f"{type(self).__name__} generators must be K-independent")
         object.__setattr__(self, "n", gens.rows)
         object.__setattr__(self, "rank", gens.cols)
         object.__setattr__(self, "gens", gens)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Submodule is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def config(self):
@@ -140,8 +98,21 @@ class Submodule:
         return len(inv) == self.rank and sum(inv) == self.norm
 
     def same_span(self, other: "Submodule") -> bool:
-        return (self.rank == other.rank and self.contains(other)
-                and other.contains(self))
+        """Equal spans: A + B contains A and B, so A = B exactly when
+        rank(A + B) = rank A = rank B and |inv(A + B)| = |inv A| = |inv B|."""
+        if self.n != other.n or self.config != other.config:
+            return False
+        inv = invariant_partition(self.gens.hstack(other.gens))
+        return (len(inv) == self.rank == other.rank
+                and sum(inv) == self.norm == other.norm)
+
+    def check_ranks(self, other: "Submodule", a: int, c: int):
+        """Raise ValueError unless self and ``other`` share n and ring and
+        the direct-sum ranks satisfy a, c >= 0, a + c <= n."""
+        if self.n != other.n or self.config != other.config:
+            raise ValueError("modules must share dimension and ring")
+        if a < 0 or c < 0 or a + c > self.n:
+            raise ValueError(f"ranks ({a},{c}) violate a,c >= 0, a+c <= n")
 
     def __repr__(self):
         return f"Submodule(n={self.n}, rank={self.rank}, inv={self.invariants})"
@@ -157,12 +128,34 @@ class Submodule:
         return sub
 
 
+class Lattice(Submodule):
+    """Full-rank O-module in K^n: the square case of a Submodule.
+    ``_basis`` keeps P @ D once ``adapted_slice`` has made it."""
+
+    __slots__ = ("_basis",)
+
+    def __init__(self, gens: ValuedMatrix):
+        if gens.rows != gens.cols:
+            raise ValueError("lattice generators must be square")
+        super().__init__(gens)
+        object.__setattr__(self, "_basis", None)
+
+    def __eq__(self, other):
+        return (self.same_span(other) if isinstance(other, Lattice)
+                else NotImplemented)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Lattice(n={self.n}, inv={self.invariants})"
+
+
 # ---------------------------------------------------------------------------
 # basic operations
 
 
 def lattice_invariants(lattice: Lattice) -> tuple:
-    return invariant_partition(lattice.gens)
+    return lattice.invariants
 
 
 def pair_invariant(n_lat: Lattice, lam_lat: Lattice):
@@ -173,32 +166,27 @@ def pair_invariant(n_lat: Lattice, lam_lat: Lattice):
     """
     if n_lat.n != lam_lat.n or n_lat.config != lam_lat.config:
         raise ValueError("pair lattices must share dimension and ring")
-    m_gens = n_lat.gens.inverse() @ lam_lat.gens
-    m_lat = Lattice(m_gens)
-    return m_lat, lattice_invariants(m_lat)
+    m_lat = Lattice(n_lat.gens.inverse() @ lam_lat.gens)
+    return m_lat, m_lat.invariants
 
 
 def adapted_slice(lattice: Lattice, i: int, j: int) -> Submodule:
     """Submodule spanned by invariant-adapted basis vectors i..j (1-based).
 
     The adapted basis is P @ D of the Smith decomposition: its column k
-    is t^(alpha_k) u_k, alpha non-increasing.
+    is t^(alpha_k) u_k, alpha non-increasing.  It is made once per
+    lattice and kept in the lattice's ``_basis``.
     """
     if not (1 <= i <= j <= lattice.n):
         raise ValueError(f"slice ({i},{j}) out of range for n={lattice.n}")
-    dec = smith_decompose(lattice.gens)
-    return Submodule((dec.p @ dec.d).select_columns(range(i - 1, j)))
+    if lattice._basis is None:
+        dec = smith_decompose(lattice.gens)
+        object.__setattr__(lattice, "_basis", dec.p @ dec.d)
+    return Submodule(lattice._basis.select_columns(range(i - 1, j)))
 
 
 # ---------------------------------------------------------------------------
 # minimum of the direct-sum norm
-
-
-def _check_rank_args(a_lat: Lattice, c_lat: Lattice, a: int, c: int):
-    if a_lat.n != c_lat.n or a_lat.config != c_lat.config:
-        raise ValueError("lattices must share dimension and ring")
-    if a < 0 or c < 0 or a + c > a_lat.n:
-        raise ValueError(f"ranks ({a},{c}) violate a,c >= 0, a+c <= n")
 
 
 def min_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
@@ -208,7 +196,7 @@ def min_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     on column selections of the generator matrices (see module docstring),
     so the search is exhaustive over those.
     """
-    _check_rank_args(a_lat, c_lat, a, c)
+    a_lat.check_ranks(c_lat, a, c)
     if c == 0:
         return sum(sorted(lattice_invariants(a_lat))[:a])
     if a == 0:
@@ -277,7 +265,7 @@ def greedy_slice_first_min(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     exact (the C-first value overestimates on the regression instance);
     logged by the oracle command for comparison against the true minimum.
     """
-    _check_rank_args(a_lat, c_lat, a, c)
+    a_lat.check_ranks(c_lat, a, c)
     if first == "A":
         a_lat, c_lat, a, c = c_lat, a_lat, c, a
     elif first != "C":
@@ -321,7 +309,7 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     reaches |inv A| minus the min route, and the brute-force oracle
     (acceptance criterion 4, ``hivekit oracle``) certifies equality.
     """
-    _check_rank_args(a_lat, c_lat, a, c)
+    a_lat.check_ranks(c_lat, a, c)
     lam = sorted(lattice_invariants(a_lat), reverse=True)
     if c == 0:
         return sum(lam[:a])

@@ -11,15 +11,15 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   ``unimodular_check`` and the K-rank ``ValuedMatrix.rank`` -- run the
   valuation kernel ``_pivot_valuations``, which carries only the Schur
   complement on raw values and builds no transforms;
-  ``lattice.Submodule.contains`` and ``lattice.Lattice.__eq__`` are norm
-  comparisons too;
+  ``lattice.Submodule.contains`` and ``.same_span`` (which is
+  ``lattice.Lattice.__eq__``) are norm comparisons too;
 * quotient invariants -- ``quotient_free_invariants`` and the lattice
   layer's max witness (``lattice._witness_value``, its one entry) -- run
   ``_quotient_valuations``, the same elimination on [S | T] with pivots
   taken only in S's columns;
-* ``smith_decompose`` builds D together with the transforms P and Q, for
-  the callers that need them: ``lattice.adapted_slice`` reads P, and
-  ``cli.cmd_smith`` prints all three.
+* ``smith_decompose`` builds D together with the transforms P and Q in
+  one loop, for the callers that need them: ``lattice.adapted_slice``
+  reads P @ D once per lattice, and ``cli.cmd_smith`` prints all three.
 
 Elimination on ``RingElement`` entries is left only where a transform or
 an inverse is itself the result: ``smith_decompose`` and
@@ -204,8 +204,8 @@ class SmithDecomposition:
 
     Diagonal entries are pure uniformizer powers with non-increasing
     valuations; rank deficiency shows up as trailing zeros.  Built only by
-    ``smith_decompose``, for ``lattice.adapted_slice`` and
-    ``cli.cmd_smith``.
+    ``smith_decompose``, for ``lattice.adapted_slice`` (which keeps P @ D
+    on its lattice) and ``cli.cmd_smith``.
     """
 
     p: ValuedMatrix
@@ -222,115 +222,66 @@ class SmithDecomposition:
         return sum(1 for v in self.diagonal_valuations if v != INFINITY)
 
 
-class _Eliminator:
-    # mutable worker: tracks current = P^-1 @ A @ Q^-1 and the transforms
-    # P, Q themselves, so that A = P @ current @ Q throughout
-
-    def __init__(self, a: ValuedMatrix):
-        self.cfg = a.config
-        self.m = a.rows
-        self.k = a.cols
-        self.cur = [list(row) for row in a.entries]
-        self.p = [list(r) for r in
-                  ValuedMatrix.identity(a.config, a.rows).entries]
-        self.q = [list(r) for r in
-                  ValuedMatrix.identity(a.config, a.cols).entries]
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.cur[i], self.cur[j] = self.cur[j], self.cur[i]
-        for row in self.p:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.cur:
-            row[i], row[j] = row[j], row[i]
-        self.q[i], self.q[j] = self.q[j], self.q[i]
-
-    def add_row(self, i, j, c):
-        # row_i += c * row_j
-        self.cur[i] = [a + c * b for a, b in zip(self.cur[i], self.cur[j])]
-        for row in self.p:
-            row[j] = row[j] - c * row[i]
-
-    def add_col(self, i, j, c):
-        # col_i += c * col_j
-        for row in self.cur:
-            row[i] = row[i] + c * row[j]
-        self.q[j] = [a - c * b for a, b in zip(self.q[j], self.q[i])]
-
-    def scale_row(self, i, u):
-        # u must be a unit of O
-        self.cur[i] = [u * e for e in self.cur[i]]
-        uinv = self.cfg.one / u
-        for row in self.p:
-            row[i] = row[i] * uinv
-
-    def decomposition(self) -> SmithDecomposition:
-        cfg = self.cfg
-        return SmithDecomposition(ValuedMatrix(cfg, self.p),
-                                  ValuedMatrix(cfg, self.cur),
-                                  ValuedMatrix(cfg, self.q))
-
-
 def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
     """Smith decomposition over the DVR: A = P @ D @ Q.
 
+    One loop on D, which starts as A with P = Q = 1: each row operation
+    on D is undone on P's columns and each column operation on Q's rows.
     Pivoting picks the entry of minimal valuation (ties: lowest row, then
     lowest column), so every clearing multiplier lies in O and P, Q stay
-    unimodular.  The zero matrix yields an all-zero D.  This route builds
-    the transforms; callers that only need the diagonal valuations use
-    ``invariant_partition`` or ``matrix_norm``, which skip them.
+    unimodular.  The pivots are then made pure uniformizer powers, and one
+    permutation of D, P's columns and Q's rows sorts their valuations
+    non-increasing (stably, so ties keep identity inputs fixed).  The zero
+    matrix yields an all-zero D.  Callers that only need the diagonal
+    valuations use ``invariant_partition`` or ``matrix_norm``, which build
+    no transforms.
     """
-    work = _Eliminator(a)
-    m, k = work.m, work.k
+    cfg, m, k = a.config, a.rows, a.cols
+    d = [list(row) for row in a.entries]
+    p = [list(row) for row in ValuedMatrix.identity(cfg, m).entries]
+    q = [list(row) for row in ValuedMatrix.identity(cfg, k).entries]
     rank = 0
-    for step in range(min(m, k)):
-        piv = None
-        best = INFINITY
-        for i in range(step, m):
-            row = work.cur[i]
-            for j in range(step, k):
-                v = row[j].valuation()
-                if v < best:
-                    best, piv = v, (i, j)
-        if piv is None or best == INFINITY:
+    while rank < min(m, k):
+        best, i, j = min((d[i][j].valuation(), i, j)
+                         for i in range(rank, m) for j in range(rank, k))
+        if best == INFINITY:
             break
-        work.swap_rows(step, piv[0])
-        work.swap_cols(step, piv[1])
-        pivot = work.cur[step][step]
-        for i in range(step + 1, m):
-            e = work.cur[i][step]
+        d[rank], d[i] = d[i], d[rank]
+        for row in p:
+            row[rank], row[i] = row[i], row[rank]
+        for row in d:
+            row[rank], row[j] = row[j], row[rank]
+        q[rank], q[j] = q[j], q[rank]
+        prow = d[rank]
+        pivot = prow[rank]
+        for i in range(rank + 1, m):
+            e = d[i][rank]
             if not e.is_zero():
-                work.add_row(i, step, -(e / pivot))
-        for j in range(step + 1, k):
-            e = work.cur[step][j]
+                # row i += c row rank; P's column rank -= c column i
+                c = -(e / pivot)
+                d[i] = [x + c * y for x, y in zip(d[i], prow)]
+                for row in p:
+                    row[rank] = row[rank] - c * row[i]
+        for j in range(rank + 1, k):
+            e = prow[j]
             if not e.is_zero():
-                work.add_col(j, step, -(e / pivot))
+                # column j += c column rank; Q's row rank -= c row j
+                c = -(e / pivot)
+                for row in d:
+                    row[j] = row[j] + c * row[rank]
+                q[rank] = [x - c * y for x, y in zip(q[rank], q[j])]
         rank += 1
-    # normalize pivots to pure uniformizer powers
     for i in range(rank):
-        u = work.cur[i][i].unit_part()
-        work.scale_row(i, work.cfg.one / u)
-    # min-val pivoting leaves valuations ascending; the invariant partition
-    # convention wants them non-increasing (stable, so ties keep identity
-    # inputs fixed)
-    vals = [work.cur[i][i].valuation() for i in range(rank)]
-    order = sorted(range(rank), key=lambda i: (-vals[i], i))
-    placed = list(range(rank))
-    pos = {v: i for i, v in enumerate(placed)}
-    for target, src in enumerate(order):
-        cur = pos[src]
-        if cur != target:
-            other = placed[target]
-            work.swap_rows(target, cur)
-            work.swap_cols(target, cur)
-            placed[target], placed[cur] = placed[cur], placed[target]
-            pos[src], pos[other] = target, cur
-    return work.decomposition()
+        u = d[i][i].unit_part()
+        d[i] = [x / u for x in d[i]]
+        for row in p:
+            row[i] = row[i] * u
+    order = sorted(range(rank), key=lambda i: (-d[i][i].valuation(), i))
+    rows, cols = order + list(range(rank, m)), order + list(range(rank, k))
+    return SmithDecomposition(
+        ValuedMatrix(cfg, [[row[i] for i in rows] for row in p]),
+        ValuedMatrix(cfg, [[d[i][j] for j in cols] for i in rows]),
+        ValuedMatrix(cfg, [q[j] for j in cols]))
 
 
 class _TPoly:

@@ -480,13 +480,6 @@ class BruteResult:
     boundary_warning: bool
 
 
-def _brute_rank_args(a_lat, c_lat, a, c):
-    if a_lat.n != c_lat.n or a_lat.config != c_lat.config:
-        raise ValueError("lattices must share dimension and ring")
-    if a < 0 or c < 0 or a + c > a_lat.n:
-        raise ValueError(f"ranks ({a},{c}) violate a,c >= 0, a+c <= n")
-
-
 def _scan(outer: list, inner: list, n: int, a: int, c: int, p: int,
           offset: int, collect: bool, summand=None):
     """The pair scan of both brute routes: the minimum over pairs of
@@ -555,7 +548,7 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     pairs are returned, as Submodules gens @ coords.  The boundary flag
     warns when every minimizer touches the residue bound.
     """
-    _brute_rank_args(a_lat, c_lat, a, c)
+    a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
     fam_a = _family(a_lat, a, m_bound, cap)
@@ -587,7 +580,7 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     from V's summand mask over the rank-(n-a-c) spans.  Maximizing pairs
     are returned as the coordinate spans (V, U), None for a rank-0 side.
     """
-    _brute_rank_args(a_lat, c_lat, a, c)
+    a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
     cols, dv = _int_columns(a_lat.gens)

@@ -213,3 +213,32 @@ def test_oracle_bad_input_exits_1(capsys, flags):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("ring", ["padic:2", "tadic"])
+def test_random_and_compute_at_n_1(tmp_path, capsys, ring):
+    # with the default mix steps n = 1 has no two rows to mix; the pair
+    # is then diagonal, and its hive round trip works
+    code, out = run(capsys, "random", "--ring", ring, "--n", "1",
+                    "--seed", "4", "--max-exp", "2")
+    assert code == 0
+    payload = json.loads(out)
+    n_file = write(tmp_path / "n.json", payload["n_matrix"])
+    l_file = write(tmp_path / "l.json", payload["lambda_matrix"])
+    code, out = run(capsys, "compute", "--ring", ring, "--variant", "both",
+                    "--n-matrix", n_file, "--lambda-matrix", l_file)
+    assert code == 0
+    hives = json.loads(out)
+    inv = payload["invariants"]
+    assert hives["primary"]["rows"] == [[0], inv["mu"] + inv["lambda"]]
+    assert hives["swapped"]["rows"] == [[0], inv["nu"] + inv["lambda"]]
+
+
+def test_oracle_at_n_1(capsys):
+    # the default mix steps with n = 1: every trial certifies
+    code, out = run(capsys, "oracle", "--n", "1", "--trials", "3",
+                    "--seed", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_certified"] and len(report["trials"]) == 3
+    assert all(t["status"] == "certified" for t in report["trials"])

@@ -5,8 +5,9 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from hivekit import (Lattice, RingConfig, Submodule, ValuedMatrix,
-                     adapted_slice, greedy_slice_first_min,
+from hivekit import (EnumerationBudget, Lattice, RingConfig, Submodule,
+                     ValuedMatrix, adapted_slice, brute_max_direct_sum,
+                     brute_min_direct_sum, greedy_slice_first_min,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
                      min_direct_sum_norm, pair_invariant, unimodular_check)
 from hivekit.cli import InstanceSpec, _random_unimodular, random_pair
@@ -29,9 +30,22 @@ def test_lattice_equality(p2):
     # distinct lattices of equal norm: a norm match alone is not equality
     assert lat(p2, [[2, 0], [0, 1]]) != lat(p2, [[1, 0], [0, 2]])
     assert lat(p2, [[4, 0], [0, Fraction(1, 2)]]) != lat(p2, [[1, 0], [0, 2]])
+    # a lattice is the full-rank Submodule, and == is same_span
+    pairs = [(lat(p2, [[1, 1], [0, 2]]), lat(p2, [[1, 3], [0, 2]])),
+             (lat(p2, [[1, 1], [0, 2]]), lat(p2, [[1, 0], [1, 2]])),
+             (lat(p2, [[Fraction(1, 2), 0], [3, 4]]),
+              lat(p2, [[Fraction(1, 2), 0], [7, 4]]))]
+    assert [x == y for x, y in pairs] == [True, False, True]
+    for x, y in pairs:
+        assert isinstance(x, Submodule) and x.rank == x.n == 2
+        assert x.same_span(y) == (x == y) == y.same_span(x)
+    # other dimension or ring: unequal, not an error
+    assert lat(p2, [[1]]) != lat(p2, [[1, 0], [0, 1]])
+    assert lat(p2, [[1]]) != lat(RingConfig.padic(3), [[1]])
+    assert not lat(p2, [[1]]).same_span(Submodule(mat(p2, [[1], [0]])))
 
 
-@pytest.mark.parametrize("ring", ["p3", "tadic"])
+@pytest.mark.parametrize("ring", ["p2", "p3", "tadic"])
 def test_lattice_equal_under_unimodular_change(ring, request):
     cfg = request.getfixturevalue(ring)
     t = cfg.uniformizer
@@ -46,6 +60,12 @@ def test_lattice_equal_under_unimodular_change(ring, request):
         # t and t^-1 on two columns keep the norm but change the lattice
         d = ValuedMatrix.diagonal(cfg, [t, cfg.one / t] + [1] * (n - 2))
         assert l != Lattice(l.gens @ u @ d)
+        # t on one column: a sublattice of index one
+        sub = Lattice(l.gens @ u @ ValuedMatrix.diagonal(
+            cfg, [t] + [1] * (n - 1)))
+        assert l.contains(sub) and not sub.contains(l) and l != sub
+        for other in (Lattice(l.gens @ u), Lattice(l.gens @ u @ d), sub):
+            assert l.same_span(other) == (l == other)
 
 
 def test_lattice_rejects_singular(p2):
@@ -187,13 +207,23 @@ def test_max_examples(p2):
     assert max_direct_sum_norm(a, c, 2, 0) == 2  # = norm(A)
 
 
-def test_rank_constraint_errors(p2):
+def test_rank_constraint_errors(p2, p3):
+    # the optimizer and the brute force share one check
     a = lat(p2, [[1, 0], [0, 1]])
-    for fn in (min_direct_sum_norm, max_direct_sum_norm):
-        with pytest.raises(ValueError):
-            fn(a, a, 2, 1)
-        with pytest.raises(ValueError):
-            fn(a, a, -1, 1)
+    b = lat(p2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    budget = EnumerationBudget(exponent_bound=1, count_cap=1000)
+    routes = (min_direct_sum_norm, max_direct_sum_norm,
+              greedy_slice_first_min,
+              lambda *args: brute_min_direct_sum(*args, budget),
+              lambda *args: brute_max_direct_sum(*args, budget))
+    for fn in routes:
+        for args in ((a, a, 2, 1), (a, a, -1, 1), (a, a, 1, -1)):
+            with pytest.raises(ValueError, match="violate"):
+                fn(*args)
+        for args in ((a, b, 1, 1), (b, a, 1, 0),
+                     (a, lat(p3, [[1, 0], [0, 1]]), 1, 1)):
+            with pytest.raises(ValueError, match="share dimension and ring"):
+                fn(*args)
 
 
 def test_min_symmetry(p2):
@@ -380,7 +410,12 @@ def test_submodule_rejects_dependent_tadic_generators(tadic):
 
 def test_lattice_json_round_trip(p2):
     l = lat(p2, [[Fraction(1, 2), 0], [3, 4]])
-    again = Lattice.from_json(p2, l.to_json())
-    assert again.gens == l.gens
+    payload = l.to_json()
+    assert payload["n"] == payload["rank"] == 2
+    again = Lattice.from_json(p2, payload)
+    assert isinstance(again, Lattice) and again.gens == l.gens
+    # the form without "rank" still loads
+    old = Lattice.from_json(p2, {"n": 2, "gens": payload["gens"]})
+    assert old.gens == l.gens
     sub = Submodule(mat(p2, [[2], [3]]))
     assert Submodule.from_json(p2, sub.to_json()).gens == sub.gens

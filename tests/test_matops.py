@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -282,3 +284,40 @@ def test_matrix_json_round_trip(p2, tadic):
     assert again == a
     b = random_tadic_matrix(tadic, seeded(3), 2, 2)
     assert ValuedMatrix.from_json(tadic, b.to_json()) == b
+
+
+def smith_pin_inputs():
+    """A fixed seeded set for the Smith pin: p=2, p=3 and t-adic matrices
+    of every shape up to 4 x 4 (t-adic up to 3 x 3), each also with a
+    repeated row and a repeated column (rank deficient), and zero
+    matrices."""
+    rng = seeded(2024)
+    out = []
+    for cfg, sampler, top, count in (
+            (RingConfig.padic(2), random_padic_matrix, 4, 24),
+            (RingConfig.padic(3), random_padic_matrix, 4, 24),
+            (RingConfig.tadic(), random_tadic_matrix, 3, 10)):
+        for _ in range(count):
+            a = sampler(cfg, rng, rng.randint(1, top), rng.randint(1, top))
+            data = [list(row) for row in a.entries]
+            out.append(a)
+            out.append(ValuedMatrix(cfg, data + [
+                [cfg.uniformizer * x for x in data[0]]]))
+            out.append(ValuedMatrix(cfg, [row + [row[-1] * 3]
+                                          for row in data]))
+        out.append(ValuedMatrix(cfg, [[0] * 3 for _ in range(2)]))
+        out.append(ValuedMatrix(cfg, [[0]]))
+    return out
+
+
+SMITH_PIN = "3fa22fe47f76e67cabf256481c577b35ef2b64e40551c40a089425e2dac565a7"
+
+
+def test_smith_decompose_pinned():
+    """P, D and Q of ``smith_decompose`` are pinned on a fixed seeded set,
+    so a rewrite of its loop must keep the pivot rule, the row and column
+    operations and the final order exactly."""
+    payload = [[dec.p.to_json(), dec.d.to_json(), dec.q.to_json()]
+               for dec in map(smith_decompose, smith_pin_inputs())]
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert digest == SMITH_PIN
