@@ -83,6 +83,11 @@ class Hive:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Hive":
+        # int() in the constructor would truncate 1.5 and read true as 1
+        for row in obj["rows"]:
+            for v in row:
+                if type(v) is not int:
+                    raise ValueError(f"hive entry {v!r} is not an integer")
         hive = cls(obj["rows"])
         if "n" in obj and hive.n != obj["n"]:
             raise ValueError("hive size does not match rows")
@@ -200,6 +205,29 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     Agreement shows that a feasible witness attains h(s,t), so the true
     max is at least h(s,t); only the brute-force oracle (acceptance
     criterion 4, ``hivekit oracle``) certifies that the max equals h(s,t).
+
+    The hive moves with the lattice triple (O^n, N, Lambda).  On the
+    triangle's coordinates (a, b, c) = (s, t - s, n - t), with |mu|,
+    |nu|, |lambda| the sums of the invariants of M, N, Lambda (so
+    |lambda| = |mu| + |nu|):
+
+    * rotation: hive(M, N^-1)(a, b, c) = hive(N, Lambda)(c, a, b) - |lambda|
+      for the primary variant, and hive(N, Lambda)(b, c, a) - |nu| for the
+      swapped one;
+    * reversal: hive(M^-1, Lambda^-1)(a, b, c) =
+      hive(N, Lambda)(c, b, a) - |lambda| for both variants.
+
+    That the difference is affine in (s, t) is a measured property
+    (``tests/test_symmetry.py``); the corners then fix it.  A hive of type
+    (mu, nu, lambda) has h(0,0) = 0, h(0,n) = |mu| and h(n,n) = |lambda|
+    at (0,0,n), (0,n,0) and (n,0,0), and the swapped hive has type
+    (nu, mu, lambda).  The rotated pair (M, N^-1) has |mu'| = -|lambda|,
+    |nu'| = |mu|, |lambda'| = -|nu|, and the reversed pair
+    (M^-1, Lambda^-1) has |mu''| = -|nu|, |nu''| = -|mu|,
+    |lambda''| = -|lambda|.  At each of the three corners the difference
+    then reads the same constant, for example 0 - |lambda|,
+    -|lambda| - 0 and -|nu| - |mu| for the primary rotation.  An affine
+    function that is constant on the three corners is that constant.
     """
     if variant not in (PRIMARY, SWAPPED):
         raise ValueError(f"unknown hive variant {variant!r}")

@@ -28,29 +28,28 @@ an inverse is itself the result: ``smith_decompose`` and
 The kernels work on raw values (``_raw_entries``): one common scale c is
 cleared from all entries, and results are moved back by its valuation
 (the form's shift).  p-adic: c is the common denominator, and the raw
-values are Python ints with the p-adic valuation.  t-adic: c is the
-common denominator polynomial D(t) times the integer that clears the
-rational coefficients, the raw values are integer polynomials
-(``_TPoly``) whose valuation is their order at t, and the shift is
-ord_t(D).  Either way elimination is fraction-free and the same in shape
-(``_eliminate``), and every square minor comes from one Laplace
-recursion with multiplications and additions only (``_minor_levels``),
-which also gives the adjugate behind ``_swap_form``: the raw form of
-[A | A C^-1] from that of [A^T | C^T], made without an inverse, for the
-swapped hive's pair and for ``lattice.max_direct_sum_norm``.
+values are Python ints with the p-adic valuation.  t-adic: c is the lcm
+D(t) of the entries' denominators in Z[t], the raw values are the
+integer polynomials (``ring._TPoly``) num (D / den), whose valuation is
+their order at t, and the shift is ord_t(D).  Either way elimination is
+fraction-free and the same in shape (``_eliminate``), and every square
+minor comes from one Laplace recursion with multiplications and
+additions only (``_minor_levels``), which also gives the adjugate behind
+``_swap_form``: the raw form of [A | A C^-1] from that of [A^T | C^T],
+made without an inverse, for the swapped hive's pair and for
+``lattice.max_direct_sum_norm``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from operator import attrgetter
 
-from .ring import (INFINITY, RingConfig, RingElement, _int_pval, _pdivmod,
-                   _pgcd, _pmul, _pord)
+from .ring import (INFINITY, RingConfig, RingElement, _TONE, _TPoly, _TZERO,
+                   _int_pval, _texact, _tgcd)
 
 
 class ValuedMatrix:
@@ -284,83 +283,6 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
         ValuedMatrix(cfg, [q[j] for j in cols]))
 
 
-class _TPoly:
-    """An integer polynomial t^v (c[0] + c[1] t + ... + c[d] t^d) with
-    c[0] and c[d] nonzero: a raw t-adic value, whose valuation is v.
-    Zero has c = ().  Immutable; it has only the operations the kernels
-    make: ``*``, ``+``, ``-``, negation and truth."""
-
-    __slots__ = ("v", "c")
-
-    def __init__(self, v: int, c: tuple):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_TPoly is immutable")
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __neg__(self):
-        return _TPoly(self.v, tuple(-x for x in self.c))
-
-    def __mul__(self, other):
-        a, b = self.c, other.c
-        if not a or not b:
-            return _TZERO
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            y = b[0]
-            return _TPoly(self.v + other.v, tuple(x * y for x in a))
-        # Z is a domain, so the end coefficients of the product are nonzero
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            for i, x in enumerate(a, j):
-                out[i] += x * y
-        return _TPoly(self.v + other.v, tuple(out))
-
-    def __add__(self, other):
-        return self._sum(other, False)
-
-    def __sub__(self, other):
-        return self._sum(other, True)
-
-    def _sum(self, other, negate):
-        if not other.c:
-            return self
-        if not self.c:
-            return -other if negate else other
-        lo = min(self.v, other.v)
-        a, b = self.v - lo, other.v - lo
-        out = [0] * max(a + len(self.c), b + len(other.c))
-        out[a:a + len(self.c)] = self.c
-        if negate:
-            for i, y in enumerate(other.c, b):
-                out[i] -= y
-        else:
-            for i, y in enumerate(other.c, b):
-                out[i] += y
-        return _tpoly(out, lo)
-
-
-_TZERO = _TPoly(0, ())
-
-
-def _tpoly(coeffs, v=0) -> _TPoly:
-    """t^v times the integer polynomial with ascending ``coeffs``."""
-    hi = len(coeffs)
-    while hi and not coeffs[hi - 1]:
-        hi -= 1
-    if not hi:
-        return _TZERO
-    lo = 0
-    while not coeffs[lo]:
-        lo += 1
-    return _TPoly(v + lo, tuple(coeffs[lo:hi]))
-
-
 def _tpoly_step(pivot, v):
     u = _TPoly(0, pivot.c)
 
@@ -392,12 +314,12 @@ def _raw_entries(*mats):
     One common scale c is cleared from all the matrices' entries, so the
     raw values are the entries times c and ``shift`` = v(c).  p-adic: c is
     the common denominator d, the raw values are Python ints and ``val``
-    is ``_int_pval``.  t-adic: c = m D(t), D the common denominator
-    polynomial and m the integer that clears the rational coefficients of
-    D * entry; the raw values are integer polynomials (``_TPoly``), ``val``
-    is the order at t and ``shift`` = ord_t(D).  Scaling by c moves a
-    k-column selection's norm (and its pivot sum) by k * shift, and each
-    quotient pivot by shift, since sat(c S) = sat(S).
+    is ``_int_pval``.  t-adic: c is the lcm D(t) of the denominators in
+    Z[t], the raw value of num / den is the integer polynomial
+    num (D / den) (a ``ring._TPoly``), ``val`` is the order at t and
+    ``shift`` = ord_t(D).  Scaling by c moves a k-column selection's norm
+    (and its pivot sum) by k * shift, and each quotient pivot by shift,
+    since sat(c S) = sat(S).
     """
     cfg = mats[0].config
     if cfg.kind == RingConfig.PADIC:
@@ -407,29 +329,12 @@ def _raw_entries(*mats):
                  for row in a.entries] for a in mats]
         return (rows, partial(_int_pval, p=cfg.p), partial(_int_step, cfg.p),
                 _int_pval(d, cfg.p))
-    dens = {e.den for a in mats for row in a.entries for e in row}
-    d = (Fraction(1),)
-    for den in dens:
-        d = _pmul(d, _pdivmod(den, _pgcd(d, den))[0])
-    cofactor = {den: _integral(_pdivmod(d, den)[0]) for den in dens}
-
-    def clear(e):
-        # (s, x) with x = s D entry = num (D / den) an integer polynomial
-        s, x = _integral(e.num)
-        t, y = cofactor[e.den]
-        return s * t, x * y
-    rows = [[[clear(e) for e in row] for row in a.entries] for a in mats]
-    m = math.lcm(*(s for a in rows for row in a for s, _ in row))
-    rows = [[[x * _TPoly(0, (m // s,)) for s, x in row] for row in a]
-            for a in rows]
-    return rows, attrgetter("v"), _tpoly_step, _pord(d)
-
-
-def _integral(coeffs) -> tuple:
-    """(s, x): the integer polynomial x = s * the polynomial with Fraction
-    ``coeffs``, s the lcm of their denominators."""
-    s = math.lcm(*(c.denominator for c in coeffs))
-    return s, _tpoly([c.numerator * (s // c.denominator) for c in coeffs])
+    d = _TONE
+    for den in {e.den for a in mats for row in a.entries for e in row}:
+        d = d * _texact(den, _tgcd(d, den))
+    rows = [[[e.num * _texact(d, e.den) for e in row] for row in a.entries]
+            for a in mats]
+    return rows, attrgetter("v"), _tpoly_step, d.v
 
 
 def _eliminate(rows, width, val, step) -> list:
@@ -569,7 +474,7 @@ def _swap_form(form, config):
     n = len(n_rows)
     padic = config.kind == RingConfig.PADIC
     pi_shift = config.p ** shift if padic else _TPoly(shift, (1,))
-    zero, one = (0, 1) if padic else (_TZERO, _TPoly(0, (1,)))
+    zero, one = (0, 1) if padic else (_TZERO, _TONE)
     levels = list(_minor_levels(list(zip(*n_rows)), n))
     det = levels[-1][tuple(range(n))][0]
     # minors[j][i] = det(B without row i and column j); the row sets of the

@@ -5,7 +5,12 @@ Two instantiations are provided:
 * ``padic-rational``: K = Q with the p-adic valuation (uniformizer p),
   O = rationals with no p in the denominator.
 * ``tadic-ratfunc``: K = Q(t) with the t-adic valuation (uniformizer t),
-  O = rational functions regular at t = 0.
+  O = rational functions regular at t = 0.  An element is a ratio of
+  integer polynomials (``_TPoly``) in lowest terms over Z[t]: numerator
+  and denominator share no factor, not even a constant one, and the
+  denominator has a positive leading coefficient.  So every element of
+  Q(t) has one stored form, which is also its JSON form, and its
+  valuation is the difference of the two orders at t.
 
 Elements are immutable, stored in canonical reduced form, and carry a
 reference to their :class:`RingConfig`; arithmetic across configs is
@@ -49,98 +54,175 @@ def _int_pval(n: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers for the t-adic case: coefficient tuples of Fractions,
-# ascending degree, trailing zeros trimmed, () is the zero polynomial.
-
-def _ptrim(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+# integer polynomials for the t-adic case
 
 
-def _padd(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
+class _TPoly:
+    """An integer polynomial t^v (c[0] + c[1] t + ... + c[d] t^d) with
+    c[0] and c[d] nonzero, so v is its order at t.  Zero has c = ().
+
+    The one polynomial type of the package: ``RatFuncElement`` stores its
+    numerator and denominator as these, and they are the raw t-adic values
+    of the valuation kernel (``matops._raw_entries``).  Immutable.
+    """
+
+    __slots__ = ("v", "c")
+
+    def __init__(self, v: int, c: tuple):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_TPoly is immutable")
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        return (isinstance(other, _TPoly)
+                and self.v == other.v and self.c == other.c)
+
+    def __hash__(self):
+        return hash((self.v, self.c))
+
+    def __neg__(self):
+        return _TPoly(self.v, tuple(-x for x in self.c))
+
+    def __mul__(self, other):
+        a, b = self.c, other.c
+        if not a or not b:
+            return _TZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            y = b[0]
+            return _TPoly(self.v + other.v, tuple(x * y for x in a))
+        # Z is a domain, so the end coefficients of the product are nonzero
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+        return _TPoly(self.v + other.v, tuple(out))
+
+    def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        if not other.c:
+            return self
+        if not self.c:
+            return -other if negate else other
+        lo = min(self.v, other.v)
+        a, b = self.v - lo, other.v - lo
+        out = [0] * max(a + len(self.c), b + len(other.c))
+        out[a:a + len(self.c)] = self.c
+        if negate:
+            for i, y in enumerate(other.c, b):
+                out[i] -= y
+        else:
+            for i, y in enumerate(other.c, b):
+                out[i] += y
+        return _tpoly(out, lo)
 
 
-def _pneg(a: tuple) -> tuple:
-    return tuple(-c for c in a)
+_TZERO = _TPoly(0, ())
+_TONE = _TPoly(0, (1,))
 
 
-def _pmul(a: tuple, b: tuple) -> tuple:
+def _tpoly(coeffs, v=0) -> _TPoly:
+    """t^v times the integer polynomial with ascending ``coeffs``."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _TZERO
+    lo = 0
+    while not coeffs[lo]:
+        lo += 1
+    return _TPoly(v + lo, tuple(coeffs[lo:hi]))
+
+
+def _texact(a: _TPoly, b: _TPoly) -> _TPoly:
+    """a / b for a nonzero b that divides a in Z[t]; raises ArithmeticError
+    if it does not."""
+    if not a:
+        return _TZERO
+    r, bc = list(a.c), b.c
+    lead, top = bc[-1], len(bc) - 1
+    q = [0] * (len(r) - top)
+    for k in range(len(q) - 1, -1, -1):
+        x, rest = divmod(r[k + top], lead)
+        if rest:
+            break
+        q[k] = x
+        for i, y in enumerate(bc, k):
+            r[i] -= x * y
+    if not q or a.v < b.v or any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return _TPoly(a.v - b.v, tuple(q))
+
+
+def _tprem(a: _TPoly, b: _TPoly) -> _TPoly:
+    """The pseudo-remainder of a by a nonzero b: the r of degree below
+    b's with lc(b)^(deg a - deg b + 1) a = q b + r for some q in Z[t]
+    (r = a when deg a < deg b)."""
+    r = [0] * a.v + list(a.c)
+    bl = [0] * b.v + list(b.c)
+    lead = bl[-1]
+    for k in range(len(r) - len(bl), -1, -1):
+        # cancel the coefficient of t^(k + deg b)
+        f = r.pop()
+        r = [lead * x for x in r]
+        for i, y in enumerate(bl[:-1], k):
+            r[i] -= f * y
+    return _tpoly(r)
+
+
+def _primitive(c: tuple) -> _TPoly:
+    g = math.gcd(*c)
+    return _TPoly(0, tuple(x // g for x in c))
+
+
+def _tgcd(a: _TPoly, b: _TPoly) -> _TPoly:
+    """The gcd of a and b in Z[t], with a positive leading coefficient
+    (zero only when both are zero).
+
+    The t-power part is t^min(ord a, ord b); the rest is the gcd of the
+    contents times the gcd of the primitive parts, which a primitive
+    pseudo-remainder sequence finds.  Every term of that sequence has a
+    nonzero constant term, so the powers of t each remainder picks up can
+    be dropped.
+    """
     if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def _pdivmod(a: tuple, b: tuple) -> tuple:
-    # b != 0; long division over Q
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] / lead
-        k = len(rem) - len(b)
-        quo[k] = c
-        for i, cb in enumerate(b):
-            rem[k + i] -= c * cb
-        del rem[-1]
-        while rem and rem[-1] == 0:
-            del rem[-1]
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _pgcd(a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pmonic(a)
-
-
-def _pmonic(a: tuple) -> tuple:
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _pord(a: tuple) -> int:
-    # order at t = 0 of a nonzero polynomial
-    for i, c in enumerate(a):
-        if c:
-            return i
-    raise ValueError("zero polynomial has no order")
-
-
-def _pshift(a: tuple, k: int) -> tuple:
-    # multiply by t^k, k may be negative if a is divisible by t^-k
-    if not a:
-        return ()
-    if k >= 0:
-        return (Fraction(0),) * k + a
-    return a[-k:]
+        g = a or b
+    else:
+        x, y = _primitive(a.c), _primitive(b.c)
+        if len(x.c) < len(y.c):
+            x, y = y, x
+        while len(y.c) > 1:
+            r = _tprem(x, y)
+            if not r:
+                break
+            x, y = y, _primitive(r.c)
+        else:
+            y = _TONE
+        content = math.gcd(*a.c, *b.c)
+        g = _TPoly(min(a.v, b.v), tuple(content * z for z in y.c))
+    return -g if g and g.c[-1] < 0 else g
 
 
 _TERM_RE = re.compile(r"^([+-]?\d*)\*?(t(?:\^(\d+))?)?$")
 
 
-def _poly_parse(s: str) -> tuple:
+def _poly_parse(s: str) -> _TPoly:
     s = s.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", s)
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     for chunk in chunks:
         m = _TERM_RE.match(chunk)
         if not m:
@@ -153,21 +235,19 @@ def _poly_parse(s: str) -> tuple:
         else:
             k = int(kpart) if kpart else 1
             c = int(cs + "1") if cs in ("", "+", "-") else int(cs)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    deg = max(coeffs)
-    return _ptrim([coeffs.get(i, Fraction(0)) for i in range(deg + 1)])
+        coeffs[k] = coeffs.get(k, 0) + c
+    return _tpoly([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
 
-def _poly_str(a: tuple) -> str:
-    # integer coefficients expected; descending powers, sage-free formatting
+def _poly_str(a: _TPoly) -> str:
+    # descending powers, sage-free formatting
     if not a:
         return "0"
     terms = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
+    for i in range(len(a.c) - 1, -1, -1):
+        c, k = a.c[i], a.v + i
         if c == 0:
             continue
-        c = int(c)
         if k == 0:
             body = str(abs(c))
         else:
@@ -240,10 +320,13 @@ class RingConfig:
         if isinstance(value, str):
             return self._parse_ratfunc(value)
         if isinstance(value, tuple) and len(value) == 2:
-            num, den = value
-            return RatFuncElement(self, _ptrim(Fraction(c) for c in num),
-                                  _ptrim(Fraction(c) for c in den))
-        return RatFuncElement(self, _ptrim((Fraction(value),)), (Fraction(1),))
+            # ascending coefficients of num and den, ints or Fractions
+            num, den = ([Fraction(c) for c in part] for part in value)
+        else:
+            num, den = [Fraction(value)], [Fraction(1)]
+        s = math.lcm(*(c.denominator for c in num + den))
+        return RatFuncElement(self, _tpoly([int(c * s) for c in num]),
+                              _tpoly([int(c * s) for c in den]))
 
     @property
     def zero(self) -> "RingElement":
@@ -257,7 +340,7 @@ class RingConfig:
     def uniformizer(self) -> "RingElement":
         if self.kind == self.PADIC:
             return self.element(self.p)
-        return RatFuncElement(self, (Fraction(0), Fraction(1)), (Fraction(1),))
+        return RatFuncElement(self, _TPoly(1, (1,)), _TONE)
 
     # -- JSON scalar encoding ------------------------------------------------
 
@@ -269,7 +352,10 @@ class RingConfig:
     def parse_scalar(self, s: str) -> "RingElement":
         if not isinstance(s, str):
             raise ValueError(f"scalar must be a string, got {type(s).__name__}")
-        return self.element(s)
+        try:
+            return self.element(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {s!r}") from None
 
     def _parse_ratfunc(self, s: str) -> "RatFuncElement":
         s = s.strip()
@@ -277,9 +363,7 @@ class RingConfig:
         if m:
             num, den = _poly_parse(m.group(1)), _poly_parse(m.group(2))
         else:
-            num, den = _poly_parse(s), (Fraction(1),)
-        if not den:
-            raise ZeroDivisionError("zero denominator in ratfunc scalar")
+            num, den = _poly_parse(s), _TONE
         return RatFuncElement(self, num, den)
 
     def to_json(self) -> dict:
@@ -437,42 +521,37 @@ class PadicElement(RingElement):
 
 
 class RatFuncElement(RingElement):
-    """A reduced ratio of polynomials in t over Q, denominator monic."""
+    """num / den for integer polynomials in t (``_TPoly``) in lowest terms
+    over Z[t]: no common factor, not even a constant one, and den with a
+    positive leading coefficient.  Zero is 0 / 1."""
 
-    __slots__ = ("num", "den", "_val")
+    __slots__ = ("num", "den")
 
-    def __init__(self, config: RingConfig, num: tuple, den: tuple):
+    def __init__(self, config: RingConfig, num: _TPoly, den: _TPoly):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if num:
-            g = _pgcd(num, den)
-            if len(g) > 1 or g[0] != 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        else:
-            den = (Fraction(1),)
+        g = _tgcd(num, den)
+        if den.c[-1] < 0:
+            g = -g
+        if g != _TONE:
+            num, den = _texact(num, g), _texact(den, g)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_val", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
 
     def _add(self, other):
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFuncElement(self.config, num, _pmul(self.den, other.den))
+        num = self.num * other.den + other.num * self.den
+        return RatFuncElement(self.config, num, self.den * other.den)
 
     def _mul(self, other):
-        return RatFuncElement(self.config, _pmul(self.num, other.num),
-                              _pmul(self.den, other.den))
+        return RatFuncElement(self.config, self.num * other.num,
+                              self.den * other.den)
 
     def _neg(self):
-        return RatFuncElement(self.config, _pneg(self.num), self.den)
+        return RatFuncElement(self.config, -self.num, self.den)
 
     def _inv(self):
         return RatFuncElement(self.config, self.den, self.num)
@@ -481,22 +560,19 @@ class RatFuncElement(RingElement):
         return not self.num
 
     def valuation(self):
-        v = self._val
-        if v is None:
-            v = INFINITY if not self.num else _pord(self.num) - _pord(self.den)
-            object.__setattr__(self, "_val", v)
-        return v
+        return self.num.v - self.den.v if self.num else INFINITY
 
     def unit_part(self):
         if not self.num:
             raise ValueError("no unit part of zero")
-        return RatFuncElement(self.config, _pshift(self.num, -_pord(self.num)),
-                              _pshift(self.den, -_pord(self.den)))
+        return RatFuncElement(self.config, _TPoly(0, self.num.c),
+                              _TPoly(0, self.den.c))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.den == (Fraction(1),) and (
-                self.num == () if other == 0 else self.num == (Fraction(other),))
+            other = Fraction(other)
+            return (self.num == _tpoly([other.numerator])
+                    and self.den == _TPoly(0, (other.denominator,)))
         return (isinstance(other, RatFuncElement) and self.config == other.config
                 and self.num == other.num and self.den == other.den)
 
@@ -504,30 +580,7 @@ class RatFuncElement(RingElement):
         return hash((self.config, self.num, self.den))
 
     def __repr__(self):
-        return f"<({_poly_str_q(self.num)})/({_poly_str_q(self.den)})>"
+        return f"<{self._to_json()}>"
 
     def _to_json(self):
-        # clear rational coefficients to the integer-coefficient form
-        dens = [c.denominator for c in self.num + self.den]
-        scale = 1
-        for d in dens:
-            scale = scale * d // math.gcd(scale, d)
-        num = [c * scale for c in self.num]
-        den = [c * scale for c in self.den]
-        nums = [int(c) for c in num + den]
-        g = 0
-        for c in nums:
-            g = math.gcd(g, c)
-        g = g or 1
-        if den[-1] < 0:
-            g = -g
-        num = _ptrim(Fraction(int(c) // g) for c in num)
-        den = _ptrim(Fraction(int(c) // g) for c in den)
-        return f"({_poly_str(num)})/({_poly_str(den)})"
-
-
-def _poly_str_q(a: tuple) -> str:
-    if not a:
-        return "0"
-    return " + ".join(f"{c}*t^{k}" for k, c in enumerate(a) if c)
-
+        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"

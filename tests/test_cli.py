@@ -103,6 +103,18 @@ def test_verify_parse_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_non_integer_hive_entry_exits_1(tmp_path, capsys, command, entry):
+    # int() would read 1.5 as 1 and true as 1, and report a hive that
+    # was never given
+    hive_file = write(tmp_path / "h.json", {"rows": [[0], [entry, 2]]})
+    code = main([command, hive_file])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_render_ascii_and_json(tmp_path, capsys):
     hive_file = write(tmp_path / "paper.json", PAPER)
     code, out = run(capsys, "render", hive_file, "--format", "ascii")
@@ -127,6 +139,21 @@ def test_smith_command(tmp_path, capsys, ring, rows, invariants):
     d = ValuedMatrix.from_json(cfg, payload["D"])
     q = ValuedMatrix.from_json(cfg, payload["Q"])
     assert (p @ d) @ q == ValuedMatrix.from_json(cfg, matrix_json(rows))
+
+
+@pytest.mark.parametrize("ring,scalar", [("padic:2", "1/0"),
+                                          ("tadic", "(t)/(t-t)")],
+                         ids=["padic", "tadic"])
+def test_zero_denominator_exits_1(tmp_path, capsys, ring, scalar):
+    bad = write(tmp_path / "z.json", matrix_json([[scalar, 0], [0, 1]]))
+    good = write(tmp_path / "i.json", matrix_json([[1, 0], [0, 1]]))
+    for argv in (["compute", "--n-matrix", bad, "--lambda-matrix", good],
+                 ["compute", "--n-matrix", good, "--lambda-matrix", bad],
+                 ["smith", bad]):
+        code = main([*argv, "--ring", ring])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 def test_random_deterministic(capsys):

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hivekit import INFINITY, RingConfig
+from hivekit.ring import _texact, _tgcd, _tpoly, _tprem
 
 
 def test_padic_valuation_examples(p2):
@@ -146,3 +148,62 @@ def test_parse_flag_accepts_exactly_padic_prime_and_tadic():
                 "padic: 3", "padic:3 ", "padic:4", "tadic:2", "TADIC", ""):
         with pytest.raises(ValueError):
             RingConfig.parse_flag(bad)
+
+
+int_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+nonzero_polys = int_polys.filter(lambda p: p[-1])  # len(p) = deg + 1
+
+
+def times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fraction_gcd(a, b):
+    """Monic gcd over Q by Euclid on Fraction coefficient lists."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+    a, b = trim(list(map(Fraction, a))), trim(list(map(Fraction, b)))
+    while b:
+        while len(a) >= len(b):
+            f, k = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b, k):
+                a[i] -= f * y
+            trim(a)
+        a, b = b, a
+    return [x / a[-1] for x in a]
+
+
+@example(a=[0, 1], b=[1], c=[2])      # (2t)/(2)
+@example(a=[1], b=[0, 1], c=[-1])     # (-1)/(-t)
+@given(a=int_polys, b=nonzero_polys, c=nonzero_polys)
+def test_tadic_canonical_form(a, b, c):
+    cfg = RingConfig.tadic()
+    x = cfg.element((tuple(a), tuple(b)))
+    y = cfg.element((tuple(times(a, c)), tuple(times(b, c))))
+    assert x == y and hash(x) == hash(y)
+    assert cfg.scalar_to_json(x) == cfg.scalar_to_json(y)
+    assert x.den.c[-1] > 0
+    assert math.gcd(*x.num.c, *x.den.c) == 1
+
+
+@given(f=nonzero_polys, g=nonzero_polys, h=nonzero_polys)
+def test_integer_gcd_matches_fraction_euclid(f, g, h):
+    a, b = times(f, g), times(f, h)
+    d = _tgcd(_tpoly(a), _tpoly(b))
+    assert d.c[-1] > 0
+    full = [0] * d.v + list(d.c)
+    assert [Fraction(x, full[-1]) for x in full] == fraction_gcd(a, b)
+    for p in (a, b):
+        assert _texact(_tpoly(p), d) * d == _tpoly(p)
+    # lc(b)^(deg a - deg b + 1) a - prem(a, b) is a multiple of b
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    r = _tprem(_tpoly(big), _tpoly(small))
+    scale = small[-1] ** (len(big) - len(small) + 1)
+    assert not r or r.v + len(r.c) < len(small)
+    _texact(_tpoly([scale * x for x in big]) - r, _tpoly(small))

@@ -5,23 +5,25 @@ and the lattice triple (O^n, N, Lambda) is defined up to GL_n(K).  Moving
 the triple moves the hive by a symmetry of the triangle plus an affine
 function of (s, t):
 
-* rotation: hive(M, N^-1) is hive(N, Lambda) read at (c, a, b) for the
-  primary variant and at (b, c, a) for the swapped one, M = N^-1 Lambda;
+* rotation: hive(M, N^-1) is hive(N, Lambda) read at (c, a, b), minus
+  |lambda|, for the primary variant, and read at (b, c, a), minus |nu|,
+  for the swapped one, M = N^-1 Lambda;
 * reversal: hive(M^-1, Lambda^-1) is hive(N, Lambda) read at (c, b, a),
-  for both variants;
+  minus |lambda|, for both variants;
 * left GL_n(O): hive(g N, g Lambda) = hive(N, Lambda);
 * scaling: h(pi^j N, pi^(k+j) Lambda) = h + k t + j s for the primary
   variant and h + j t + k s for the swapped one.
 
-The rotation and reversal checks assert only that the difference has
-zero second differences; they do not pin the affine term.  These are
-consistency checks, not a certificate: a wrong route that is itself
-symmetric would pass them.
+|lambda| and |nu| are the sums of the invariants of Lambda and N.  The
+``build_hive`` docstring derives the rotation and reversal constants from
+the hive's corners.  These are consistency checks, not a certificate: a
+wrong route that is itself symmetric would pass them.
 """
 
 import pytest
 
-from hivekit import Lattice, RingConfig, build_hive, pair_invariant
+from hivekit import (Lattice, RingConfig, build_hive, lattice_invariants,
+                     pair_invariant)
 from hivekit.cli import InstanceSpec, _random_unimodular, random_pair
 
 from conftest import seeded
@@ -48,14 +50,8 @@ def rows_at(hive, order):
     return out
 
 
-def assert_affine(rows, other):
-    """rows - other is alpha + beta s + gamma t on the whole triangle."""
-    diff = [[x - y for x, y in zip(r, q)] for r, q in zip(rows, other)]
-    alpha = diff[0][0]
-    gamma = diff[1][0] - alpha
-    beta = diff[1][1] - diff[1][0]
-    assert all(diff[t][s] == alpha + beta * s + gamma * t
-               for t in range(len(diff)) for s in range(t + 1)), diff
+def shifted(rows, shift):
+    return tuple(tuple(x + shift for x in row) for row in rows)
 
 
 def pi_power(cfg, e):
@@ -83,13 +79,19 @@ def pairs(flag, dims, seed):
 def test_rotation_and_reversal(flag, dims):
     for _, _, (n_lat, lam_lat) in pairs(flag, dims, 31):
         m_lat, _ = pair_invariant(n_lat, lam_lat)
+        size_nu = sum(lattice_invariants(n_lat))
+        size_lam = sum(lattice_invariants(lam_lat))
         for variant in VARIANTS:
             hive = build_hive(n_lat, lam_lat, variant)
             rotated = build_hive(m_lat, inverse(n_lat), variant)
-            order = (2, 0, 1) if variant == "primary" else (1, 2, 0)
-            assert_affine(rotated.rows, rows_at(hive, order))
+            if variant == "primary":
+                expected = shifted(rows_at(hive, (2, 0, 1)), -size_lam)
+            else:
+                expected = shifted(rows_at(hive, (1, 2, 0)), -size_nu)
+            assert rotated.rows == expected
             reversed_ = build_hive(inverse(m_lat), inverse(lam_lat), variant)
-            assert_affine(reversed_.rows, rows_at(hive, (2, 1, 0)))
+            assert reversed_.rows == shifted(rows_at(hive, (2, 1, 0)),
+                                             -size_lam)
 
 
 @pytest.mark.parametrize("flag,dims", CASES)
