@@ -8,6 +8,9 @@ exponent bound until the value settles.
 
 Both brute routes enumerate one kind of candidate: the images of the
 saturated coordinate spans of O^n under a lattice's generator matrix.
+A rank-r coordinate family holds one span per point of the residue
+Grassmannian Gr_r((O/p^(M+1))^n), in its identity-block form on the
+first row set whose minor is a unit mod p, so no span is scanned twice.
 Each generator matrix is scaled once by a common denominator d, every
 image is an integer product with its coordinates, and a norm is the
 minimum p-valuation of the integer maximal minors minus (columns) * v(d).
@@ -25,7 +28,9 @@ norm[X | Y] >= norm X + norm Y.  Both routes run through one pair scan
 (``_scan``) that prunes by that bound; a pair whose bound only ties the
 best value is still scanned whenever it could change the boundary
 warning.  Whether two coordinate spans are jointly a direct summand is
-read from an int bitmask per span and partner rank.
+read from an int bitmask per partner rank; it depends only on their
+reductions mod p, so the masks are built once per pair of points of
+Gr(F_p^n) and shared by every span over them.
 
 One memo (``_Memo``) holds everything the scans reuse, each entry a pure
 function of its key: a lattice-independent table of coordinate spans,
@@ -102,6 +107,8 @@ def span_fingerprint(gens: ValuedMatrix) -> tuple:
     multipliers lie in O), pivots normalized to pure powers of p, then
     pivot-row entries of the other columns reduced to canonical residues.
     Two generator matrices have equal fingerprints iff their spans agree.
+    The brute enumeration does not call it: its families hold one
+    canonical form per residue point, so no two of their spans agree.
     """
     cfg = gens.config
     if cfg.kind != RingConfig.PADIC:
@@ -286,19 +293,33 @@ def _pair_norm(rows: list, py: tuple, p: int, floor: int):
 # the memo: coordinate spans, lattice images
 
 
+class _Residue:
+    """A point of Gr_r(F_p^n), the reduction mod p of a coordinate
+    family's spans: the Plücker vector of its representative (the
+    family's identity-block form with entries mod p), the bitmask over
+    family indices of the spans that reduce to it, and its summand masks
+    (partner rank -> int bitmask, built lazily)."""
+
+    __slots__ = ("pl", "bits", "masks")
+
+    def __init__(self, cols, n):
+        self.pl = _plucker(cols, n)
+        self.bits = 0
+        self.masks = {}
+
+
 class _Span:
     """A saturated coordinate span: its coordinate matrix, its integer
-    columns, whether it touches the residue bound, its Plücker vector,
-    and its summand masks (partner rank -> int bitmask, built lazily)."""
+    columns, whether it touches the residue bound, and its residue
+    class."""
 
-    __slots__ = ("mat", "dom", "hot", "pl", "masks")
+    __slots__ = ("mat", "dom", "hot", "res")
 
-    def __init__(self, mat, dom, hot, n):
+    def __init__(self, mat, dom, hot, res):
         self.mat = mat
         self.dom = dom
         self.hot = hot
-        self.pl = _plucker(dom, n)
-        self.masks = {}
+        self.res = res
 
 
 class _Image:
@@ -349,14 +370,17 @@ class _Memo:
     of its key, and no table is ever cleared wholesale.
 
     ``spans`` is lattice-independent: (n, p, r, M) -> the _Span records
-    of the saturated rank-r spans, with their Plücker vectors and summand
-    masks.  It lives for the process; enumerating it costs about as much
-    as a whole n = 3 trial.  ``lattices`` holds the image families, keyed
-    by a lattice's p and generator entries, the rank and M.  It is an LRU
-    of at most ``size`` entries.  One oracle trial at n = 3 touches
-    Lambda, N and M at ranks 1 to 3: nine families per exponent bound,
-    shared by the min and max routes, so 18 entries over the two bounds a
-    trial usually needs and 36 over four; 64 entries hold one trial.
+    of the saturated rank-r spans, with their residue classes, which hold
+    the summand masks.  It lives for the process; enumerating the
+    families of a p = 2, n = 3 trial (ranks 1 to 3, M = 1 and 2) takes
+    about 0.015 s of CPU, a fifth of a warm trial's 0.08 s (Python 3.11,
+    one core of a shared 2-CPU x86 host).  ``lattices`` holds the image
+    families, keyed by a lattice's p and generator entries, the rank and
+    M.  It is an LRU of at most ``size`` entries.
+    One oracle trial at n = 3 touches Lambda, N and M at ranks 1 to 3:
+    nine families per exponent bound, shared by the min and max routes,
+    so 18 entries over the two bounds a trial usually needs and 36 over
+    four; 64 entries hold one trial.
     """
 
     def __init__(self, size: int):
@@ -380,16 +404,24 @@ _MEMO = _Memo(64)
 
 def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
                       count_cap: int):
-    """Saturated rank-r spans of O^n with entries bounded mod p^(M+1).
+    """Saturated rank-r spans of O^n, one per point of the residue
+    Grassmannian Gr_r((O/p^(M+1))^n).
 
-    Saturated spans admit a generator matrix with an identity block at
-    some pivot-row set, so they are enumerated directly (no saturation
-    pass needed); an entry with a nonzero top digit marks the candidate
-    as touching the bound.  Returns the family's _Span records: the
-    coordinates are integers, so their columns need no clearing, and
-    each record carries its Plücker vector.  The family lives in the
-    memo's lattice-independent table; the count cap is checked before
-    the lookup, so a warm entry cannot lift it.
+    A saturated span has a unit maximal minor, so it admits a generator
+    matrix with an identity block on the first row set R whose minor is a
+    unit mod p, and that form is unique mod p^(M+1).  The loop runs over
+    the row sets in ``combinations`` order and the entries below p^(M+1)
+    off R, and keeps a matrix only when no earlier row set has a unit
+    minor: p^(M r (n - r)) times the Gaussian binomial [n choose r]_p
+    spans, with no saturation pass and no span comparison.  An entry with
+    a nonzero top digit marks the span as touching the bound.  The
+    reduction mod p of a kept matrix is the same form for its point of
+    Gr_r(F_p^n), which keys the span's residue class.  Returns the
+    family's _Span records: the coordinates are integers, so their
+    columns need no clearing.  The family lives in the memo's
+    lattice-independent table; the count cap (on all
+    C(n, r) p^((M+1) r (n - r)) identity-block matrices the loop visits)
+    is checked before the lookup, so a warm entry cannot lift it.
     """
     p = cfg.p
     mod = p ** (m_bound + 1)
@@ -401,7 +433,9 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
     hit = _MEMO.spans.get(key)
     if hit is not None:
         return hit
-    seen = {}
+    family = []
+    residues = {}
+    earlier = []  # the row sets before pivot_rows
     for pivot_rows in combinations(range(n), r):
         others = [i for i in range(n) if i not in pivot_rows]
         for assignment in product(range(mod), repeat=len(others) * r):
@@ -412,33 +446,38 @@ def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
             for i in others:
                 for j in range(r):
                     rows[i][j] = next(it)
-            mat = ValuedMatrix(cfg, rows)
-            fp = span_fingerprint(mat)
-            if fp not in seen:
-                hot = any(x >= p ** m_bound for i in others for x in rows[i])
-                seen[fp] = _Span(mat, [list(col) for col in zip(*rows)],
-                                 hot, n)
-    family = _MEMO.spans[key] = list(seen.values())
+            if any(_int_det([rows[i] for i in rs]) % p for rs in earlier):
+                continue  # a unit minor on an earlier row set
+            low = tuple(tuple(x % p for x in row) for row in rows)
+            res = residues.get(low)
+            if res is None:
+                res = residues[low] = _Residue(list(zip(*low)), n)
+            res.bits |= 1 << len(family)
+            hot = any(x >= p ** m_bound for i in others for x in rows[i])
+            family.append(_Span(ValuedMatrix(cfg, rows),
+                                [list(col) for col in zip(*rows)], hot, res))
+        earlier.append(pivot_rows)
+    _MEMO.spans[key] = family
     return family
 
 
 def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
                   p: int) -> int:
     """Bit i is set iff the rank-c span + partners[i] (the rank-u family
-    of the same n, p and M) is a direct summand of O^n, i.e. some maximal
-    minor of their joint coordinates is a unit.  Built on first use and
-    kept in the span record, per partner rank."""
-    mask = span.masks.get(u)
+    of the same n, p and M, in family order) is a direct summand of O^n,
+    i.e. some maximal minor of their joint coordinates is a unit.  That
+    depends only on the two residue classes, so one minor test mod p per
+    pair of classes sets the bits of a whole partner class.  Built on
+    first use and kept in the residue record, per partner rank."""
+    res = span.res
+    mask = res.masks.get(u)
     if mask is None:
-        rows = _laplace_rows(span.pl, n, c, u)
+        rows = _laplace_rows(res.pl, n, c, u)
         mask = 0
-        for i, other in enumerate(partners):
-            py = other.pl
-            for w in rows:
-                if sum(map(mul, w, py)) % p:
-                    mask |= 1 << i
-                    break
-        span.masks[u] = mask
+        for other in dict.fromkeys(rec.res for rec in partners):
+            if any(sum(map(mul, w, other.pl)) % p for w in rows):
+                mask |= other.bits
+        res.masks[u] = mask
     return mask
 
 

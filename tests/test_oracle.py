@@ -1,7 +1,7 @@
 import ast
 import hashlib
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,16 +121,16 @@ PINNED_BRUTE = [
 
 
 # (p, n, pair seed, kind, a, c, exponent_bound, number of minimizing
-# pairs with collect=True), recorded the same way; a scan that drops ties
-# reports fewer
+# pairs with collect=True) over the families of one span per point of the
+# residue Grassmannian; a scan that drops ties reports fewer
 PINNED_HITS = [
-    (2, 2, 9220, "min", 1, 1, 1, 25),
-    (2, 2, 9220, "max", 1, 1, 1, 6),
-    (2, 2, 9220, "max", 1, 1, 2, 13),
-    (2, 2, 9221, "max", 0, 1, 1, 32),
-    (3, 2, 9320, "min", 1, 1, 1, 210),
-    (3, 2, 9320, "max", 1, 1, 1, 14),
-    (3, 2, 9321, "max", 0, 1, 1, 42),
+    (2, 2, 9220, "min", 1, 1, 1, 16),
+    (2, 2, 9220, "max", 1, 1, 1, 5),
+    (2, 2, 9220, "max", 1, 1, 2, 10),
+    (2, 2, 9221, "max", 0, 1, 1, 24),
+    (3, 2, 9320, "min", 1, 1, 1, 108),
+    (3, 2, 9320, "max", 1, 1, 1, 9),
+    (3, 2, 9321, "max", 0, 1, 1, 27),
 ]
 
 
@@ -212,7 +212,7 @@ def test_min_minimizers_lie_in_both_lattices():
     lam_lat, n_lat, _ = _oracle_pair(2, 3, 9233)
     res = brute_min_direct_sum(lam_lat, n_lat, 1, 1, budget(m=1),
                                collect=True)
-    assert res.value == 2 and len(res.minimizers) == 790
+    assert res.value == 2 and len(res.minimizers) == 448
     lam_sub, n_sub = Submodule(lam_lat.gens), Submodule(n_lat.gens)
     xs = {id(x): x for x, _ in res.minimizers}
     ys = {id(y): y for _, y in res.minimizers}
@@ -305,7 +305,7 @@ def test_laplace_rows_match_concatenated_minors(blocks):
         assert _pair_norm(rows, py, p, floor) == want
 
 
-@pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2), (3, 3, 1)])
 def test_summand_masks_match_int_norm(n, p, m):
     # V + U is a direct summand iff a maximal minor of the joint
     # coordinates is a unit; the mask bits must say exactly that
@@ -320,6 +320,60 @@ def test_summand_masks_match_int_norm(n, p, m):
                 for i, other in enumerate(us):
                     want = _int_norm(v.dom + other.dom, n, p) == 0
                     assert bool(mask >> i & 1) == want, (c, u, i)
+
+
+def _gaussian_binomial(n, r, q):
+    num = den = 1
+    for i in range(r):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _fingerprint_family(cfg, n, r, m):
+    """A reference family: every identity-block matrix with entries below
+    p^(M+1), pivot-row sets in combinations order, deduped by exact
+    O-span with ``span_fingerprint``; the first of each span is kept with
+    the pivot rows it was built on."""
+    mod = cfg.p ** (m + 1)
+    seen = {}
+    for pivot_rows in combinations(range(n), r):
+        others = [i for i in range(n) if i not in pivot_rows]
+        for assignment in product(range(mod), repeat=len(others) * r):
+            rows = [[int(i == pr) for pr in pivot_rows] for i in range(n)]
+            it = iter(assignment)
+            for i in others:
+                rows[i] = [next(it) for _ in range(r)]
+            seen.setdefault(span_fingerprint(mat(cfg, rows)),
+                            (pivot_rows, rows))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("p,n,r,m", [
+    (p, n, r, m) for p in (2, 3) for n in (2, 3) for r in range(1, n)
+    for m in (0, 1)] + [(2, 3, 1, 2), (2, 3, 2, 2)])
+def test_saturated_coords_one_span_per_grassmannian_point(p, n, r, m):
+    # one span per point of Gr_r((Z/p^(M+1))^n), whose number is
+    # p^(M r (n - r)) times the Gaussian binomial [n choose r]_p: the
+    # fingerprint-deduped family, in order, cut to the representatives
+    # whose identity block sits on the first row set with a unit minor
+    cfg = RingConfig.padic(p)
+    family = _saturated_coords(cfg, n, r, m, 500_000)
+    assert len(family) == p ** (m * r * (n - r)) * _gaussian_binomial(n, r, p)
+
+    def first_unit_rows(rows):
+        return next(rs for rs in combinations(range(n), r)
+                    if _int_det([rows[i] for i in rs]) % p)
+
+    want = [(pivot_rows, rows)
+            for pivot_rows, rows in _fingerprint_family(cfg, n, r, m)
+            if first_unit_rows(rows) == pivot_rows]
+    assert ([[list(row) for row in zip(*span.dom)] for span in family]
+            == [rows for _, rows in want])
+    for span, (pivot_rows, rows) in zip(family, want):
+        assert span.mat == mat(cfg, rows)
+        assert span.hot == any(x >= p ** m for i, row in enumerate(rows)
+                               if i not in pivot_rows for x in row)
 
 
 def _pval_loop(x, p):
@@ -495,9 +549,10 @@ def _has_nested_chain(small, large):
 
 def test_coords_cap_holds_on_warm_cache(p2):
     # a warm cache entry must not lift the candidate cap: 3 * 4^2 = 48
-    # predicted rank-1 spans in O^3 at M = 1, refused at cap 10
+    # predicted rank-1 candidates in O^3 at M = 1, refused at cap 10; 28
+    # of them are kept, one per point of P^2(Z/4)
     warm = _saturated_coords(p2, 3, 1, 1, 500_000)
-    assert len(warm) == 37
+    assert len(warm) == 28
     assert _saturated_coords(p2, 3, 1, 1, 500_000) is warm
     with pytest.raises(BudgetExceededError, match="predicted 48"):
         _saturated_coords(p2, 3, 1, 1, 10)
