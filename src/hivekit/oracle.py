@@ -25,9 +25,13 @@ of the row set R; each span's expansion rows are built once per partner
 rank, so a pair norm is one integer dot product per row set, and it
 stops at the first minor that reaches the Laplace bound
 norm[X | Y] >= norm X + norm Y.  Both routes run through one pair scan
-(``_scan``) that prunes by that bound; a pair whose bound only ties the
-best value is still scanned whenever it could change the boundary
-warning.  Whether two coordinate spans are jointly a direct summand is
+(``_scan``) that prunes by that bound, and skips an outer span X whole
+when a second bound, shared by every inner span, cannot beat the best
+value: each inner span is d B U for one generator matrix B, so by
+Cauchy-Binet norm[X | d B U] is at least the least norm[X | (d B)_T] over
+the column selections T.  A pair or span whose bound only ties the best
+value is still scanned whenever it could change the boundary warning.
+Whether two coordinate spans are jointly a direct summand is
 read from an int bitmask per partner rank; it depends only on their
 reductions mod p, so the masks are built once per pair of points of
 Gr(F_p^n) and shared by every span over them.
@@ -289,6 +293,15 @@ def _pair_norm(rows: list, py: tuple, p: int, floor: int):
     return best
 
 
+def _coord_bound(rows: list, coord_pl: tuple, p: int):
+    """min over T of norm [X | (d B)_T], from X's expansion rows and the
+    Plücker vectors of the column selections (d B)_T: a lower bound on
+    norm [X | d B U] for every integer coordinate matrix U (see ``_scan``).
+    INFINITY when every such minor vanishes."""
+    return _min_pval((sum(map(mul, w, pl)) for w in rows for pl in coord_pl),
+                     p)
+
+
 # ---------------------------------------------------------------------------
 # the memo: coordinate spans, lattice images
 
@@ -363,6 +376,8 @@ class _Family:
     by_span: list   # _Image records in coordinate-family order
     by_norm: list   # the same records, stably sorted by norm
     offset: int     # rank * v(d)
+    coord_pl: tuple  # Plücker vectors of the column selections (d B)_T,
+                     # |T| = rank, in combinations order: ((1,),) at rank 0
 
 
 class _Memo:
@@ -487,11 +502,13 @@ def _family(lattice: Lattice, r: int, m_bound: int,
     lattice's generator matrix, from the memo's per-lattice table.  Both
     brute routes use this one kind of family, so they share entries: in
     a trial the min's Lambda family at rank a = n - t is the max's U
-    family, since u = n - s - c = n - t.  Rank 0 gives the one empty
-    image."""
+    family, since u = n - s - c = n - t.  The family also keeps the
+    Plücker vectors of the rank-r column selections of the scaled
+    generators, which bound every pair norm against it (``_scan``).
+    Rank 0 gives the one empty image and the empty minor."""
     if r == 0:
         empty = [_Image(None, 0, (1,), 0)]
-        return _Family(empty, empty, 0)
+        return _Family(empty, empty, 0, ((1,),))
     cfg, n = lattice.config, lattice.n
     spans = _saturated_coords(cfg, n, r, m_bound, count_cap)
 
@@ -501,7 +518,9 @@ def _family(lattice: Lattice, r: int, m_bound: int,
         for i, span in enumerate(spans):
             pl = _plucker(_int_image(cols, span.dom), n)
             recs.append(_Image(span, i, pl, _min_pval(pl, cfg.p) - r * dv))
-        return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv)
+        coord_pl = tuple(_plucker(sel, n) for sel in combinations(cols, r))
+        return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv,
+                       coord_pl)
 
     key = (cfg.p, tuple(tuple(e.value for e in row)
                         for row in lattice.gens.entries), r, m_bound)
@@ -519,22 +538,28 @@ class BruteResult:
     boundary_warning: bool
 
 
-def _scan(outer: list, inner: list, n: int, a: int, c: int, p: int,
-          offset: int, collect: bool, summand=None):
+def _scan(outer: list, inner: list, coord_pl: tuple, n: int, a: int, c: int,
+          p: int, offset: int, collect: bool, summand=None):
     """The pair scan of both brute routes: the minimum over pairs of
     cost = norm[X | Y] - w(X).
 
     ``outer`` holds (record X of rank a, weight w) pairs sorted by
-    norm X - w; ``inner`` holds records Y of rank c sorted by norm.
-    ``offset`` is the two families' rank * v(d) shifts.  By the Laplace
-    bound norm[X | Y] >= norm X + norm Y, a pair's cost is at least
-    norm X + norm Y - w, and both loops stop once that exceeds the best
-    cost.  A pair whose bound only ties the best is skipped under
-    ``collect=False`` when it can change neither the value nor the flag:
-    when a minimizer away from the residue bound is already known, or the
-    pair touches the bound.  ``summand`` maps X to a bitmask over the
-    inner records' ``index``; a pair whose bit is clear is not scanned.
-    Value and flag do not depend on the scan order.
+    norm X - w; ``inner`` holds records Y of rank c sorted by norm, each
+    the image d B U of an integer coordinate matrix U, and ``coord_pl``
+    the Plücker vectors of the column selections (d B)_T of their
+    family.  ``offset`` is the two families' rank * v(d) shifts.  By the
+    Laplace bound norm[X | Y] >= norm X + norm Y, a pair's cost is at
+    least norm X + norm Y - w, and both loops stop once that exceeds the
+    best cost.  By Cauchy-Binet, det [X | d B U]_R = sum over T of
+    det U_T * det [X | (d B)_T]_R with integer det U_T, so every Y gives
+    norm[X | Y] >= ``_coord_bound``, and X's inner loop is skipped once
+    that bound, less offset and w, exceeds the best cost.  A pair (or an
+    X) whose bound only ties the best is skipped under ``collect=False``
+    when it can change neither the value nor the flag: when a minimizer
+    away from the residue bound is already known, or the pair (every
+    pair of X) touches the bound.  ``summand`` maps X to a bitmask over
+    the inner records' ``index``; a pair whose bit is clear is not
+    scanned.  Value and flag do not depend on the scan order.
 
     Returns (best cost, the minimizing record pairs if ``collect``,
     boundary flag: every minimizer touches the residue bound).
@@ -547,6 +572,10 @@ def _scan(outer: list, inner: list, n: int, a: int, c: int, p: int,
         if rec_x.norm - w + floor > best:
             break  # outer sorted by norm X - w: no later X can reach best
         rows = rec_x.expansion(n, a, c)
+        lb = _coord_bound(rows, coord_pl, p) - offset - w
+        if lb > best or (lb == best and not collect
+                         and (found_calm or rec_x.hot)):
+            continue  # no Y can lower the value or change the flag
         mask = -1 if summand is None else summand(rec_x)
         for rec_y in inner:
             bound = rec_x.norm + rec_y.norm
@@ -593,7 +622,7 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     fam_a = _family(a_lat, a, m_bound, cap)
     fam_c = _family(c_lat, c, m_bound, cap)
     best, hits, warning = _scan([(rec, 0) for rec in fam_a.by_norm],
-                                fam_c.by_norm, n, a, c, p,
+                                fam_c.by_norm, fam_c.coord_pl, n, a, c, p,
                                 fam_a.offset + fam_c.offset, collect)
     if best == INFINITY:
         raise BudgetExceededError("no direct pair found within the budget")
@@ -634,8 +663,8 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     if c and u:  # with a rank-0 side V + U is saturated
         partners = [rec.span for rec in fam_u.by_span]
         summand = lambda rec: _summand_mask(rec.span, c, u, partners, n, p)
-    best, hits, warning = _scan(outer, fam_u.by_norm, n, c, u, p,
-                                fam_v.offset + fam_u.offset, collect,
+    best, hits, warning = _scan(outer, fam_u.by_norm, fam_u.coord_pl, n, c,
+                                u, p, fam_v.offset + fam_u.offset, collect,
                                 summand)
     if best == INFINITY:
         raise BudgetExceededError("no summand pair found within the budget")

@@ -13,8 +13,9 @@ from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
                      pair_invariant, span_fingerprint, stabilized_value)
 from hivekit import oracle
 from hivekit.cli import InstanceSpec, main, random_pair
-from hivekit.oracle import (_int_det, _int_norm, _laplace_rows, _pair_norm,
-                            _plucker, _saturated_coords, _summand_mask)
+from hivekit.oracle import (_coord_bound, _family, _int_det, _int_norm,
+                            _laplace_rows, _pair_norm, _plucker,
+                            _saturated_coords, _summand_mask)
 from hivekit.ring import _int_pval
 
 from conftest import lat, mat, seeded
@@ -303,6 +304,28 @@ def test_laplace_rows_match_concatenated_minors(blocks):
     assert _pair_norm(rows, py, p, 0) == want
     if want != float("inf"):
         assert _pair_norm(rows, py, p, floor) == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_coordinate_bound_below_every_pair(p, n):
+    # the scan's per-X skip: every Y = d B U has norm [X | Y] >= the least
+    # norm [X | (d B)_T] over column selections T (Cauchy-Binet), and the
+    # bound is reached, since the coordinate spans e_T are in every family
+    lam_lat, n_lat, _ = _oracle_pair(p, n, 9000 + 10 * p + n)
+    for m in (0, 1):
+        for a in range(n + 1):
+            for c in range(n - a + 1):
+                # the min route's (Lambda, N) and the max route's (A, A)
+                for outer_lat, inner_lat in ((lam_lat, n_lat),
+                                             (lam_lat, lam_lat)):
+                    outer = _family(outer_lat, a, m, 500_000)
+                    inner = _family(inner_lat, c, m, 500_000)
+                    for x in outer.by_span:
+                        rows = x.expansion(n, a, c)
+                        lb = _coord_bound(rows, inner.coord_pl, p)
+                        norms = [_pair_norm(rows, y.pl, p, 0)
+                                 for y in inner.by_span]
+                        assert min(norms) == lb, (m, a, c, x.index)
 
 
 @pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2), (3, 3, 1)])
@@ -604,6 +627,8 @@ ORACLE_DIGESTS = [
      "57e2d2dda81eefe78f6bebc3786e67dc284f052242cd15e91259cd54cc357c35"),
     ("--ring padic:3 --n 2 --trials 10 --seed 200",
      "bcbf80dcd6b647d39bef0f550d25ca4e06d65d2887315285b1dd4cf65e34ffaa"),
+    ("--ring padic:3 --n 3 --trials 3 --seed 5 --max-exp 2",
+     "c16a8870c98478333a3879a3ee9ddb37f4eb8cee19d2a6892e3cbc972546a4b2"),
 ]
 
 
