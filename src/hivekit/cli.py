@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int, default=2)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--mix-steps", type=int, default=4)
-    p.add_argument("--count-cap", type=int, default=500_000)
+    p.add_argument("--count-cap", type=int,
+                   default=EnumerationBudget.count_cap)
     p.add_argument("--ring", default="padic:2")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)

@@ -10,13 +10,16 @@ Both brute routes enumerate one kind of candidate: the images of the
 saturated coordinate spans of O^n under a lattice's generator matrix.
 A rank-r coordinate family holds one span per point of the residue
 Grassmannian Gr_r((O/p^(M+1))^n), in its identity-block form on the
-first row set whose minor is a unit mod p, so no span is scanned twice.
-Each generator matrix is scaled once by a common denominator d, every
-image is an integer product with its coordinates, and a norm is the
-minimum p-valuation of the integer maximal minors minus (columns) * v(d).
-This minor arithmetic is the oracle's own: the brute routes call neither
-the Smith route nor the optimizer's norm kernel, so the oracle can
-certify them.
+first row set whose minor is a unit mod p.  Those forms are generated
+directly, row set by row set (the Schubert cells mod p), so no span is
+scanned twice and none is filtered out.  A span is kept as its integer
+columns; a minimizer's coordinate matrix is built only when it is
+reported.  Each generator matrix is scaled once by a common denominator
+d, every image is an integer product with its coordinates, and a norm
+is the minimum p-valuation of the integer maximal minors minus
+(columns) * v(d).  This minor arithmetic is the oracle's own: the brute
+routes call neither the Smith route nor the optimizer's norm kernel, so
+the oracle can certify them.
 
 Every span is carried by its Plücker vector, the tuple of its maximal
 minors, computed once.  A pair's minors come from the block Laplace
@@ -36,22 +39,23 @@ read from an int bitmask per partner rank; it depends only on their
 reductions mod p, so the masks are built once per pair of points of
 Gr(F_p^n) and shared by every span over them.
 
-One memo (``_Memo``) holds everything the scans reuse, each entry a pure
-function of its key: a lattice-independent table of coordinate spans,
-kept for the process, and a per-lattice LRU of image families, bounded
-at one trial's entries.  The count cap is checked before either table
-is read.
+Two caches hold everything the scans reuse, each entry a pure function
+of its key: ``functools.cache`` on the lattice-independent table of
+coordinate spans (``_coord_family``), kept for the process, and
+``functools.lru_cache`` on the image families (``_image_family``),
+bounded at one trial's entries; their hit and miss counts are in
+``cache_info()``.  The count cap is checked before either cache is read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from operator import mul
+from typing import NamedTuple
 
 from .hive import LRFilling
 from .lattice import Lattice, Submodule
@@ -69,12 +73,14 @@ class EnumerationBudget:
 
     exponent_bound is M, the largest invariant order explored: coordinates
     are enumerated modulo p^(M+1), and ``stabilized_value`` starts there.
-    Enumeration refuses to start if the predicted candidate count exceeds
-    count_cap.
+    Enumeration refuses to start if the predicted candidate count, the
+    C(n, r) p^((M+1) r (n - r)) identity-block matrices with entries below
+    p^(M+1), exceeds count_cap.  The default is also ``hivekit oracle``'s
+    ``--count-cap`` default.
     """
 
     exponent_bound: int = 1
-    count_cap: int = 200_000
+    count_cap: int = 500_000
 
     def __post_init__(self):
         if self.count_cap <= 0:
@@ -190,13 +196,19 @@ def _int_det(rows: list) -> int:
     return total
 
 
-def _int_columns(mat: ValuedMatrix):
-    """Integer columns of d * mat for one common denominator d, and v_p(d)."""
-    denom = math.lcm(*(e.value.denominator for row in mat.entries
-                       for e in row))
-    cols = [[x.numerator * (denom // x.denominator)
-             for x in (e.value for e in col)] for col in zip(*mat.entries)]
-    return cols, _int_pval(denom, mat.config.p)
+def _gen_values(lattice: Lattice) -> tuple:
+    """The lattice's generator entries as rows of Fractions: the key of
+    its image families."""
+    return tuple(tuple(e.value for e in row) for row in lattice.gens.entries)
+
+
+def _int_columns(values: tuple, p: int):
+    """Integer columns of d * the matrix with rows ``values`` (Fractions)
+    for one common denominator d, and v_p(d)."""
+    denom = math.lcm(*(x.denominator for row in values for x in row))
+    cols = [[x.numerator * (denom // x.denominator) for x in col]
+            for col in zip(*values)]
+    return cols, _int_pval(denom, p)
 
 
 def _plucker(cols: list, n: int) -> tuple:
@@ -303,7 +315,7 @@ def _coord_bound(rows: list, coord_pl: tuple, p: int):
 
 
 # ---------------------------------------------------------------------------
-# the memo: coordinate spans, lattice images
+# the cached tables: coordinate spans, lattice images
 
 
 class _Residue:
@@ -321,18 +333,14 @@ class _Residue:
         self.masks = {}
 
 
-class _Span:
-    """A saturated coordinate span: its coordinate matrix, its integer
-    columns, whether it touches the residue bound, and its residue
-    class."""
+class _Span(NamedTuple):
+    """A saturated coordinate span: its integer columns, whether it
+    touches the residue bound, and its residue class.  Its coordinate
+    matrix is built from ``dom`` only for a reported minimizer."""
 
-    __slots__ = ("mat", "dom", "hot", "res")
-
-    def __init__(self, mat, dom, hot, res):
-        self.mat = mat
-        self.dom = dom
-        self.hot = hot
-        self.res = res
+    dom: list
+    hot: bool
+    res: _Residue
 
 
 class _Image:
@@ -362,12 +370,14 @@ class _Image:
         return rows
 
     def submodule(self, gens: ValuedMatrix):
-        """The image as a Submodule, gens @ coords (None for rank 0);
-        built on first use and kept on the record."""
+        """The image as a Submodule, gens @ coords (None for rank 0), with
+        the coordinate matrix built from the span's integer columns; built
+        on first use and kept on the record."""
         if self.span is None:
             return None
         if self.sub is None:
-            self.sub = Submodule(gens @ self.span.mat)
+            coords = ValuedMatrix(gens.config, zip(*self.span.dom))
+            self.sub = Submodule(gens @ coords)
         return self.sub
 
 
@@ -380,99 +390,65 @@ class _Family:
                      # |T| = rank, in combinations order: ((1,),) at rank 0
 
 
-class _Memo:
-    """Everything the brute scans reuse; every entry is a pure function
-    of its key, and no table is ever cleared wholesale.
-
-    ``spans`` is lattice-independent: (n, p, r, M) -> the _Span records
-    of the saturated rank-r spans, with their residue classes, which hold
-    the summand masks.  It lives for the process; enumerating the
-    families of a p = 2, n = 3 trial (ranks 1 to 3, M = 1 and 2) takes
-    about 0.015 s of CPU, a fifth of a warm trial's 0.08 s (Python 3.11,
-    one core of a shared 2-CPU x86 host).  ``lattices`` holds the image
-    families, keyed by a lattice's p and generator entries, the rank and
-    M.  It is an LRU of at most ``size`` entries.
-    One oracle trial at n = 3 touches Lambda, N and M at ranks 1 to 3:
-    nine families per exponent bound, shared by the min and max routes,
-    so 18 entries over the two bounds a trial usually needs and 36 over
-    four; 64 entries hold one trial.
-    """
-
-    def __init__(self, size: int):
-        self.spans: dict = {}
-        self.lattices: OrderedDict = OrderedDict()
-        self.size = size
-
-    def lattice_entry(self, key, build):
-        hit = self.lattices.get(key)
-        if hit is None:
-            hit = self.lattices[key] = build()
-            if len(self.lattices) > self.size:
-                self.lattices.popitem(last=False)
-        else:
-            self.lattices.move_to_end(key)
-        return hit
-
-
-_MEMO = _Memo(64)
-
-
 def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
-                      count_cap: int):
-    """Saturated rank-r spans of O^n, one per point of the residue
-    Grassmannian Gr_r((O/p^(M+1))^n).
-
-    A saturated span has a unit maximal minor, so it admits a generator
-    matrix with an identity block on the first row set R whose minor is a
-    unit mod p, and that form is unique mod p^(M+1).  The loop runs over
-    the row sets in ``combinations`` order and the entries below p^(M+1)
-    off R, and keeps a matrix only when no earlier row set has a unit
-    minor: p^(M r (n - r)) times the Gaussian binomial [n choose r]_p
-    spans, with no saturation pass and no span comparison.  An entry with
-    a nonzero top digit marks the span as touching the bound.  The
-    reduction mod p of a kept matrix is the same form for its point of
-    Gr_r(F_p^n), which keys the span's residue class.  Returns the
-    family's _Span records: the coordinates are integers, so their
-    columns need no clearing.  The family lives in the memo's
-    lattice-independent table; the count cap (on all
-    C(n, r) p^((M+1) r (n - r)) identity-block matrices the loop visits)
-    is checked before the lookup, so a warm entry cannot lift it.
-    """
+                      count_cap: int) -> list:
+    """The rank-r coordinate family of O^n for the ring's p
+    (``_coord_family``), once the count cap allows it: the
+    C(n, r) p^((M+1) r (n - r)) identity-block matrices with entries below
+    p^(M+1) must not exceed count_cap.  The cap is checked before the
+    cache is read, so a warm entry cannot lift it."""
     p = cfg.p
     mod = p ** (m_bound + 1)
     predicted = math.comb(n, r) * mod ** (r * (n - r))
     if predicted > count_cap:
         raise BudgetExceededError(
             f"predicted {predicted} saturated candidates exceed cap {count_cap}")
-    key = (n, p, r, m_bound)
-    hit = _MEMO.spans.get(key)
-    if hit is not None:
-        return hit
+    return _coord_family(n, p, r, m_bound)
+
+
+@cache
+def _coord_family(n: int, p: int, r: int, m_bound: int) -> list:
+    """Saturated rank-r spans of O^n, one per point of the residue
+    Grassmannian Gr_r((O/p^(M+1))^n), as _Span records.
+
+    A saturated span has a unit maximal minor, so it admits a generator
+    matrix with an identity block on the first row set R = (R_1 < ... <
+    R_r), in ``combinations`` order, whose minor is a unit mod p, and
+    that form is unique mod p^(M+1).  Off R, entry (i, j) runs over the
+    multiples of p below p^(M+1) when i < R_j, and over all of
+    0 .. p^(M+1) - 1 otherwise: the Schubert cell of R mod p.  These are
+    exactly the forms with no unit minor on an earlier row set.  A unit
+    at such an (i, j) would give a unit minor on R - R_j + i, an earlier
+    row set.  Conversely, mod p column j is zero above row R_j, so a row
+    set S with a unit minor has S_k >= R_k for every k and does not come
+    before R.  That is p^(M r (n - r)) times the Gaussian binomial
+    [n choose r]_p spans, with no saturation pass, no span comparison
+    and no filter.  Row sets run in ``combinations`` order and the
+    entries off R row by row.  An entry with a nonzero top digit marks
+    the span as touching the bound.  The reduction mod p of a form is
+    the same form for its point of Gr_r(F_p^n), which keys the span's
+    residue class.  The coordinates are integers, so their columns need
+    no clearing.  Lattice-independent, so kept for the process; callers
+    go through ``_saturated_coords``, which checks the count cap.
+    """
+    mod, top = p ** (m_bound + 1), p ** m_bound
     family = []
     residues = {}
-    earlier = []  # the row sets before pivot_rows
     for pivot_rows in combinations(range(n), r):
         others = [i for i in range(n) if i not in pivot_rows]
-        for assignment in product(range(mod), repeat=len(others) * r):
-            rows = [[0] * r for _ in range(n)]
-            for j, pr in enumerate(pivot_rows):
-                rows[pr][j] = 1
-            it = iter(assignment)
-            for i in others:
-                for j in range(r):
-                    rows[i][j] = next(it)
-            if any(_int_det([rows[i] for i in rs]) % p for rs in earlier):
-                continue  # a unit minor on an earlier row set
+        cell = [range(0, mod, p) if i < pr else range(mod)
+                for i in others for pr in pivot_rows]
+        for assignment in product(*cell):
+            rows = [[int(i == pr) for pr in pivot_rows] for i in range(n)]
+            for k, i in enumerate(others):
+                rows[i] = list(assignment[k * r:(k + 1) * r])
             low = tuple(tuple(x % p for x in row) for row in rows)
             res = residues.get(low)
             if res is None:
                 res = residues[low] = _Residue(list(zip(*low)), n)
             res.bits |= 1 << len(family)
-            hot = any(x >= p ** m_bound for i in others for x in rows[i])
-            family.append(_Span(ValuedMatrix(cfg, rows),
-                                [list(col) for col in zip(*rows)], hot, res))
-        earlier.append(pivot_rows)
-    _MEMO.spans[key] = family
+            hot = any(x >= top for x in assignment)
+            family.append(_Span([list(col) for col in zip(*rows)], hot, res))
     return family
 
 
@@ -499,32 +475,39 @@ def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
 def _family(lattice: Lattice, r: int, m_bound: int,
             count_cap: int) -> _Family:
     """The images of the saturated rank-r coordinate spans under the
-    lattice's generator matrix, from the memo's per-lattice table.  Both
-    brute routes use this one kind of family, so they share entries: in
-    a trial the min's Lambda family at rank a = n - t is the max's U
-    family, since u = n - s - c = n - t.  The family also keeps the
-    Plücker vectors of the rank-r column selections of the scaled
-    generators, which bound every pair norm against it (``_scan``).
-    Rank 0 gives the one empty image and the empty minor."""
+    lattice's generator matrix (``_image_family``), once the count cap
+    allows the rank-r family; rank 0 gives the one empty image and the
+    empty minor."""
     if r == 0:
         empty = [_Image(None, 0, (1,), 0)]
         return _Family(empty, empty, 0, ((1,),))
-    cfg, n = lattice.config, lattice.n
-    spans = _saturated_coords(cfg, n, r, m_bound, count_cap)
+    cfg = lattice.config
+    _saturated_coords(cfg, lattice.n, r, m_bound, count_cap)  # cap check
+    return _image_family(cfg.p, _gen_values(lattice), r, m_bound)
 
-    def build():
-        cols, dv = _int_columns(lattice.gens)
-        recs = []
-        for i, span in enumerate(spans):
-            pl = _plucker(_int_image(cols, span.dom), n)
-            recs.append(_Image(span, i, pl, _min_pval(pl, cfg.p) - r * dv))
-        coord_pl = tuple(_plucker(sel, n) for sel in combinations(cols, r))
-        return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv,
-                       coord_pl)
 
-    key = (cfg.p, tuple(tuple(e.value for e in row)
-                        for row in lattice.gens.entries), r, m_bound)
-    return _MEMO.lattice_entry(key, build)
+# One oracle trial at n = 3 touches Lambda, N and M at ranks 1 to 3: nine
+# families per exponent bound, shared by the min and max routes, so 18
+# entries over the two bounds a trial usually needs and 36 over four; 64
+# entries hold one trial.
+@lru_cache(maxsize=64)
+def _image_family(p: int, values: tuple, r: int, m_bound: int) -> _Family:
+    """The images of the saturated rank-r coordinate spans under the
+    generator matrix with rows ``values``, keyed by p, those entries, r
+    and M.  Both brute routes use this one kind of family, so they share
+    entries: in a trial the min's Lambda family at rank a = n - t is the
+    max's U family, since u = n - s - c = n - t.  The family also keeps
+    the Plücker vectors of the rank-r column selections of the scaled
+    generators, which bound every pair norm against it (``_scan``)."""
+    n = len(values)
+    cols, dv = _int_columns(values, p)
+    recs = []
+    for i, span in enumerate(_coord_family(n, p, r, m_bound)):
+        pl = _plucker(_int_image(cols, span.dom), n)
+        recs.append(_Image(span, i, pl, _min_pval(pl, p) - r * dv))
+    coord_pl = tuple(_plucker(sel, n) for sel in combinations(cols, r))
+    return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv,
+                   coord_pl)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +634,7 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
-    cols, dv = _int_columns(a_lat.gens)
+    cols, dv = _int_columns(_gen_values(a_lat), p)
     size = _int_norm(cols, n, p) - n * dv
     u = n - a - c
     fam_u = _family(a_lat, u, m_bound, cap)
@@ -669,7 +652,8 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     if best == INFINITY:
         raise BudgetExceededError("no summand pair found within the budget")
     return BruteResult(int(size - best), tuple(
-        tuple(None if rec.span is None else Submodule(rec.span.mat)
+        tuple(None if rec.span is None
+              else Submodule(ValuedMatrix(a_lat.config, zip(*rec.span.dom)))
               for rec in pair)
         for pair in hits), warning)
 

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from hivekit import Hive, ValuedMatrix, lattice_invariants
-from hivekit.cli import InstanceSpec, main, random_pair
+from hivekit import EnumerationBudget, Hive, ValuedMatrix, lattice_invariants
+from hivekit.cli import InstanceSpec, build_parser, main, random_pair
 from hivekit.ring import RingConfig
 
 PAPER = {"n": 4, "rows": [[0], [21, 27], [34, 44, 48], [40, 54, 64, 67],
@@ -240,6 +240,13 @@ def test_oracle_bad_input_exits_1(capsys, flags):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_oracle_count_cap_default_is_the_budget_default():
+    # one default count cap, whether the oracle runs from the console or
+    # through an EnumerationBudget() in code
+    assert (build_parser().parse_args(["oracle"]).count_cap
+            == EnumerationBudget().count_cap)
 
 
 @pytest.mark.parametrize("ring", ["padic:2", "tadic"])
