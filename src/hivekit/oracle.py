@@ -3,8 +3,14 @@
 Exhaustive enumeration of saturated spans (p-adic rings only: residue
 enumeration needs a finite residue field), brute minima/maxima of
 direct-sum norms, exhaustive Littlewood-Richardson filling enumeration,
-and the stabilization protocol that re-runs an enumeration at a larger
-exponent bound until the value settles.
+and the stabilization protocol that takes a brute value at growing
+exponent bounds until it settles.  The protocol enumerates only where a
+proof does not settle a round: the min's value at every bound is the
+Cauchy-Binet floor of the two generator matrices, a closed form, and a
+max round at bound M + 1 is settled from the families of bound M when
+no lift of a bound-M pair can cost less than bound M's best
+(``stabilized_value``).  Every round still checks the count cap at its
+own bound, so a cap refuses the same calls with the same message.
 
 Both brute routes enumerate one kind of candidate: the images of the
 saturated coordinate spans of O^n under a lattice's generator matrix.
@@ -44,7 +50,9 @@ of its key: ``functools.cache`` on the lattice-independent table of
 coordinate spans (``_coord_family``), kept for the process, and
 ``functools.lru_cache`` on the image families (``_image_family``),
 bounded at one trial's entries; their hit and miss counts are in
-``cache_info()``.  The count cap is checked before either cache is read.
+``cache_info()``.  The count cap is checked before either cache is read,
+and by ``stabilized_value`` at each round's bound even when that round
+builds no family.
 """
 
 from __future__ import annotations
@@ -75,8 +83,10 @@ class EnumerationBudget:
     are enumerated modulo p^(M+1), and ``stabilized_value`` starts there.
     Enumeration refuses to start if the predicted candidate count, the
     C(n, r) p^((M+1) r (n - r)) identity-block matrices with entries below
-    p^(M+1), exceeds count_cap.  The default is also ``hivekit oracle``'s
-    ``--count-cap`` default.
+    p^(M+1), exceeds count_cap.  ``stabilized_value`` checks the cap at
+    each round's bound, including rounds that a Cauchy-Binet bound
+    settles without building a family.  The default is also
+    ``hivekit oracle``'s ``--count-cap`` default.
     """
 
     exponent_bound: int = 1
@@ -186,6 +196,8 @@ def _int_det(rows: list) -> int:
     if k == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if k == 0:
+        return 1  # the empty minor
     total = 0
     sign = 1
     for j in range(k):
@@ -314,6 +326,20 @@ def _coord_bound(rows: list, coord_pl: tuple, p: int):
                      p)
 
 
+def _selection_floor(blocks, n: int, p: int):
+    """min over column selections S_i (|S_i| = r_i) of the _int_norm of
+    [(X_1)_S_1 | (X_2)_S_2 | ...], for integer column blocks ``blocks`` =
+    ((X_1, r_1), (X_2, r_2), ...) in Z^n.  By Cauchy-Binet,
+    det [X_1 U_1 | X_2 U_2 | ...]_R = sum over the S_i of
+    prod det (U_i)_S_i * det [(X_1)_S_1 | ...]_R for integer U_i, so this
+    is a lower bound on the norm of every such product, reached at
+    U_i = e_S_i.  With one block of r columns it is the least r-minor
+    valuation of X, the sum of its r smallest invariants; 0 at r = 0."""
+    return min(_int_norm([col for sel in sels for col in sel], n, p)
+               for sels in product(*(combinations(cols, r)
+                                     for cols, r in blocks)))
+
+
 # ---------------------------------------------------------------------------
 # the cached tables: coordinate spans, lattice images
 
@@ -390,20 +416,24 @@ class _Family:
                      # |T| = rank, in combinations order: ((1,),) at rank 0
 
 
-def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
-                      count_cap: int) -> list:
-    """The rank-r coordinate family of O^n for the ring's p
-    (``_coord_family``), once the count cap allows it: the
-    C(n, r) p^((M+1) r (n - r)) identity-block matrices with entries below
-    p^(M+1) must not exceed count_cap.  The cap is checked before the
-    cache is read, so a warm entry cannot lift it."""
-    p = cfg.p
-    mod = p ** (m_bound + 1)
-    predicted = math.comb(n, r) * mod ** (r * (n - r))
+def _check_cap(p: int, n: int, r: int, m_bound: int, count_cap: int):
+    """Raise BudgetExceededError unless the rank-r family at bound M is
+    within the count cap: the C(n, r) p^((M+1) r (n - r)) identity-block
+    matrices with entries below p^(M+1) must not exceed count_cap."""
+    predicted = math.comb(n, r) * p ** ((m_bound + 1) * r * (n - r))
     if predicted > count_cap:
         raise BudgetExceededError(
             f"predicted {predicted} saturated candidates exceed cap {count_cap}")
-    return _coord_family(n, p, r, m_bound)
+
+
+def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
+                      count_cap: int) -> list:
+    """The rank-r coordinate family of O^n for the ring's p
+    (``_coord_family``), once the count cap allows it (``_check_cap``).
+    The cap is checked before the cache is read, so a warm entry cannot
+    lift it."""
+    _check_cap(cfg.p, n, r, m_bound, count_cap)
+    return _coord_family(n, cfg.p, r, m_bound)
 
 
 @cache
@@ -486,9 +516,9 @@ def _family(lattice: Lattice, r: int, m_bound: int,
     return _image_family(cfg.p, _gen_values(lattice), r, m_bound)
 
 
-# One oracle trial at n = 3 touches Lambda, N and M at ranks 1 to 3: nine
-# families per exponent bound, shared by the min and max routes, so 18
-# entries over the two bounds a trial usually needs and 36 over four; 64
+# One oracle trial at n = 3 builds only max-route families (the min's
+# value is a closed form), Lambda and M at ranks 1 to 3: six per exponent
+# bound, nearly always at the first bound alone, and 24 over four; 64
 # entries hold one trial.
 @lru_cache(maxsize=64)
 def _image_family(p: int, values: tuple, r: int, m_bound: int) -> _Family:
@@ -658,23 +688,119 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
         for pair in hits), warning)
 
 
+def _lift_settles(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
+                  m_bound: int, count_cap: int, value: int) -> bool:
+    """True when no pair of the max route's families at bound M + 1 costs
+    less than b = |inv A| - ``value``, the least cost of its scan at
+    bound M (see ``stabilized_value``), read from the bound-M families
+    alone.
+
+    Every span of the (M+1)-family reduces mod p^(M+1) to its parent in
+    the M-family: the same identity block, the same Schubert cell, so
+    the same residue class and summand mask.  A child pair [V | U] is
+    its parent [V' | U'] plus p^(M+1) times an integer matrix, so by
+    Cauchy-Binet each (c+u)-minor of d A [V | U] is its parent's plus a
+    multiple of p^(M+1+alpha_A), alpha_A the least integer norm over the
+    (c+u)-column selections of d A; likewise each c-minor of d C V, with
+    alpha_C, and each minor det [d A V | (d A)_T]_R, with alpha_A.  In
+    the scan's units (off = (c+u) v(d_A) taken off the pair norms,
+    c v(d_C) off the weights), let K_A = M+1+alpha_A - off and
+    K_C = M+1+alpha_C - c v(d_C).
+
+    * A parent V' of weight w(V') < K_C passes: its children keep that
+      weight, so a child pair costs at least
+      min(cost(V', U'), K_A - w(V')) >= min(b, K_A - w(V')).  And
+      K_A - w(V') >= b: the coordinate pair (e_S1, e_S2) on a selection
+      S = S1 + S2 that reaches alpha_A costs alpha_A - off - w(e_S1),
+      and w(e_S1) >= K_C - M - 1 > w(V') - M - 1.
+    * Any other V' passes when min(``_coord_bound`` of V' - off, K_A) -
+      Omega_C >= b: each minor det [d A V | (d A)_T]_R bounds a child
+      pair's norm as in ``_scan``, and a child's weight is at most
+      Omega_C, the sum of the c largest invariants of C (a saturated V
+      has a unit c-minor).
+
+    alpha, Omega and b come from the oracle's integer minors only."""
+    n, p = a_lat.n, a_lat.config.p
+    u = n - a - c
+    cols_a, dva = _int_columns(_gen_values(a_lat), p)
+    cols_c, dvc = _int_columns(_gen_values(c_lat), p)
+    best = _int_norm(cols_a, n, p) - n * dva - value
+    fam_u = _family(a_lat, u, m_bound, count_cap)
+    fam_v = _family(a_lat, c, m_bound, count_cap)
+    fam_cv = _family(c_lat, c, m_bound, count_cap)
+    offset = fam_v.offset + fam_u.offset
+    lift_a = m_bound + 1 + _selection_floor([(cols_a, c + u)], n, p) - offset
+    lift_c = (m_bound + 1 + _selection_floor([(cols_c, c)], n, p)
+              - fam_cv.offset)
+    omega_c = (_int_norm(cols_c, n, p) - fam_cv.offset
+               - _selection_floor([(cols_c, n - c)], n, p))
+    return all(
+        min(_coord_bound(rec_v.expansion(n, c, u), fam_u.coord_pl, p)
+            - offset, lift_a) - omega_c >= best
+        for rec_v, rec_cv in zip(fam_v.by_span, fam_cv.by_span)
+        if rec_cv.norm >= lift_c)
+
+
 def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
                      budget: EnumerationBudget = EnumerationBudget()
                      ) -> BruteResult:
-    """Re-run a brute enumeration at growing exponent bounds, from
-    ``budget.exponent_bound`` on for at most four rounds, until the value
+    """The brute value at growing exponent bounds, from
+    ``budget.exponent_bound`` = M_0 on for at most four rounds, once it
     repeats without a boundary warning (the adopted evidence standard: no
-    a-priori bound on minimizers is available)."""
-    fn = {"min": brute_min_direct_sum, "max": brute_max_direct_sum}[kind]
-    prev = None
-    start = budget.exponent_bound
-    for m_bound in range(start, start + 4):
-        result = fn(a_lat, c_lat, a, c,
-                    replace(budget, exponent_bound=m_bound), collect=False)
-        if result.value == prev and not result.boundary_warning:
+    a-priori bound on minimizers is available).  Each round M checks the
+    count cap at M for both ranks of its families, in the brute route's
+    order, even when no family is built; a cap that refuses M raises as
+    the brute route would.  Minimizers are not collected.
+
+    The families grow with M (an identity-block form with entries below
+    p^(M+1) is one below p^(M+2)), so a brute minimum (the min's value,
+    the max's least cost) can only fall as M grows; a calm minimizer at
+    M + 1 (entries below p^(M+1)) lies in the M-family, so at rounds
+    after the first, no warning already means the value repeated.
+
+    Min: at every M the brute minimum equals the Cauchy-Binet floor
+    ``_selection_floor`` of the scaled generators (d_A A, a columns;
+    d_C C, c columns), less a v(d_A) + c v(d_C), with no warning.  Every
+    X = d_A A U and Y = d_C C U' make det [X | Y]_R = sum over S, T of
+    det U_S det U'_T det [(d_A A)_S | (d_C C)_T]_R, so no pair is below
+    the floor; the pair (e_S, e_T) of coordinate spans is an identity-
+    block form in every family, never touches the bound, and reaches it.
+    So the value is the floor, returned after the caps of rounds M_0 and
+    M_0 + 1.
+
+    Max: round M_0 enumerates.  Each later round M + 1 first asks
+    ``_lift_settles`` whether round M's least cost b is a lower bound on
+    every (M+1)-pair.  If so, a minimizer at M (calm at M + 1, whose top
+    digit is zero) keeps cost b at M + 1, so that round would return
+    |inv A| - b without a warning; it does so without building its
+    families.  Otherwise the round enumerates."""
+    ranks = {"min": (a, c), "max": (a_lat.n - a - c, c)}[kind]
+    a_lat.check_ranks(c_lat, a, c)
+    n, p = a_lat.n, a_lat.config.p
+    start, cap = budget.exponent_bound, budget.count_cap
+
+    def check_caps(m_bound):
+        for r in ranks:
+            _check_cap(p, n, r, m_bound, cap)
+
+    if kind == "min":
+        check_caps(start)
+        check_caps(start + 1)
+        cols_a, dva = _int_columns(_gen_values(a_lat), p)
+        cols_c, dvc = _int_columns(_gen_values(c_lat), p)
+        floor = _selection_floor([(cols_a, a), (cols_c, c)], n, p)
+        return BruteResult(floor - a * dva - c * dvc, (), False)
+    result = brute_max_direct_sum(a_lat, c_lat, a, c, budget, collect=False)
+    for m_bound in range(start + 1, start + 4):
+        check_caps(m_bound)
+        if _lift_settles(a_lat, c_lat, a, c, m_bound - 1, cap, result.value):
+            return BruteResult(result.value, (), False)
+        result = brute_max_direct_sum(a_lat, c_lat, a, c,
+                                      replace(budget, exponent_bound=m_bound),
+                                      collect=False)
+        if not result.boundary_warning:  # so the value repeated
             return result
-        prev = result.value
-    raise BudgetExceededError(f"{kind} value did not stabilize after 4 rounds")
+    raise BudgetExceededError("max value did not stabilize after 4 rounds")
 
 
 # ---------------------------------------------------------------------------

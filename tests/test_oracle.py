@@ -1,16 +1,19 @@
 import ast
 import hashlib
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hivekit import (BudgetExceededError, EnumerationBudget, RingConfig,
-                     Submodule, brute_max_direct_sum, brute_min_direct_sum,
-                     enumerate_lr_fillings, lattice_invariants,
-                     matrix_norm, max_direct_sum_norm, min_direct_sum_norm,
-                     pair_invariant, span_fingerprint, stabilized_value)
+from hivekit import (BudgetExceededError, EnumerationBudget, Lattice,
+                     RingConfig, Submodule, brute_max_direct_sum,
+                     brute_min_direct_sum, enumerate_lr_fillings,
+                     lattice_invariants, matrix_norm, max_direct_sum_norm,
+                     min_direct_sum_norm, pair_invariant, span_fingerprint,
+                     stabilized_value)
 from hivekit import oracle
 from hivekit.cli import InstanceSpec, main, random_pair
 from hivekit.oracle import (_coord_bound, _family, _int_det, _int_norm,
@@ -60,10 +63,11 @@ def test_brute_max_examples(p2):
     assert brute_max_direct_sum(a, c, 2, 0, budget(m=1)).value == 2  # = |lam|
 
 
-def _oracle_pair(p, n, seed):
+def _oracle_pair(p, n, seed, max_exp=2, mix_steps=4):
     """The oracle's lattices (Lambda, N, M) for a pair seed."""
-    spec = InstanceSpec(n=n, ring=RingConfig.padic(p), exponent_range=(0, 2),
-                        seed=seed, unimodular_mix_steps=4)
+    spec = InstanceSpec(n=n, ring=RingConfig.padic(p),
+                        exponent_range=(0, max_exp), seed=seed,
+                        unimodular_mix_steps=mix_steps)
     n_lat, lam_lat = random_pair(spec)
     m_lat, _ = pair_invariant(n_lat, lam_lat)
     return lam_lat, n_lat, m_lat
@@ -171,19 +175,21 @@ def test_brute_routes_independent_of_optimizer_kernels(monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is kernel:
                         monkeypatch.setattr(module, attr, refuse)
-    stabilized = {}
+    # every pinned (kind, a, c), rank-0 sides included, through
+    # stabilized_value first, on the coldest caches: its value is the one
+    # pinned at the largest bound (for the min, the floor at every bound)
+    stabilized = {row[:6]: row[7] for row in PINNED_BRUTE}
+    for (p, n, seed, kind, a, c), value in stabilized.items():
+        lam_lat, n_lat, m_lat = pairs[p, n, seed]
+        other = n_lat if kind == "min" else m_lat
+        res = stabilized_value(kind, lam_lat, other, a, c)
+        assert (res.value, res.boundary_warning) == (value, False)
     for p, n, seed, kind, a, c, m, value, warning in PINNED_BRUTE:
         lam_lat, n_lat, m_lat = pairs[p, n, seed]
         fn, other = ((brute_min_direct_sum, n_lat) if kind == "min"
                      else (brute_max_direct_sum, m_lat))
         res = fn(lam_lat, other, a, c, budget(m=m), collect=False)
         assert (res.value, res.boundary_warning) == (value, warning)
-        if m == 2:  # pinned at bounds 1 and 2: a stabilization record
-            stabilized[p, n, seed, kind, a, c] = value
-    for (p, n, seed, kind, a, c), value in stabilized.items():
-        lam_lat, n_lat, m_lat = pairs[p, n, seed]
-        other = n_lat if kind == "min" else m_lat
-        assert stabilized_value(kind, lam_lat, other, a, c).value == value
 
 
 def test_oracle_imports_only_data_types_from_the_optimizer():
@@ -327,6 +333,95 @@ def test_coordinate_bound_below_every_pair(p, n):
                         norms = [_pair_norm(rows, y.pl, p, 0)
                                  for y in inner.by_span]
                         assert min(norms) == lb, (m, a, c, x.index)
+
+
+# pair seeds of PINNED_BRUTE and a few more, (p, n, seed)
+FLOOR_PAIRS = [(2, 3, 9233), (2, 3, 9231), (2, 3, 9234), (2, 3, 9235),
+               (3, 2, 9324), (3, 2, 9325), (3, 2, 9326), (3, 3, 9332),
+               (3, 3, 9333)]
+
+
+def _scaled_pairs(a_lat, c_lat, p):
+    """(A, C) and (A / p, C / p^2): the second pair has generators with
+    denominators, so the scans' offsets (rank * v(d)) are not zero."""
+    return [(a_lat, c_lat),
+            (Lattice(a_lat.gens.scale(Fraction(1, p))),
+             Lattice(c_lat.gens.scale(Fraction(1, p * p))))]
+
+
+@pytest.mark.parametrize("p,n,seed", FLOOR_PAIRS)
+def test_min_floor_equals_enumeration(p, n, seed):
+    # stabilized_value("min") returns the Cauchy-Binet floor without
+    # enumerating: at every bound the brute minimum must be that value,
+    # with no boundary warning, since the coordinate pair (e_S, e_T) that
+    # reaches the floor is in every family and never touches the bound
+    lam_lat, n_lat, _ = _oracle_pair(p, n, seed)
+    for a_lat, c_lat in _scaled_pairs(lam_lat, n_lat, p):
+        for m in (0, 1, 2):
+            for a in range(n + 1):
+                for c in range(n - a + 1):
+                    if a + c == 0:
+                        continue
+                    brute = brute_min_direct_sum(a_lat, c_lat, a, c,
+                                                 budget(m=m), collect=False)
+                    floor = stabilized_value("min", a_lat, c_lat, a, c,
+                                             budget(m=m))
+                    assert (floor.value, floor.boundary_warning) == \
+                        (brute.value, brute.boundary_warning) == \
+                        (brute.value, False), (m, a, c)
+
+
+# (p, n, pair seed, max_exp, mix steps): max calls on which the lift bound
+# settles and, on the seeds 600 to 611 pairs, also refuses
+LIFT_PAIRS = [(2, 3, 9233, 2, 4), (2, 3, 9231, 2, 4), (3, 2, 9324, 2, 4),
+              (3, 3, 9332, 2, 4)] + [(2, 3, seed, 3, 6)
+                                     for seed in range(600, 612)]
+
+
+def test_lift_bound_implies_the_next_round():
+    # wherever _lift_settles accepts round M's value, the enumeration at
+    # M + 1 must give that value with no boundary warning; the counts pin
+    # the bound's strength, so a looser bound fails too
+    settled = refused = 0
+    for p, n, seed, max_exp, mix in LIFT_PAIRS:
+        lam_lat, _, m_lat = _oracle_pair(p, n, seed, max_exp, mix)
+        for a_lat, c_lat in _scaled_pairs(lam_lat, m_lat, p):
+            for m in (0, 1):
+                for a in range(n + 1):
+                    for c in range(n - a + 1):
+                        res = brute_max_direct_sum(a_lat, c_lat, a, c,
+                                                   budget(m=m), collect=False)
+                        if not oracle._lift_settles(a_lat, c_lat, a, c, m,
+                                                    500_000, res.value):
+                            refused += 1
+                            continue
+                        settled += 1
+                        nxt = brute_max_direct_sum(a_lat, c_lat, a, c,
+                                                   budget(m=m + 1),
+                                                   collect=False)
+                        assert (nxt.value, nxt.boundary_warning) == \
+                            (res.value, False), (p, n, seed, m, a, c)
+    assert (settled, refused) == (484, 140)
+
+
+# (p, n, pair seed, a, c, value at M = 1, value at M = 2): exponents 0..3
+# and 6 mix steps, brute_max_direct_sum(Lambda, M, a, c), whose value
+# grows from bound 1 to bound 2
+LIFT_REFUSALS = [(2, 3, 607, 0, 1, 2, 3), (2, 3, 602, 0, 2, 4, 5),
+                 (3, 2, 2025, 1, 1, 5, 6)]
+
+
+@pytest.mark.parametrize("p,n,seed,a,c,low,high", LIFT_REFUSALS)
+def test_lift_bound_refuses_a_growing_value(p, n, seed, a, c, low, high):
+    lam_lat, _, m_lat = _oracle_pair(p, n, seed, 3, 6)
+    first = brute_max_direct_sum(lam_lat, m_lat, a, c, budget(m=1),
+                                 collect=False)
+    assert first.value == low
+    assert brute_max_direct_sum(lam_lat, m_lat, a, c, budget(m=2),
+                                collect=False).value == high
+    assert not oracle._lift_settles(lam_lat, m_lat, a, c, 1, 500_000, low)
+    res = stabilized_value("max", lam_lat, m_lat, a, c)
+    assert (res.value, res.boundary_warning) == (high, False)
 
 
 @pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2), (3, 3, 1)])
@@ -486,6 +581,61 @@ def test_boundary_warning_is_reported(p2):
     assert isinstance(res.boundary_warning, bool)
     stab = stabilized_value("min", a, c, 1, 1)
     assert stab.value == 1 and not stab.boundary_warning
+
+
+def _four_rounds(kind, a_lat, c_lat, a, c, budget):
+    """The stabilization protocol enumerated in full: the brute route at
+    bounds M_0, M_0 + 1, ... for at most four rounds, until the value
+    repeats without a boundary warning."""
+    fn = {"min": brute_min_direct_sum, "max": brute_max_direct_sum}[kind]
+    prev = None
+    start = budget.exponent_bound
+    for m_bound in range(start, start + 4):
+        result = fn(a_lat, c_lat, a, c,
+                    replace(budget, exponent_bound=m_bound), collect=False)
+        if result.value == prev and not result.boundary_warning:
+            return result
+        prev = result.value
+    raise BudgetExceededError(f"{kind} value did not stabilize after 4 rounds")
+
+
+def _outcome(fn, *args):
+    try:
+        res = fn(*args)
+    except Exception as exc:  # the type and message must agree too
+        return type(exc), str(exc)
+    return res.value, res.boundary_warning, res.minimizers
+
+
+# (p, n, pair seed, max_exp, mix steps, budgets as (M_0, count cap)): the
+# caps fail at round M_0 (the smaller cap) or at round M_0 + 1; at n = 4
+# the ranks' counts differ, so the order of the cap checks shows
+PROTOCOL_TRIALS = [
+    (2, 3, 9233, 2, 4, [(1, 500_000), (0, 500_000), (1, 40), (1, 100)]),
+    (2, 3, 607, 3, 6, [(1, 500_000), (1, 100)]),
+    (2, 3, 602, 3, 6, [(1, 500_000), (2, 500_000)]),
+    (3, 2, 9324, 2, 4, [(1, 500_000), (0, 500_000), (1, 10), (1, 30)]),
+    (3, 3, 9332, 2, 4, [(0, 500_000), (1, 200), (1, 1000)]),
+    (2, 4, 9240, 2, 4, [(0, 200), (0, 20)]),
+]
+
+
+@pytest.mark.parametrize("p,n,seed,max_exp,mix,budgets", PROTOCOL_TRIALS)
+def test_stabilized_value_matches_four_rounds(p, n, seed, max_exp, mix,
+                                              budgets):
+    # the shortcuts change no value, flag, exception type or message: every
+    # (kind, a, c) of the pair, rank-0 sides and out-of-range ranks
+    # included, against the protocol that enumerates every round
+    lam_lat, n_lat, m_lat = _oracle_pair(p, n, seed, max_exp, mix)
+    calls = [(kind, a, c) for kind in ("min", "max")
+             for a in range(n + 1) for c in range(n - a + 1)]
+    calls += [("min", n, 1), ("max", -1, 1), ("mean", 1, 1)]
+    for m, cap in budgets:
+        for kind, a, c in calls:
+            other = n_lat if kind == "min" else m_lat
+            args = (kind, lam_lat, other, a, c, budget(m=m, cap=cap))
+            assert _outcome(stabilized_value, *args) == \
+                _outcome(_four_rounds, *args), (m, cap, kind, a, c)
 
 
 # ---------------------------------------------------------------------------
