@@ -246,11 +246,12 @@ def cmd_random(args) -> int:
 
 def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
     """One oracle trial: both hives, brute-force certification of every
-    primary entry, type claims, LR membership, greedy diagnostics.
+    primary entry, type claims and LR membership.
 
     ``build_hive`` shows only that a max-route witness attains each entry
     h(s,t), a lower bound on the max.  Here the brute-force stabilized
     values certify equality: min = |lambda| - h(s,t) and max = h(s,t).
+    No greedy heuristic or Smith transform is read.
     """
     n = lam_lat.n
     m_lat, mu = pair_invariant(n_lat, lam_lat)
@@ -258,8 +259,7 @@ def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
     lam = lattice_invariants(lam_lat)
     size = sum(lam)
     trial = {"nu": list(nu), "lambda": list(lam), "mu": list(mu),
-             "entries": [], "greedy_diagnostics": [],
-             "boundary_warnings": 0}
+             "entries": []}
     status = "certified"
     try:
         hives = {}
@@ -290,17 +290,8 @@ def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
                     entry["brute_max"] = bmax.value
                     entry["min_ok"] = bmin.value == opt_min
                     entry["max_ok"] = bmax.value == opt_max
-                    trial["boundary_warnings"] += int(bmin.boundary_warning)
-                    trial["boundary_warnings"] += int(bmax.boundary_warning)
                     if not (entry["min_ok"] and entry["max_ok"]):
                         status = "failed"
-                    for first in ("C", "A"):
-                        greedy = greedy_slice_first_min(lam_lat, n_lat, a, c,
-                                                        first=first)
-                        if greedy != opt_min:
-                            trial["greedy_diagnostics"].append(
-                                {"s": s, "t": t, "first": first,
-                                 "greedy": greedy, "exact": opt_min})
                 trial["entries"].append(entry)
         filling = hive_to_lr_filling(primary)
         verdict = validate_lr(filling)

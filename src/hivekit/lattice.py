@@ -45,7 +45,8 @@ Containment and equality are norm comparisons, not solves: for O-modules
 S within T of equal K-rank, |inv S| - |inv T| = length(T / S), so A = B
 exactly when A + B has the rank and the norm of each (one elimination of
 [A | B] in ``Submodule.same_span``, which is ``Lattice.__eq__``).  The
-Smith transforms are read only by ``adapted_slice``, once per lattice.
+Smith transforms are read only by ``adapted_slice``, which makes them
+afresh on each call; its one caller is the greedy diagnostic.
 """
 
 from __future__ import annotations
@@ -129,16 +130,15 @@ class Submodule:
 
 
 class Lattice(Submodule):
-    """Full-rank O-module in K^n: the square case of a Submodule.
-    ``_basis`` keeps P @ D once ``adapted_slice`` has made it."""
+    """Full-rank O-module in K^n: the square case of a Submodule, with no
+    state beyond n, rank and gens."""
 
-    __slots__ = ("_basis",)
+    __slots__ = ()
 
     def __init__(self, gens: ValuedMatrix):
         if gens.rows != gens.cols:
             raise ValueError("lattice generators must be square")
         super().__init__(gens)
-        object.__setattr__(self, "_basis", None)
 
     def __eq__(self, other):
         return (self.same_span(other) if isinstance(other, Lattice)
@@ -174,15 +174,13 @@ def adapted_slice(lattice: Lattice, i: int, j: int) -> Submodule:
     """Submodule spanned by invariant-adapted basis vectors i..j (1-based).
 
     The adapted basis is P @ D of the Smith decomposition: its column k
-    is t^(alpha_k) u_k, alpha non-increasing.  It is made once per
-    lattice and kept in the lattice's ``_basis``.
+    is t^(alpha_k) u_k, alpha non-increasing, from a Smith decomposition
+    made on each call.
     """
     if not (1 <= i <= j <= lattice.n):
         raise ValueError(f"slice ({i},{j}) out of range for n={lattice.n}")
-    if lattice._basis is None:
-        dec = smith_decompose(lattice.gens)
-        object.__setattr__(lattice, "_basis", dec.p @ dec.d)
-    return Submodule(lattice._basis.select_columns(range(i - 1, j)))
+    dec = smith_decompose(lattice.gens)
+    return Submodule((dec.p @ dec.d).select_columns(range(i - 1, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,8 @@ def greedy_slice_first_min(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     ``first="C"`` takes the minimal adapted slice of C and adds the a
     smallest free quotient invariants of A; ``first="A"`` mirrors.  Not
     exact (the C-first value overestimates on the regression instance);
-    logged by the oracle command for comparison against the true minimum.
+    the oracle command logs it only on that fixed instance, beside the
+    true minimum, and certifies no hive entry with it.
     """
     a_lat.check_ranks(c_lat, a, c)
     if first == "A":

@@ -19,7 +19,8 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   taken only in S's columns;
 * ``smith_decompose`` builds D together with the transforms P and Q in
   one loop, for the callers that need them: ``lattice.adapted_slice``
-  reads P @ D once per lattice, and ``cli.cmd_smith`` prints all three.
+  reads P @ D on each call (for the oracle's regression instance), and
+  ``cli.cmd_smith`` prints all three.
 
 Elimination on ``RingElement`` entries is left only where a transform or
 an inverse is itself the result: ``smith_decompose`` and
@@ -203,8 +204,8 @@ class SmithDecomposition:
 
     Diagonal entries are pure uniformizer powers with non-increasing
     valuations; rank deficiency shows up as trailing zeros.  Built only by
-    ``smith_decompose``, for ``lattice.adapted_slice`` (which keeps P @ D
-    on its lattice) and ``cli.cmd_smith``.
+    ``smith_decompose``, for ``lattice.adapted_slice`` (which reads P @ D
+    on each call) and ``cli.cmd_smith``.
     """
 
     p: ValuedMatrix

@@ -423,7 +423,8 @@ def _check_cap(p: int, n: int, r: int, m_bound: int, count_cap: int):
     predicted = math.comb(n, r) * p ** ((m_bound + 1) * r * (n - r))
     if predicted > count_cap:
         raise BudgetExceededError(
-            f"predicted {predicted} saturated candidates exceed cap {count_cap}")
+            f"predicted {predicted} identity-block matrices (rank {r} in "
+            f"O^{n}, entries below {p}^{m_bound + 1}) exceed cap {count_cap}")
 
 
 def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
@@ -750,7 +751,9 @@ def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     a-priori bound on minimizers is available).  Each round M checks the
     count cap at M for both ranks of its families, in the brute route's
     order, even when no family is built; a cap that refuses M raises as
-    the brute route would.  Minimizers are not collected.
+    the brute route would.  The result never carries a boundary warning
+    or minimizers: a value that cannot be returned without a warning
+    raises instead.
 
     The families grow with M (an identity-block form with entries below
     p^(M+1) is one below p^(M+2)), so a brute minimum (the min's value,

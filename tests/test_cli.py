@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
-from hivekit import EnumerationBudget, Hive, ValuedMatrix, lattice_invariants
+import hivekit.lattice
+from hivekit import (EnumerationBudget, Hive, ValuedMatrix, cli,
+                     lattice_invariants)
 from hivekit.cli import InstanceSpec, build_parser, main, random_pair
 from hivekit.ring import RingConfig
 
@@ -247,6 +250,32 @@ def test_oracle_count_cap_default_is_the_budget_default():
     # through an EnumerationBudget() in code
     assert (build_parser().parse_args(["oracle"]).count_cap
             == EnumerationBudget().count_cap)
+
+
+def test_certify_trial_reads_no_greedy_or_smith_route(monkeypatch):
+    # with the greedy diagnostic and the Smith route it reads raising, in
+    # every hivekit module that holds them, a trial still certifies: its
+    # status rests on the brute values, the hive types and the LR checks
+    homes = [(hivekit.lattice, name) for name in
+             ("greedy_slice_first_min", "adapted_slice", "smith_decompose")]
+    for home, name in homes:
+        kernel = getattr(home, name)
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"the trial called {_name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "hivekit":
+                for attr, value in list(vars(module).items()):
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, refuse)
+    # seed 0 of the oracle-p2 shape, where the greedy misses some entries
+    spec = InstanceSpec(n=3, ring=RingConfig.padic(2), exponent_range=(0, 2),
+                        seed=0, unimodular_mix_steps=4)
+    trial = cli._certify_trial(*random_pair(spec), EnumerationBudget())
+    assert trial["status"] == "certified"
+    assert list(trial) == ["nu", "lambda", "mu", "entries", "hives",
+                           "lr_valid", "lr_count", "lr_member", "status"]
 
 
 @pytest.mark.parametrize("ring", ["padic:2", "tadic"])
