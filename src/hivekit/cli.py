@@ -344,8 +344,8 @@ def cmd_oracle(args) -> int:
         key = "|".join(",".join(str(v) for v in trial[name])
                        for name in ("mu", "nu", "lambda"))
         tally[key] = tally.get(key, 0) + 1
-    payload = {"seed": args.seed, "trials": trials,
-               "types_seen": dict(sorted(tally.items())),
+    payload = {"ring": ring.to_json(), "seed": args.seed,
+               "trials": trials, "types_seen": dict(sorted(tally.items())),
                "regression": _regression_diagnostic(ring),
                "all_certified": all_ok}
     _emit(json.dumps(payload, indent=2), args.out)

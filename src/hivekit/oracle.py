@@ -9,8 +9,8 @@ proof does not settle a round: the min's value at every bound is the
 Cauchy-Binet floor of the two generator matrices, a closed form, and a
 max round at bound M + 1 is settled from the families of bound M when
 no lift of a bound-M pair can cost less than bound M's best
-(``stabilized_value``).  Every round still checks the count cap at its
-own bound, so a cap refuses the same calls with the same message.
+(``stabilized_value``).  Only a family about to be built meets the
+count cap, so neither proof can refuse a call.
 
 Both brute routes enumerate one kind of candidate: the images of the
 saturated coordinate spans of O^n under a lattice's generator matrix.
@@ -50,9 +50,8 @@ of its key: ``functools.cache`` on the lattice-independent table of
 coordinate spans (``_coord_family``), kept for the process, and
 ``functools.lru_cache`` on the image families (``_image_family``),
 bounded at one trial's entries; their hit and miss counts are in
-``cache_info()``.  The count cap is checked before either cache is read,
-and by ``stabilized_value`` at each round's bound even when that round
-builds no family.
+``cache_info()``.  The count cap is checked in one place, ``_family``,
+on the family it is about to return and before either cache is read.
 """
 
 from __future__ import annotations
@@ -81,12 +80,11 @@ class EnumerationBudget:
 
     exponent_bound is M, the largest invariant order explored: coordinates
     are enumerated modulo p^(M+1), and ``stabilized_value`` starts there.
-    Enumeration refuses to start if the predicted candidate count, the
-    C(n, r) p^((M+1) r (n - r)) identity-block matrices with entries below
-    p^(M+1), exceeds count_cap.  ``stabilized_value`` checks the cap at
-    each round's bound, including rounds that a Cauchy-Binet bound
-    settles without building a family.  The default is also
-    ``hivekit oracle``'s ``--count-cap`` default.
+    A family refuses to be built if its span count, [n choose r]_p
+    p^(M r (n - r)) for rank r in O^n, exceeds count_cap (``_family``).
+    ``stabilized_value`` builds no family for the min and none for a max
+    round that a Cauchy-Binet bound settles, so those never refuse.  The
+    default is also ``hivekit oracle``'s ``--count-cap`` default.
     """
 
     exponent_bound: int = 1
@@ -416,27 +414,6 @@ class _Family:
                      # |T| = rank, in combinations order: ((1,),) at rank 0
 
 
-def _check_cap(p: int, n: int, r: int, m_bound: int, count_cap: int):
-    """Raise BudgetExceededError unless the rank-r family at bound M is
-    within the count cap: the C(n, r) p^((M+1) r (n - r)) identity-block
-    matrices with entries below p^(M+1) must not exceed count_cap."""
-    predicted = math.comb(n, r) * p ** ((m_bound + 1) * r * (n - r))
-    if predicted > count_cap:
-        raise BudgetExceededError(
-            f"predicted {predicted} identity-block matrices (rank {r} in "
-            f"O^{n}, entries below {p}^{m_bound + 1}) exceed cap {count_cap}")
-
-
-def _saturated_coords(cfg: RingConfig, n: int, r: int, m_bound: int,
-                      count_cap: int) -> list:
-    """The rank-r coordinate family of O^n for the ring's p
-    (``_coord_family``), once the count cap allows it (``_check_cap``).
-    The cap is checked before the cache is read, so a warm entry cannot
-    lift it."""
-    _check_cap(cfg.p, n, r, m_bound, count_cap)
-    return _coord_family(n, cfg.p, r, m_bound)
-
-
 @cache
 def _coord_family(n: int, p: int, r: int, m_bound: int) -> list:
     """Saturated rank-r spans of O^n, one per point of the residue
@@ -460,7 +437,7 @@ def _coord_family(n: int, p: int, r: int, m_bound: int) -> list:
     the same form for its point of Gr_r(F_p^n), which keys the span's
     residue class.  The coordinates are integers, so their columns need
     no clearing.  Lattice-independent, so kept for the process; callers
-    go through ``_saturated_coords``, which checks the count cap.
+    go through ``_family``, which checks the count cap.
     """
     mod, top = p ** (m_bound + 1), p ** m_bound
     family = []
@@ -506,15 +483,26 @@ def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
 def _family(lattice: Lattice, r: int, m_bound: int,
             count_cap: int) -> _Family:
     """The images of the saturated rank-r coordinate spans under the
-    lattice's generator matrix (``_image_family``), once the count cap
-    allows the rank-r family; rank 0 gives the one empty image and the
-    empty minor."""
+    lattice's generator matrix (``_image_family``); rank 0 gives the one
+    empty image and the empty minor.
+
+    The one place the count cap is checked: the family about to be
+    returned holds [n choose r]_p p^(M r (n - r)) spans, the length of
+    ``_coord_family(n, p, r, M)``, and a count above count_cap raises
+    BudgetExceededError before either cache is read, so a warm entry
+    cannot lift the cap."""
     if r == 0:
         empty = [_Image(None, 0, (1,), 0)]
         return _Family(empty, empty, 0, ((1,),))
-    cfg = lattice.config
-    _saturated_coords(cfg, lattice.n, r, m_bound, count_cap)  # cap check
-    return _image_family(cfg.p, _gen_values(lattice), r, m_bound)
+    n, p = lattice.n, lattice.config.p
+    predicted = (p ** (m_bound * r * (n - r))
+                 * math.prod(p ** (n - i) - 1 for i in range(r))
+                 // math.prod(p ** (i + 1) - 1 for i in range(r)))
+    if predicted > count_cap:
+        raise BudgetExceededError(
+            f"predicted {predicted} spans (rank {r} in O^{n}, entries below "
+            f"{p}^{m_bound + 1}) exceed cap {count_cap}")
+    return _image_family(p, _gen_values(lattice), r, m_bound)
 
 
 # One oracle trial at n = 3 builds only max-route families (the min's
@@ -748,12 +736,13 @@ def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     """The brute value at growing exponent bounds, from
     ``budget.exponent_bound`` = M_0 on for at most four rounds, once it
     repeats without a boundary warning (the adopted evidence standard: no
-    a-priori bound on minimizers is available).  Each round M checks the
-    count cap at M for both ranks of its families, in the brute route's
-    order, even when no family is built; a cap that refuses M raises as
-    the brute route would.  The result never carries a boundary warning
-    or minimizers: a value that cannot be returned without a warning
-    raises instead.
+    a-priori bound on minimizers is available).  Only the families a
+    round builds meet the count cap (``_family``): the min builds none and
+    never refuses, and a max round that ``_lift_settles`` settles builds
+    none either.  The four-round limit bounds time, since a pair scan
+    grows with the square of the family size.  The result never carries
+    a boundary warning or minimizers: a value that cannot be returned
+    without a warning raises instead.
 
     The families grow with M (an identity-block form with entries below
     p^(M+1) is one below p^(M+2)), so a brute minimum (the min's value,
@@ -768,8 +757,7 @@ def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     det U_S det U'_T det [(d_A A)_S | (d_C C)_T]_R, so no pair is below
     the floor; the pair (e_S, e_T) of coordinate spans is an identity-
     block form in every family, never touches the bound, and reaches it.
-    So the value is the floor, returned after the caps of rounds M_0 and
-    M_0 + 1.
+    So the value is the floor.
 
     Max: round M_0 enumerates.  Each later round M + 1 first asks
     ``_lift_settles`` whether round M's least cost b is a lower bound on
@@ -777,25 +765,18 @@ def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     digit is zero) keeps cost b at M + 1, so that round would return
     |inv A| - b without a warning; it does so without building its
     families.  Otherwise the round enumerates."""
-    ranks = {"min": (a, c), "max": (a_lat.n - a - c, c)}[kind]
+    if kind not in ("min", "max"):
+        raise KeyError(kind)
     a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     start, cap = budget.exponent_bound, budget.count_cap
-
-    def check_caps(m_bound):
-        for r in ranks:
-            _check_cap(p, n, r, m_bound, cap)
-
     if kind == "min":
-        check_caps(start)
-        check_caps(start + 1)
         cols_a, dva = _int_columns(_gen_values(a_lat), p)
         cols_c, dvc = _int_columns(_gen_values(c_lat), p)
         floor = _selection_floor([(cols_a, a), (cols_c, c)], n, p)
         return BruteResult(floor - a * dva - c * dvc, (), False)
     result = brute_max_direct_sum(a_lat, c_lat, a, c, budget, collect=False)
     for m_bound in range(start + 1, start + 4):
-        check_caps(m_bound)
         if _lift_settles(a_lat, c_lat, a, c, m_bound - 1, cap, result.value):
             return BruteResult(result.value, (), False)
         result = brute_max_direct_sum(a_lat, c_lat, a, c,

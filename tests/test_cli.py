@@ -215,6 +215,20 @@ def test_oracle_command(tmp_path, capsys):
     main(["oracle", "--seed", "3", "--n", "2", "--max-exp", "1",
           "--trials", "2", "--mix-steps", "2", "--out", str(out2)])
     assert out_file.read_bytes() == out2.read_bytes()
+    assert report["ring"] == RingConfig.padic(2).to_json()
+
+
+def test_oracle_budget_exhausted_exits_3(capsys):
+    # a max entry enumerates its first round, M = 1, whose rank-1 and
+    # rank-2 families of O^3 hold 28 spans each: over a cap of 10
+    code, out = run(capsys, "oracle", "--n", "3", "--trials", "1",
+                    "--count-cap", "10")
+    report = json.loads(out)
+    assert code == 3
+    assert report["all_certified"] is False
+    (trial,) = report["trials"]
+    assert trial["status"] == "budget_exhausted"
+    assert trial["budget_error"].startswith("predicted")
 
 
 def test_oracle_rejects_tadic(capsys):

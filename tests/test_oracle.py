@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -16,9 +17,9 @@ from hivekit import (BudgetExceededError, EnumerationBudget, Lattice,
                      stabilized_value)
 from hivekit import oracle
 from hivekit.cli import InstanceSpec, main, random_pair
-from hivekit.oracle import (_coord_bound, _family, _int_det, _int_norm,
-                            _laplace_rows, _pair_norm, _plucker,
-                            _saturated_coords, _summand_mask)
+from hivekit.oracle import (_coord_bound, _coord_family, _family, _int_det,
+                            _int_norm, _laplace_rows, _pair_norm, _plucker,
+                            _summand_mask)
 from hivekit.ring import _int_pval
 
 from conftest import lat, mat, seeded
@@ -431,8 +432,8 @@ def test_summand_masks_match_int_norm(n, p, m):
     cfg = RingConfig.padic(p)
     for c in range(1, n):
         for u in range(1, n - c + 1):
-            vs = _saturated_coords(cfg, n, c, m, 500_000)
-            us = _saturated_coords(cfg, n, u, m, 500_000)
+            vs = _coord_family(n, p, c, m)
+            us = _coord_family(n, p, u, m)
             for v in vs:
                 mask = _summand_mask(v, c, u, us, n, p)
                 assert mask == _summand_mask(v, c, u, us, n, p)
@@ -478,10 +479,17 @@ def test_saturated_coords_one_span_per_grassmannian_point(p, n, r, m):
     # fingerprint-deduped family, in order, cut to the representatives
     # whose identity block sits on the first row set with a unit minor.
     # The family is generated from the Schubert cells directly, so this
-    # filter over earlier row sets is the reference it must match
+    # filter over earlier row sets is the reference it must match.  The
+    # count cap counts exactly these spans: a cap of the family's length
+    # builds it, one less refuses
     cfg = RingConfig.padic(p)
-    family = _saturated_coords(cfg, n, r, m, 500_000)
+    family = _coord_family(n, p, r, m)
     assert len(family) == p ** (m * r * (n - r)) * _gaussian_binomial(n, r, p)
+    ident = lat(cfg, [[int(i == j) for j in range(n)] for i in range(n)])
+    assert len(_family(ident, r, m, len(family)).by_span) == len(family)
+    with pytest.raises(BudgetExceededError,
+                       match=f"predicted {len(family)} spans"):
+        _family(ident, r, m, len(family) - 1)
 
     def first_unit_rows(rows):
         return next(rs for rs in combinations(range(n), r)
@@ -583,6 +591,19 @@ def test_boundary_warning_is_reported(p2):
     assert stab.value == 1 and not stab.boundary_warning
 
 
+def test_min_never_meets_the_cap():
+    # the min builds no family, so even a cap of one span returns its
+    # value: the Cauchy-Binet floor, the enumerated minimum
+    lam_lat, n_lat, _ = _oracle_pair(2, 3, 9233)
+    for a in range(4):
+        for c in range(4 - a):
+            res = stabilized_value("min", lam_lat, n_lat, a, c,
+                                   budget(m=1, cap=1))
+            want = brute_min_direct_sum(lam_lat, n_lat, a, c, budget(m=1),
+                                        collect=False)
+            assert (res.value, res.boundary_warning) == (want.value, False)
+
+
 def _four_rounds(kind, a_lat, c_lat, a, c, budget):
     """The stabilization protocol enumerated in full: the brute route at
     bounds M_0, M_0 + 1, ... for at most four rounds, until the value
@@ -607,35 +628,81 @@ def _outcome(fn, *args):
     return res.value, res.boundary_warning, res.minimizers
 
 
+def _built_families(monkeypatch, fn, *args):
+    """The outcome of fn(*args) and the (rank, bound) of every family it
+    asks ``_family`` for, in order."""
+    built = []
+    family = oracle._family
+
+    def record(lattice, r, m_bound, count_cap):
+        built.append((r, m_bound))
+        return family(lattice, r, m_bound, count_cap)
+
+    monkeypatch.setattr(oracle, "_family", record)
+    try:
+        return _outcome(fn, *args), built
+    finally:
+        monkeypatch.setattr(oracle, "_family", family)
+
+
 # (p, n, pair seed, max_exp, mix steps, budgets as (M_0, count cap)): the
-# caps fail at round M_0 (the smaller cap) or at round M_0 + 1; at n = 4
-# the ranks' counts differ, so the order of the cap checks shows
+# caps refuse a family of round M_0 (the smaller cap) or of round M_0 + 1;
+# at n = 4 the ranks' counts differ, and cap 10 refuses both ranks of
+# round M_0 and cap 100 both of round M_0 + 1, so the order shows
 PROTOCOL_TRIALS = [
-    (2, 3, 9233, 2, 4, [(1, 500_000), (0, 500_000), (1, 40), (1, 100)]),
+    (2, 3, 9233, 2, 4, [(1, 500_000), (0, 500_000), (1, 20), (1, 100)]),
     (2, 3, 607, 3, 6, [(1, 500_000), (1, 100)]),
     (2, 3, 602, 3, 6, [(1, 500_000), (2, 500_000)]),
     (3, 2, 9324, 2, 4, [(1, 500_000), (0, 500_000), (1, 10), (1, 30)]),
-    (3, 3, 9332, 2, 4, [(0, 500_000), (1, 200), (1, 1000)]),
-    (2, 4, 9240, 2, 4, [(0, 200), (0, 20)]),
+    (3, 3, 9332, 2, 4, [(0, 500_000), (1, 100), (1, 1000)]),
+    (2, 4, 9240, 2, 4, [(0, 200), (0, 100), (0, 10)]),
 ]
 
 
 @pytest.mark.parametrize("p,n,seed,max_exp,mix,budgets", PROTOCOL_TRIALS)
-def test_stabilized_value_matches_four_rounds(p, n, seed, max_exp, mix,
-                                              budgets):
+def test_stabilized_value_matches_four_rounds(monkeypatch, p, n, seed,
+                                              max_exp, mix, budgets):
     # the shortcuts change no value, flag, exception type or message: every
     # (kind, a, c) of the pair, rank-0 sides and out-of-range ranks
-    # included, against the protocol that enumerates every round
+    # included, against the protocol that enumerates every round.  Where
+    # that protocol meets the cap, stabilized_value meets it only on a
+    # family its own route builds: the first one over the cap, each round's
+    # in the max route's order (rank n - a - c, then c).  With none over
+    # the cap it returns the value of the full budget; so the min, which
+    # builds none, never refuses
     lam_lat, n_lat, m_lat = _oracle_pair(p, n, seed, max_exp, mix)
     calls = [(kind, a, c) for kind in ("min", "max")
              for a in range(n + 1) for c in range(n - a + 1)]
     calls += [("min", n, 1), ("max", -1, 1), ("mean", 1, 1)]
+    returned = refused = 0
     for m, cap in budgets:
         for kind, a, c in calls:
             other = n_lat if kind == "min" else m_lat
-            args = (kind, lam_lat, other, a, c, budget(m=m, cap=cap))
-            assert _outcome(stabilized_value, *args) == \
-                _outcome(_four_rounds, *args), (m, cap, kind, a, c)
+            args = (kind, lam_lat, other, a, c)
+            want = _outcome(_four_rounds, *args, budget(m=m, cap=cap))
+            got = _outcome(stabilized_value, *args, budget(m=m, cap=cap))
+            if want[0] is not BudgetExceededError or \
+                    not want[1].startswith("predicted"):
+                assert got == want, (m, cap, kind, a, c)
+                continue
+            full, built = _built_families(monkeypatch, stabilized_value,
+                                          *args, budget(m=m))
+            assert full == _outcome(_four_rounds, *args, budget(m=m))
+            rounds = sorted({bound for _, bound in built})
+            over = [(r, bound) for bound in rounds for r in (n - a - c, c)
+                    if len(_coord_family(n, p, r, bound)) > cap]
+            if not over:
+                returned += 1
+                assert got == full, (m, cap, kind, a, c)
+                continue
+            refused += 1
+            r, bound = over[0]
+            assert got == (BudgetExceededError, (
+                f"predicted {len(_coord_family(n, p, r, bound))} spans "
+                f"(rank {r} in O^{n}, entries below {p}^{bound + 1}) "
+                f"exceed cap {cap}")), (m, cap, kind, a, c)
+    assert bool(returned) == bool(refused) == any(
+        cap < 500_000 for _, cap in budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -724,22 +791,30 @@ def _has_nested_chain(small, large):
 
 
 def test_coords_cap_holds_on_warm_cache(p2):
-    # a warm cache entry must not lift the candidate cap: 3 * 4^2 = 48
-    # predicted rank-1 candidates in O^3 at M = 1, refused at cap 10; 28
-    # of them are kept, one per point of P^2(Z/4)
-    warm = _saturated_coords(p2, 3, 1, 1, 500_000)
-    assert len(warm) == 28
-    assert _saturated_coords(p2, 3, 1, 1, 500_000) is warm
-    with pytest.raises(BudgetExceededError, match="predicted 48"):
-        _saturated_coords(p2, 3, 1, 1, 10)
-    # nor can a warm per-lattice entry: both brute routes on a pair whose
-    # image families are cached
+    # a warm cache entry must not lift the count cap: the rank-1 family of
+    # O^3 at M = 1 holds 28 spans, one per point of P^2(Z/4), and is
+    # refused at cap 10 once built
     a = lat(p2, [[4, 0, 0], [0, 2, 0], [0, 0, 1]])
     c = lat(p2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    warm = _family(a, 1, 1, 500_000)
+    assert len(warm.by_span) == len(_coord_family(3, 2, 1, 1)) == 28
+    assert _family(a, 1, 1, 28) is warm
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "predicted 28 spans (rank 1 in O^3, entries below 2^2) exceed "
+            "cap 10")):
+        _family(a, 1, 1, 10)
+    # nor can a warm per-lattice entry: both brute routes on a pair whose
+    # image families are cached
     for fn in (brute_min_direct_sum, brute_max_direct_sum):
         fn(a, c, 1, 1, budget(m=1))
-        with pytest.raises(BudgetExceededError, match="predicted 48"):
+        with pytest.raises(BudgetExceededError, match="predicted 28 spans"):
             fn(a, c, 1, 1, budget(m=1, cap=10))
+    # each route meets the cap in its own order: the min at A's rank a
+    # first, the max at the rank n - a - c family first
+    with pytest.raises(BudgetExceededError, match=r"\(rank 1 in"):
+        brute_min_direct_sum(a, c, 1, 2, budget(m=1, cap=10))
+    with pytest.raises(BudgetExceededError, match=r"\(rank 2 in"):
+        brute_max_direct_sum(a, c, 0, 1, budget(m=1, cap=10))
 
 
 # (p, n, pair seed, kind, a, c, exponent_bound): calls whose value, flag
@@ -774,19 +849,18 @@ def test_brute_result_ignores_call_history(call):
     assert images.cache_info().misses > misses
 
 
-# sha256 of the ``hivekit oracle`` stdout: the JSON of the code before
-# the trials lost their greedy_diagnostics and boundary_warnings keys,
-# with those two keys dropped from every trial and re-serialized as
-# ``_emit`` writes it (indent 2, one trailing newline)
+# sha256 of the ``hivekit oracle`` stdout, as ``_emit`` writes it (indent
+# 2, one trailing newline).  With the top-level "ring" key dropped, each
+# gives back the JSON pinned before the payload named its ring
 ORACLE_DIGESTS = [
     ("--ring padic:2 --n 3 --trials 4 --seed 11 --max-exp 2",
-     "bdcc86d54c4530ae186a3044a7695226283a02da28dee6af147cc5149e1f52c7"),
+     "6625985c997cc47fa225255cd09752605bbe4ff363ef6763eb43b99cf9387da2"),
     ("--ring padic:2 --n 2 --trials 10 --seed 100",
-     "9ddefcffa0c5dd86bef6579b905431232c13c4fca315bad79f4ae499e604c952"),
+     "0beb82b301d60e6de9ca1986aed5347c102f501c176456f12e2e4de135fff998"),
     ("--ring padic:3 --n 2 --trials 10 --seed 200",
-     "334483910f2351374864be3d1ff102904f5ccea143a398563a45ba10c8167a77"),
+     "de02338de5b21a86d9631f67d385669b38f233361fa83cd605040bfeeb1ef47d"),
     ("--ring padic:3 --n 3 --trials 3 --seed 5 --max-exp 2",
-     "52c16d1f7894ac6354316d46a39ab701121ae7279e1a747e142bda45126fdb31"),
+     "ae05dd050d29a12ab909c6fa60da86d70f0f80be9770e27fcd0d3d662c7e8b7d"),
 ]
 
 
