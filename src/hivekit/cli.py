@@ -14,13 +14,16 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 
 from .hive import (DualityError, Hive, build_hive, check_rhombus,
                    hive_to_lr_filling, hive_type, render, validate_lr)
 from .lattice import (Lattice, greedy_slice_first_min, lattice_invariants,
                       min_direct_sum_norm, pair_invariant)
-from .matops import ValuedMatrix, invariant_partition, smith_decompose
-from .oracle import (BudgetExceededError, EnumerationBudget,
+from .matops import (ValuedMatrix, _from_raw, _raw_scalars,
+                     invariant_partition, smith_decompose)
+from .oracle import (BudgetExceededError, EnumerationBudget, _check_count,
                      enumerate_lr_fillings, stabilized_value)
 from .ring import RingConfig
 
@@ -49,11 +52,14 @@ class InstanceSpec:
 
 
 def _random_unimodular(cfg: RingConfig, n: int, steps: int, hi: int,
-                       rng: random.Random) -> ValuedMatrix:
+                       rng: random.Random) -> list:
+    """Rows of a product of ``steps`` random elementary unimodular
+    operations, in the raw values of ``matops._raw_scalars``."""
+    zero, power = _raw_scalars(cfg)
+    rows = [[power(0) if i == j else zero for j in range(n)]
+            for i in range(n)]
     if n < 2:  # no two rows to mix; rng is left untouched
-        return ValuedMatrix.identity(cfg, n)
-    t = cfg.uniformizer
-    rows = [list(row) for row in ValuedMatrix.identity(cfg, n).entries]
+        return rows
     for _ in range(steps):
         kind = rng.randrange(3)
         i = rng.randrange(n)
@@ -63,15 +69,16 @@ def _random_unimodular(cfg: RingConfig, n: int, steps: int, hi: int,
         if kind == 0:
             rows[i], rows[j] = rows[j], rows[i]
             continue
-        coeff = cfg.element(rng.choice((1, -1)))
-        for _ in range(rng.randint(0, max(hi, 0))):
-            coeff = coeff * t
+        sign = rng.choice((1, -1))
+        coeff = power(rng.randint(0, max(hi, 0)))
+        if sign < 0:
+            coeff = -coeff
         if kind == 1:
             rows[i] = [a + coeff * b for a, b in zip(rows[i], rows[j])]
         else:
             for row in rows:
                 row[i] = row[i] + coeff * row[j]
-    return ValuedMatrix(cfg, rows)
+    return rows
 
 
 def random_pair(spec: InstanceSpec):
@@ -80,30 +87,37 @@ def random_pair(spec: InstanceSpec):
     Diagonal entries are uniformizer powers drawn from the exponent range;
     P, Q are products of random elementary unimodular operations.  A pure
     function of the spec.
+
+    The factors are built on raw values, as ``matops._raw_entries`` holds
+    them: Python ints for p-adic rings (pi = p) and integer polynomials
+    (``ring._TPoly``) for t-adic ones (pi = t).  A negative exponent range
+    is cleared by one power pi^s, s = -lo, on every diagonal entry, so
+    the raw N and Lambda are pi^s N and pi^(2s) Lambda; their entries
+    become ring elements once, divided by that power
+    (``matops._from_raw``).  The draws are those of the same construction
+    in ring arithmetic, in the same order, so the matrices are too.
     """
     rng = random.Random(spec.seed)
-    cfg = spec.ring
+    n = spec.n
     lo, hi = spec.exponent_range
-    t = cfg.uniformizer
+    zero, power = _raw_scalars(spec.ring)
+    shift = max(-lo, 0)
+
+    def matmul(a, b):
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col), zero) for col in cols] for row in a]
 
     def factor():
-        diag = []
-        for _ in range(spec.n):
-            e = rng.randint(lo, hi)
-            x = cfg.one
-            for _ in range(abs(e)):
-                x = x * t
-            if e < 0:
-                x = cfg.one / x
-            diag.append(x)
-        d = ValuedMatrix.diagonal(cfg, diag)
-        p = _random_unimodular(cfg, spec.n, spec.unimodular_mix_steps, hi, rng)
-        q = _random_unimodular(cfg, spec.n, spec.unimodular_mix_steps, hi, rng)
-        return (p @ d) @ q
+        diag = [power(rng.randint(lo, hi) + shift) for _ in range(n)]
+        steps = spec.unimodular_mix_steps
+        p = _random_unimodular(spec.ring, n, steps, hi, rng)
+        q = _random_unimodular(spec.ring, n, steps, hi, rng)
+        return matmul([[x * d for x, d in zip(row, diag)] for row in p], q)
 
-    n_mat = factor()
-    m_mat = factor()
-    return Lattice(n_mat), Lattice(n_mat @ m_mat)
+    n_raw = factor()
+    lam_raw = matmul(n_raw, factor())
+    return (Lattice(_from_raw(spec.ring, n_raw, power(shift))),
+            Lattice(_from_raw(spec.ring, lam_raw, power(2 * shift))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +265,9 @@ def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
     ``build_hive`` shows only that a max-route witness attains each entry
     h(s,t), a lower bound on the max.  Here the brute-force stabilized
     values certify equality: min = |lambda| - h(s,t) and max = h(s,t).
-    No greedy heuristic or Smith transform is read.
+    No greedy heuristic or Smith transform is read.  A trial whose first
+    round meets the count cap is refused before any entry is computed,
+    so its ``entries`` list is empty.
     """
     n = lam_lat.n
     m_lat, mu = pair_invariant(n_lat, lam_lat)
@@ -275,24 +291,31 @@ def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
                 status = "failed"
         trial["hives"] = hives
         primary = built["primary"]
-        for t in range(n + 1):
-            for s in range(t + 1):
-                a, c = n - t, t - s
-                opt_max = primary[s, t]
-                opt_min = size - opt_max
-                entry = {"s": s, "t": t, "min": opt_min, "max": opt_max}
-                if a + c > 0:
-                    bmin = stabilized_value("min", lam_lat, n_lat, a, c,
-                                            budget=budget)
-                    bmax = stabilized_value("max", lam_lat, m_lat, s, c,
-                                            budget=budget)
-                    entry["brute_min"] = bmin.value
-                    entry["brute_max"] = bmax.value
-                    entry["min_ok"] = bmin.value == opt_min
-                    entry["max_ok"] = bmax.value == opt_max
-                    if not (entry["min_ok"] and entry["max_ok"]):
-                        status = "failed"
-                trial["entries"].append(entry)
+        cells = [(s, t) for t in range(n + 1) for s in range(t + 1)]
+        # round M_0 of each entry's max always enumerates its families of
+        # ranks n - t, then t - s: one over the cap, met in the order of the
+        # loop below, refuses the trial here, before any family is built
+        for s, t in cells:
+            for r in (n - t, t - s):
+                _check_count(n, lam_lat.config.p, r, budget.exponent_bound,
+                             budget.count_cap)
+        for s, t in cells:
+            a, c = n - t, t - s
+            opt_max = primary[s, t]
+            opt_min = size - opt_max
+            entry = {"s": s, "t": t, "min": opt_min, "max": opt_max}
+            if a + c > 0:
+                bmin = stabilized_value("min", lam_lat, n_lat, a, c,
+                                        budget=budget)
+                bmax = stabilized_value("max", lam_lat, m_lat, s, c,
+                                        budget=budget)
+                entry["brute_min"] = bmin.value
+                entry["brute_max"] = bmax.value
+                entry["min_ok"] = bmin.value == opt_min
+                entry["max_ok"] = bmax.value == opt_max
+                if not (entry["min_ok"] and entry["max_ok"]):
+                    status = "failed"
+            trial["entries"].append(entry)
         filling = hive_to_lr_filling(primary)
         verdict = validate_lr(filling)
         trial["lr_valid"] = verdict.ok
@@ -363,7 +386,10 @@ def _regression_diagnostic(ring: RingConfig) -> dict:
             "greedy_a_first": greedy_slice_first_min(a_lat, c_lat, 1, 1, "A")}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls, so ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="hivekit",
         description="Hives from lattice pairs over discrete valuation rings")

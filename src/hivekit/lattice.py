@@ -53,10 +53,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .matops import (INFINITY, ValuedMatrix, _minor_levels,
-                     _quotient_valuations, _raw_entries, _swap_form,
-                     invariant_partition, quotient_free_invariants,
-                     smith_decompose)
+from .matops import (INFINITY, ValuedMatrix, _adj_product, _from_raw,
+                     _minor_levels, _quotient_valuations, _raw_entries,
+                     _swap_form, invariant_partition,
+                     quotient_free_invariants, smith_decompose)
 
 
 class Submodule:
@@ -163,10 +163,16 @@ def pair_invariant(n_lat: Lattice, lam_lat: Lattice):
 
     Returns (M, mu) with M.gens = N.gens^-1 @ Lambda.gens and mu = inv(M);
     M is well defined up to unimodular right factors, mu is the invariant.
+    No inverse is formed: with B and L the blocks of the raw form of
+    [N | Lambda] (both scaled by one common c, which cancels),
+    M = adj(B) L / det(B), from the cofactors of ``matops._adj_product``,
+    and each entry of M becomes a ring element once (``matops._from_raw``).
     """
     if n_lat.n != lam_lat.n or n_lat.config != lam_lat.config:
         raise ValueError("pair lattices must share dimension and ring")
-    m_lat = Lattice(n_lat.gens.inverse() @ lam_lat.gens)
+    (n_rows, lam_rows), *_ = _raw_entries(n_lat.gens, lam_lat.gens)
+    det, adj_l = _adj_product(n_rows, lam_rows, n_lat.config)
+    m_lat = Lattice(_from_raw(n_lat.config, adj_l, det))
     return m_lat, m_lat.invariants
 
 

@@ -22,9 +22,8 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   reads P @ D on each call (for the oracle's regression instance), and
   ``cli.cmd_smith`` prints all three.
 
-Elimination on ``RingElement`` entries is left only where a transform or
-an inverse is itself the result: ``smith_decompose`` and
-``ValuedMatrix.inverse`` (for ``lattice.pair_invariant``).
+Elimination on ``RingElement`` entries is left only where a transform is
+itself the result: ``smith_decompose``.
 
 The kernels work on raw values (``_raw_entries``): one common scale c is
 cleared from all entries, and results are moved back by its valuation
@@ -35,22 +34,27 @@ integer polynomials (``ring._TPoly``) num (D / den), whose valuation is
 their order at t, and the shift is ord_t(D).  Either way elimination is
 fraction-free and the same in shape (``_eliminate``), and every square
 minor comes from one Laplace recursion with multiplications and
-additions only (``_minor_levels``), which also gives the adjugate behind
-``_swap_form``: the raw form of [A | A C^-1] from that of [A^T | C^T],
-made without an inverse, for the swapped hive's pair and for
-``lattice.max_direct_sum_norm``.
+additions only (``_minor_levels``), which also gives the adjugate
+product of ``_adj_product``: det(B) and adj(B) L for raw B and L, so
+B^-1 L is never formed by division.  It serves ``_swap_form`` (the raw
+form of [A | A C^-1] from that of [A^T | C^T], for the swapped hive's
+pair and for ``lattice.max_direct_sum_norm``) and
+``lattice.pair_invariant`` (M = adj(B) L / det(B), turned into ring
+elements once by ``_from_raw``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from operator import attrgetter
 
-from .ring import (INFINITY, RingConfig, RingElement, _TONE, _TPoly, _TZERO,
-                   _int_pval, _texact, _tgcd)
+from .ring import (INFINITY, PadicElement, RatFuncElement, RingConfig,
+                   RingElement, _TONE, _TPoly, _TZERO, _int_pval, _texact,
+                   _tgcd)
 
 
 class ValuedMatrix:
@@ -142,29 +146,6 @@ class ValuedMatrix:
 
     def bottom_rows(self, k) -> "ValuedMatrix":
         return ValuedMatrix(self.config, self.entries[self.rows - k:])
-
-    def inverse(self) -> "ValuedMatrix":
-        """Exact inverse over the field K; raises on singular input."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        cfg = self.config
-        work = [list(row) + list(ident_row)
-                for row, ident_row in zip(self.entries,
-                                          ValuedMatrix.identity(cfg, n).entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not work[r][col].is_zero()),
-                       None)
-            if piv is None:
-                raise ValueError("matrix is singular over K")
-            work[col], work[piv] = work[piv], work[col]
-            inv = cfg.one / work[col][col]
-            work[col] = [inv * e for e in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return ValuedMatrix(cfg, [row[n:] for row in work])
 
     def rank(self) -> int:
         """K-rank: the pivot count of the valuation kernel."""
@@ -451,6 +432,57 @@ def _minor_levels(cols, n):
         yield level
 
 
+def _raw_scalars(config):
+    """(zero, k -> pi^k) in the ring's raw values: ints with pi = p, or
+    integer polynomials (``ring._TPoly``) with pi = t."""
+    if config.kind == RingConfig.PADIC:
+        return 0, partial(pow, config.p)
+    return _TZERO, lambda k: _TPoly(k, (1,))
+
+
+def _adj_product(b_rows, l_rows, config):
+    """(det B, adj(B) L) for a square raw matrix B and raw rows L of the
+    same height, so that B^-1 L = adj(B) L / det B with no division.
+
+    adj(B)[j][i] = (-1)^(i+j) det(B without row i and column j), from
+    the cofactors of ``_minor_levels`` on B alone; det B is a vanishing
+    value (None or zero) exactly when B is singular."""
+    n = len(b_rows)
+    zero, power = _raw_scalars(config)
+    levels = list(_minor_levels(list(zip(*b_rows)), n))
+    det = levels[-1][tuple(range(n))][0]
+    # minors[j][i] = det(B without row i and column j); the row sets of the
+    # (n-1)-minors leave out rows n-1, ..., 0 in turn
+    minors = [[power(0)]] if n == 1 else [
+        levels[-2][tuple(c for c in range(n) if c != j)][::-1]
+        for j in range(n)]
+    adj_l = []
+    for j, minor_row in enumerate(minors):
+        adj_row = []
+        for l in range(len(l_rows[0])):
+            acc = zero
+            for i, (m, row) in enumerate(zip(minor_row, l_rows)):
+                if m and row[l]:
+                    term = m * row[l]
+                    acc = acc - term if (i + j) % 2 else acc + term
+            adj_row.append(acc)
+        adj_l.append(adj_row)
+    return det, adj_l
+
+
+def _from_raw(config, rows, den) -> ValuedMatrix:
+    """The matrix with entries x / den for raw values x and a nonzero raw
+    den: the one step from raw values back to ring elements.  Each entry
+    is made once, in its canonical form (a reduced ``Fraction``, or a
+    ``RatFuncElement`` in lowest terms), so it equals the element that
+    any exact route to the same value gives."""
+    if config.kind == RingConfig.PADIC:
+        return ValuedMatrix(config, [[PadicElement(config, Fraction(x, den))
+                                      for x in row] for row in rows])
+    return ValuedMatrix(config, [[RatFuncElement(config, x, den)
+                                  for x in row] for row in rows])
+
+
 def _swap_form(form, config):
     """The raw form of [Lambda^T | M^T], M = N^-1 Lambda, from the raw form
     ``form`` of [Lambda | N], made with no division.
@@ -462,8 +494,8 @@ def _swap_form(form, config):
     route scans, with no inverse formed.
 
     With the cleared blocks L and B of ``form`` (raw Lambda and N, scaled
-    by c with v(c) = shift), adj(B) comes from the cofactors of
-    ``_minor_levels`` on B alone, and the form is (X^T, Y^T) with
+    by c with v(c) = shift), det(B) and adj(B) L come from
+    ``_adj_product``, and the form is (X^T, Y^T) with
     X = det(B) L and Y = pi^shift adj(B) L, of shift shift + v(det B).
     X is Lambda scaled by c det(B), and Y = pi^shift det(B) M is M scaled
     by c det(B) times the unit pi^shift / c; scaling a block by a unit
@@ -473,31 +505,12 @@ def _swap_form(form, config):
     """
     (lam_rows, n_rows), val, step, shift = form
     n = len(n_rows)
-    padic = config.kind == RingConfig.PADIC
-    pi_shift = config.p ** shift if padic else _TPoly(shift, (1,))
-    zero, one = (0, 1) if padic else (_TZERO, _TONE)
-    levels = list(_minor_levels(list(zip(*n_rows)), n))
-    det = levels[-1][tuple(range(n))][0]
-    # minors[j][i] = det(B without row i and column j); the row sets of the
-    # (n-1)-minors leave out rows n-1, ..., 0 in turn
-    minors = [[one]] if n == 1 else [
-        levels[-2][tuple(c for c in range(n) if c != j)][::-1]
-        for j in range(n)]
+    det, adj_l = _adj_product(n_rows, lam_rows, config)
+    pi_shift = _raw_scalars(config)[1](shift)
     x_t = [[det * row[l] for row in lam_rows] for l in range(n)]
-    y_t = []
-    for l in range(n):
-        y_row = []
-        for j, minor_row in enumerate(minors):
-            # (adj(B) L)[j][l], adj(B)[j][i] = (-1)^(i+j) minors[j][i]
-            acc = zero
-            for i, (m, row) in enumerate(zip(minor_row, lam_rows)):
-                if m and row[l]:
-                    term = m * row[l]
-                    acc = acc - term if (i + j) % 2 else acc + term
-            y_row.append(pi_shift * acc)
-        y_t.append(y_row)
+    y_t = [[pi_shift * row[l] for row in adj_l] for l in range(n)]
     shift += val(det)
-    if padic:
+    if config.kind == RingConfig.PADIC:
         g = math.gcd(*(x for row in x_t + y_t for x in row))
         x_t = [[x // g for x in row] for row in x_t]
         y_t = [[y // g for y in row] for row in y_t]

@@ -45,13 +45,15 @@ read from an int bitmask per partner rank; it depends only on their
 reductions mod p, so the masks are built once per pair of points of
 Gr(F_p^n) and shared by every span over them.
 
-Two caches hold everything the scans reuse, each entry a pure function
-of its key: ``functools.cache`` on the lattice-independent table of
-coordinate spans (``_coord_family``), kept for the process, and
+Three caches hold everything the scans reuse, each entry a pure
+function of its key: ``functools.cache`` on the lattice-independent
+table of coordinate spans (``_coord_family``), kept for the process, and
 ``functools.lru_cache`` on the image families (``_image_family``),
-bounded at one trial's entries; their hit and miss counts are in
-``cache_info()``.  The count cap is checked in one place, ``_family``,
-on the family it is about to return and before either cache is read.
+bounded at one trial's entries, and on the Cauchy-Binet floors
+(``_selection_floor``), both keyed by a lattice's integer form
+(``_int_lattice``, made once per ``stabilized_value`` call); their hit
+and miss counts are in ``cache_info()``.  The count cap is checked by
+``_check_count``, in ``_family`` before either family cache is read.
 """
 
 from __future__ import annotations
@@ -206,19 +208,25 @@ def _int_det(rows: list) -> int:
     return total
 
 
-def _gen_values(lattice: Lattice) -> tuple:
-    """The lattice's generator entries as rows of Fractions: the key of
-    its image families."""
-    return tuple(tuple(e.value for e in row) for row in lattice.gens.entries)
+class _IntLattice(NamedTuple):
+    """A lattice's integer form: p, the integer columns (tuples) of
+    d * gens for the least common denominator d, d and v_p(d).  It fixes
+    the generators (gens = cols / d) and hashes as plain ints."""
+
+    p: int
+    cols: tuple
+    d: int
+    dv: int
 
 
-def _int_columns(values: tuple, p: int):
-    """Integer columns of d * the matrix with rows ``values`` (Fractions)
-    for one common denominator d, and v_p(d)."""
-    denom = math.lcm(*(x.denominator for row in values for x in row))
-    cols = [[x.numerator * (denom // x.denominator) for x in col]
-            for col in zip(*values)]
-    return cols, _int_pval(denom, p)
+def _int_lattice(lattice: Lattice) -> _IntLattice:
+    p, n = lattice.config.p, lattice.n
+    ratios = [e.value.as_integer_ratio()
+              for row in lattice.gens.entries for e in row]
+    d = math.lcm(*[den for _, den in ratios])
+    ints = [num * (d // den) for num, den in ratios]
+    return _IntLattice(p, tuple(tuple(ints[j::n]) for j in range(n)), d,
+                       _int_pval(d, p))
 
 
 def _plucker(cols: list, n: int) -> tuple:
@@ -248,12 +256,6 @@ def _int_norm(cols: list, n: int, p: int):
     if len(cols) > n:
         return INFINITY
     return _min_pval(_plucker(cols, n), p)
-
-
-def _int_image(cols: list, coords: list) -> list:
-    """Integer columns of the product (cols as a matrix) @ (coords)."""
-    rows = list(zip(*cols))
-    return [[sum(map(mul, row, vec)) for row in rows] for vec in coords]
 
 
 @cache
@@ -324,10 +326,11 @@ def _coord_bound(rows: list, coord_pl: tuple, p: int):
                      p)
 
 
-def _selection_floor(blocks, n: int, p: int):
+@lru_cache(maxsize=256)  # a trial of n = 3 asks for about 30
+def _selection_floor(blocks: tuple, n: int, p: int):
     """min over column selections S_i (|S_i| = r_i) of the _int_norm of
     [(X_1)_S_1 | (X_2)_S_2 | ...], for integer column blocks ``blocks`` =
-    ((X_1, r_1), (X_2, r_2), ...) in Z^n.  By Cauchy-Binet,
+    ((X_1, r_1), (X_2, r_2), ...) of column tuples in Z^n.  By Cauchy-Binet,
     det [X_1 U_1 | X_2 U_2 | ...]_R = sum over the S_i of
     prod det (U_i)_S_i * det [(X_1)_S_1 | ...]_R for integer U_i, so this
     is a lower bound on the norm of every such product, reached at
@@ -480,29 +483,33 @@ def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
     return mask
 
 
-def _family(lattice: Lattice, r: int, m_bound: int,
+def _check_count(n: int, p: int, r: int, m_bound: int, count_cap: int):
+    """Raise BudgetExceededError when the rank-r family of O^n at bound M
+    would hold more than count_cap spans: [n choose r]_p p^(M r (n - r)),
+    the length of ``_coord_family(n, p, r, M)`` (1 at rank 0)."""
+    count = (p ** (m_bound * r * (n - r))
+             * math.prod(p ** (n - i) - 1 for i in range(r))
+             // math.prod(p ** (i + 1) - 1 for i in range(r)))
+    if count > count_cap:
+        raise BudgetExceededError(
+            f"predicted {count} spans (rank {r} in O^{n}, entries below "
+            f"{p}^{m_bound + 1}) exceed cap {count_cap}")
+
+
+def _family(form: _IntLattice, r: int, m_bound: int,
             count_cap: int) -> _Family:
     """The images of the saturated rank-r coordinate spans under the
-    lattice's generator matrix (``_image_family``); rank 0 gives the one
-    empty image and the empty minor.
+    generator matrix of a lattice in integer form (``_image_family``);
+    rank 0 gives the one empty image and the empty minor.
 
-    The one place the count cap is checked: the family about to be
-    returned holds [n choose r]_p p^(M r (n - r)) spans, the length of
-    ``_coord_family(n, p, r, M)``, and a count above count_cap raises
+    A family above the count cap (``_check_count``) raises
     BudgetExceededError before either cache is read, so a warm entry
     cannot lift the cap."""
     if r == 0:
         empty = [_Image(None, 0, (1,), 0)]
         return _Family(empty, empty, 0, ((1,),))
-    n, p = lattice.n, lattice.config.p
-    predicted = (p ** (m_bound * r * (n - r))
-                 * math.prod(p ** (n - i) - 1 for i in range(r))
-                 // math.prod(p ** (i + 1) - 1 for i in range(r)))
-    if predicted > count_cap:
-        raise BudgetExceededError(
-            f"predicted {predicted} spans (rank {r} in O^{n}, entries below "
-            f"{p}^{m_bound + 1}) exceed cap {count_cap}")
-    return _image_family(p, _gen_values(lattice), r, m_bound)
+    _check_count(len(form.cols), form.p, r, m_bound, count_cap)
+    return _image_family(form, r, m_bound)
 
 
 # One oracle trial at n = 3 builds only max-route families (the min's
@@ -510,19 +517,24 @@ def _family(lattice: Lattice, r: int, m_bound: int,
 # bound, nearly always at the first bound alone, and 24 over four; 64
 # entries hold one trial.
 @lru_cache(maxsize=64)
-def _image_family(p: int, values: tuple, r: int, m_bound: int) -> _Family:
+def _image_family(form: _IntLattice, r: int, m_bound: int) -> _Family:
     """The images of the saturated rank-r coordinate spans under the
-    generator matrix with rows ``values``, keyed by p, those entries, r
-    and M.  Both brute routes use this one kind of family, so they share
-    entries: in a trial the min's Lambda family at rank a = n - t is the
-    max's U family, since u = n - s - c = n - t.  The family also keeps
-    the Plücker vectors of the rank-r column selections of the scaled
-    generators, which bound every pair norm against it (``_scan``)."""
-    n = len(values)
-    cols, dv = _int_columns(values, p)
+    generator matrix of a lattice, keyed by its integer form, r and M:
+    ints only, and the form fixes the generators, so a minimizer's
+    Submodule kept on a record is theirs.  Both brute routes use this one
+    kind of family, so they share entries: in a trial the min's Lambda
+    family at rank a = n - t is the max's U family, since
+    u = n - s - c = n - t.  The family also keeps the Plücker vectors of
+    the rank-r column selections of the scaled generators, which bound
+    every pair norm against it (``_scan``)."""
+    p, cols, _, dv = form
+    n = len(cols)
+    rows = list(zip(*cols))
     recs = []
     for i, span in enumerate(_coord_family(n, p, r, m_bound)):
-        pl = _plucker(_int_image(cols, span.dom), n)
+        # the integer columns of (d * gens) @ coords
+        pl = _plucker([[sum(map(mul, row, vec)) for row in rows]
+                       for vec in span.dom], n)
         recs.append(_Image(span, i, pl, _min_pval(pl, p) - r * dv))
     coord_pl = tuple(_plucker(sel, n) for sel in combinations(cols, r))
     return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv,
@@ -621,8 +633,8 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
-    fam_a = _family(a_lat, a, m_bound, cap)
-    fam_c = _family(c_lat, c, m_bound, cap)
+    fam_a = _family(_int_lattice(a_lat), a, m_bound, cap)
+    fam_c = _family(_int_lattice(c_lat), c, m_bound, cap)
     best, hits, warning = _scan([(rec, 0) for rec in fam_a.by_norm],
                                 fam_c.by_norm, fam_c.coord_pl, n, a, c, p,
                                 fam_a.offset + fam_c.offset, collect)
@@ -634,8 +646,8 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
 
 
 def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
-                         budget: EnumerationBudget,
-                         collect: bool = True) -> BruteResult:
+                         budget: EnumerationBudget, collect: bool = True,
+                         forms=None) -> BruteResult:
     """Exact maximum of norm(C(V)) + norm(A modulo A(V + U)) over
     enumerated pairs of saturated spans V (rank c), U (rank n-a-c) of O^n
     that are jointly a direct summand.
@@ -649,16 +661,18 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     a direct summand depends only on the coordinate spans, so it is read
     from V's summand mask over the rank-(n-a-c) spans.  Maximizing pairs
     are returned as the coordinate spans (V, U), None for a rank-0 side.
+    ``forms`` holds the integer forms of (a_lat, c_lat) when the caller
+    has made them (``stabilized_value``); otherwise they are made here.
     """
     a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
-    cols, dv = _int_columns(_gen_values(a_lat), p)
-    size = _int_norm(cols, n, p) - n * dv
+    form_a, form_c = forms or (_int_lattice(a_lat), _int_lattice(c_lat))
+    size = _int_norm(form_a.cols, n, p) - n * form_a.dv
     u = n - a - c
-    fam_u = _family(a_lat, u, m_bound, cap)
-    fam_v = _family(a_lat, c, m_bound, cap)
-    fam_cv = _family(c_lat, c, m_bound, cap)
+    fam_u = _family(form_a, u, m_bound, cap)
+    fam_v = _family(form_a, c, m_bound, cap)
+    fam_cv = _family(form_c, c, m_bound, cap)
     outer = sorted(zip(fam_v.by_span, (rec.norm for rec in fam_cv.by_span)),
                    key=lambda pair: pair[0].norm - pair[1])
     summand = None
@@ -677,7 +691,7 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
         for pair in hits), warning)
 
 
-def _lift_settles(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
+def _lift_settles(form_a: _IntLattice, form_c: _IntLattice, a: int, c: int,
                   m_bound: int, count_cap: int, value: int) -> bool:
     """True when no pair of the max route's families at bound M + 1 costs
     less than b = |inv A| - ``value``, the least cost of its scan at
@@ -708,21 +722,22 @@ def _lift_settles(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
       Omega_C, the sum of the c largest invariants of C (a saturated V
       has a unit c-minor).
 
-    alpha, Omega and b come from the oracle's integer minors only."""
-    n, p = a_lat.n, a_lat.config.p
+    alpha, Omega and b come from the oracle's integer minors only, on
+    the lattices' integer forms ``form_a`` and ``form_c``."""
+    p, cols_a, _, dva = form_a
+    cols_c = form_c.cols
+    n = len(cols_a)
     u = n - a - c
-    cols_a, dva = _int_columns(_gen_values(a_lat), p)
-    cols_c, dvc = _int_columns(_gen_values(c_lat), p)
     best = _int_norm(cols_a, n, p) - n * dva - value
-    fam_u = _family(a_lat, u, m_bound, count_cap)
-    fam_v = _family(a_lat, c, m_bound, count_cap)
-    fam_cv = _family(c_lat, c, m_bound, count_cap)
+    fam_u = _family(form_a, u, m_bound, count_cap)
+    fam_v = _family(form_a, c, m_bound, count_cap)
+    fam_cv = _family(form_c, c, m_bound, count_cap)
     offset = fam_v.offset + fam_u.offset
-    lift_a = m_bound + 1 + _selection_floor([(cols_a, c + u)], n, p) - offset
-    lift_c = (m_bound + 1 + _selection_floor([(cols_c, c)], n, p)
+    lift_a = m_bound + 1 + _selection_floor(((cols_a, c + u),), n, p) - offset
+    lift_c = (m_bound + 1 + _selection_floor(((cols_c, c),), n, p)
               - fam_cv.offset)
     omega_c = (_int_norm(cols_c, n, p) - fam_cv.offset
-               - _selection_floor([(cols_c, n - c)], n, p))
+               - _selection_floor(((cols_c, n - c),), n, p))
     return all(
         min(_coord_bound(rec_v.expansion(n, c, u), fam_u.coord_pl, p)
             - offset, lift_a) - omega_c >= best
@@ -768,20 +783,21 @@ def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     if kind not in ("min", "max"):
         raise KeyError(kind)
     a_lat.check_ranks(c_lat, a, c)
-    n, p = a_lat.n, a_lat.config.p
     start, cap = budget.exponent_bound, budget.count_cap
+    forms = form_a, form_c = _int_lattice(a_lat), _int_lattice(c_lat)
     if kind == "min":
-        cols_a, dva = _int_columns(_gen_values(a_lat), p)
-        cols_c, dvc = _int_columns(_gen_values(c_lat), p)
-        floor = _selection_floor([(cols_a, a), (cols_c, c)], n, p)
-        return BruteResult(floor - a * dva - c * dvc, (), False)
-    result = brute_max_direct_sum(a_lat, c_lat, a, c, budget, collect=False)
+        floor = _selection_floor(((form_a.cols, a), (form_c.cols, c)),
+                                 a_lat.n, form_a.p)
+        return BruteResult(floor - a * form_a.dv - c * form_c.dv, (), False)
+    result = brute_max_direct_sum(a_lat, c_lat, a, c, budget, collect=False,
+                                  forms=forms)
     for m_bound in range(start + 1, start + 4):
-        if _lift_settles(a_lat, c_lat, a, c, m_bound - 1, cap, result.value):
+        if _lift_settles(form_a, form_c, a, c, m_bound - 1, cap,
+                         result.value):
             return BruteResult(result.value, (), False)
         result = brute_max_direct_sum(a_lat, c_lat, a, c,
                                       replace(budget, exponent_bound=m_bound),
-                                      collect=False)
+                                      collect=False, forms=forms)
         if not result.boundary_warning:  # so the value repeated
             return result
     raise BudgetExceededError("max value did not stabilize after 4 rounds")

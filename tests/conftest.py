@@ -6,7 +6,9 @@ import pytest
 
 from hypothesis import strategies as st
 
-from hivekit import Lattice, RingConfig, ValuedMatrix
+from hivekit import Lattice, RingConfig, ValuedMatrix, pair_invariant
+from hivekit.cli import _random_unimodular
+from hivekit.matops import _from_raw, _raw_scalars
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,21 @@ def mat(cfg, rows):
 
 def lat(cfg, rows):
     return Lattice(ValuedMatrix(cfg, rows))
+
+
+def inverse(a):
+    """a^-1 for a square a of full rank: the pair invariant
+    M = N^-1 Lambda of N = a and Lambda = the identity."""
+    m_lat, _ = pair_invariant(
+        Lattice(a), Lattice(ValuedMatrix.identity(a.config, a.rows)))
+    return m_lat.gens
+
+
+def random_unimodular(cfg, n, rng, steps=6):
+    """A random unimodular n x n matrix as ``random_pair`` makes its
+    factors: ``steps`` mixing steps, coefficients up to pi^2."""
+    return _from_raw(cfg, _random_unimodular(cfg, n, steps, 2, rng),
+                     _raw_scalars(cfg)[1](0))
 
 
 def random_padic_matrix(cfg, rng, rows, cols, max_exp=3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -5,7 +6,7 @@ import pytest
 
 import hivekit.lattice
 from hivekit import (EnumerationBudget, Hive, ValuedMatrix, cli,
-                     lattice_invariants)
+                     lattice_invariants, oracle)
 from hivekit.cli import InstanceSpec, build_parser, main, random_pair
 from hivekit.ring import RingConfig
 
@@ -189,6 +190,49 @@ def test_random_pair_properties(p2):
     assert a1[0].gens == a2[0].gens and a1[1].gens == a2[1].gens
 
 
+# sha256 over the generator JSON of both lattices of every pair of the grid
+# in test_random_pair_pinned, recorded when random_pair still built its
+# factors with RingElement arithmetic: the raw-value route must draw the
+# same numbers in the same order and give the same matrices
+RANDOM_PAIR_PIN = \
+    "002515610aeb7b5f5d2d3a09ed4eb6cdf8e08a31780953c60c62e5b9f3d54d58"
+
+
+def test_random_pair_pinned():
+    # both ring kinds and two primes, n = 1..4, a nonnegative, a negative
+    # and a one-point exponent range, and no, few and many mix steps
+    digest = hashlib.sha256()
+    seed = 0
+    for ring in (RingConfig.padic(2), RingConfig.padic(3), RingConfig.tadic()):
+        for n in range(1, 5):
+            for lo, hi in ((0, 3), (-2, 3), (2, 2)):
+                for mix in (0, 4, 6):
+                    seed += 1
+                    pair = random_pair(InstanceSpec(
+                        n=n, ring=ring, exponent_range=(lo, hi), seed=seed,
+                        unimodular_mix_steps=mix))
+                    digest.update(json.dumps(
+                        [lat.gens.to_json() for lat in pair]).encode())
+    assert digest.hexdigest() == RANDOM_PAIR_PIN
+
+
+def test_parser_is_built_once_and_shares_no_arguments(tmp_path, capsys):
+    # main reuses one parser, and no argument of one call reaches the next:
+    # an --out, or a --ring, given once falls back to its default after
+    assert build_parser() is build_parser()
+    out_file = tmp_path / "report.json"
+    oracle = ["oracle", "--n", "1", "--trials", "1"]
+    assert main([*oracle, "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run(capsys, *oracle)
+    assert code == 0 and json.loads(out) == json.loads(out_file.read_text())
+    code, out = run(capsys, "random", "--ring", "tadic", "--n", "1")
+    assert code == 0 and json.loads(out)["ring"] == {"kind": "tadic-ratfunc"}
+    code, out = run(capsys, "random", "--n", "1")
+    assert code == 0
+    assert json.loads(out)["ring"] == RingConfig.padic(2).to_json()
+
+
 def test_oracle_command(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = main(["oracle", "--seed", "3", "--n", "2", "--max-exp", "1",
@@ -229,6 +273,25 @@ def test_oracle_budget_exhausted_exits_3(capsys):
     (trial,) = report["trials"]
     assert trial["status"] == "budget_exhausted"
     assert trial["budget_error"].startswith("predicted")
+
+
+def test_certainly_refused_trial_builds_no_family(monkeypatch, capsys):
+    # round M_0 of every max entry enumerates, so a family of that round
+    # over the cap refuses the trial before any family is built, with the
+    # message of the first one the entry loop would meet (entry s = 0,
+    # t = 1: rank n - t = 2, then c = 1)
+    def refuse(*args):
+        raise AssertionError("the trial built a family")
+
+    monkeypatch.setattr(oracle, "_coord_family", refuse)
+    monkeypatch.setattr(oracle, "_image_family", refuse)
+    code, out = run(capsys, "oracle", "--n", "3", "--trials", "1",
+                    "--count-cap", "10")
+    assert code == 3
+    (trial,) = json.loads(out)["trials"]
+    assert trial["status"] == "budget_exhausted"
+    assert trial["budget_error"] == ("predicted 28 spans (rank 2 in O^3, "
+                                     "entries below 2^2) exceed cap 10")
 
 
 def test_oracle_rejects_tadic(capsys):

@@ -10,11 +10,12 @@ from hivekit import (EnumerationBudget, Lattice, RingConfig, Submodule,
                      brute_min_direct_sum, greedy_slice_first_min,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
                      min_direct_sum_norm, pair_invariant, unimodular_check)
-from hivekit.cli import InstanceSpec, _random_unimodular, random_pair
+from hivekit.cli import InstanceSpec, random_pair
 from hivekit.lattice import _minor_norms, _selection_min, _witness_value
 from hivekit.matops import _raw_entries
 
-from conftest import lat, mat, ring_entries, seeded
+from conftest import (inverse, lat, mat, random_unimodular, ring_entries,
+                      seeded)
 
 
 def test_lattice_invariants_examples(p2):
@@ -55,7 +56,7 @@ def test_lattice_equal_under_unimodular_change(ring, request):
         spec = InstanceSpec(n=n, ring=cfg, exponent_range=(-1, 2),
                             seed=rng.randrange(10**6), unimodular_mix_steps=4)
         l, _ = random_pair(spec)
-        u = _random_unimodular(cfg, n, 6, 2, rng)
+        u = random_unimodular(cfg, n, rng)
         assert l == Lattice(l.gens @ u) and Lattice(l.gens @ u) == l
         # t and t^-1 on two columns keep the norm but change the lattice
         d = ValuedMatrix.diagonal(cfg, [t, cfg.one / t] + [1] * (n - 2))
@@ -356,14 +357,14 @@ def test_max_scan_matrix_is_n(p2, p3, tadic):
                        Lattice(lam_lat.gens.transpose()))
             for a_lat, l_lat in ((n_lat, lam_lat), swapped):
                 m, _ = pair_invariant(a_lat, l_lat)
-                assert l_lat.gens @ m.gens.inverse() == a_lat.gens
+                assert l_lat.gens @ inverse(m.gens) == a_lat.gens
 
 
 @pytest.mark.parametrize("ring,n", [("p3", 3), ("tadic", 3), ("p2", 4)])
 def test_max_matches_inverse_route(ring, n, request):
     """max_direct_sum_norm, whose raw [A | A C^-1] comes from the adjugate
     (``matops._swap_form``), against the scan and witness on the raw form
-    of A and A @ C.inverse(), for pairs (A, C) other than the hive's
+    of A and A @ C^-1, for pairs (A, C) other than the hive's
     (Lambda, M), with negative exponents."""
     cfg = request.getfixturevalue(ring)
     for seed in range(3):
@@ -374,7 +375,7 @@ def test_max_matches_inverse_route(ring, n, request):
         for a_lat, c_lat in ((lam_lat, n_lat), (n_lat, lam_lat),
                              (m_lat, n_lat)):
             form = _raw_entries(a_lat.gens,
-                                a_lat.gens @ c_lat.gens.inverse())
+                                a_lat.gens @ inverse(c_lat.gens))
             norms = _minor_norms(form)
             size = sum(lattice_invariants(a_lat))
             for c in range(1, n + 1):

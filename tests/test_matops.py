@@ -12,8 +12,9 @@ from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
 from hivekit.lattice import _minor_norms
 from hivekit.matops import _raw_entries
 
-from conftest import (brute_minor_norm, mat, random_padic_matrix,
-                       random_tadic_matrix, ring_entries, seeded)
+from conftest import (brute_minor_norm, inverse, mat, random_padic_matrix,
+                       random_tadic_matrix, random_unimodular, ring_entries,
+                       seeded)
 
 
 def check_smith(a):
@@ -96,7 +97,7 @@ def test_quotient_invariants_reduction_independent(p2):
         if s.rank() < 1:
             continue
         base = quotient_free_invariants(t, s)
-        p = smith_decompose(s).p.inverse()
+        p = inverse(smith_decompose(s).p)
         # an alternative reduction: post-compose with a unimodular matrix
         # fixing the top-supported shape (first column e1)
         b = mat(p2, [[1, 3, 5], [0, 1, 6], [0, 2, 13]])
@@ -141,7 +142,7 @@ def test_quotient_kernel_matches_smith_route(case):
         return
     n, k = t.rows, s.cols
     smith = invariant_partition(
-        (smith_decompose(s).p.inverse() @ t).bottom_rows(n - k))
+        (inverse(smith_decompose(s).p) @ t).bottom_rows(n - k))
     assert quotient_free_invariants(t, s) == smith
     assert len(smith) == n - k
 
@@ -220,11 +221,10 @@ def test_smith_round_trip_randomized(p2, tadic):
 
 def test_invariants_unimodular_invariance(p2):
     rng = seeded(13)
-    from hivekit.cli import _random_unimodular
     for _ in range(15):
         a = random_padic_matrix(p2, rng, 3, 3)
-        u = _random_unimodular(p2, 3, 5, 2, rng)
-        w = _random_unimodular(p2, 3, 5, 2, rng)
+        u = random_unimodular(p2, 3, rng, steps=5)
+        w = random_unimodular(p2, 3, rng, steps=5)
         assert invariant_partition(u @ a) == invariant_partition(a)
         assert invariant_partition(a @ w) == invariant_partition(a)
 

@@ -18,8 +18,8 @@ from hivekit import (BudgetExceededError, EnumerationBudget, Lattice,
 from hivekit import oracle
 from hivekit.cli import InstanceSpec, main, random_pair
 from hivekit.oracle import (_coord_bound, _coord_family, _family, _int_det,
-                            _int_norm, _laplace_rows, _pair_norm, _plucker,
-                            _summand_mask)
+                            _int_lattice, _int_norm, _laplace_rows,
+                            _pair_norm, _plucker, _summand_mask)
 from hivekit.ring import _int_pval
 
 from conftest import lat, mat, seeded
@@ -326,8 +326,8 @@ def test_coordinate_bound_below_every_pair(p, n):
                 # the min route's (Lambda, N) and the max route's (A, A)
                 for outer_lat, inner_lat in ((lam_lat, n_lat),
                                              (lam_lat, lam_lat)):
-                    outer = _family(outer_lat, a, m, 500_000)
-                    inner = _family(inner_lat, c, m, 500_000)
+                    outer = _family(_int_lattice(outer_lat), a, m, 500_000)
+                    inner = _family(_int_lattice(inner_lat), c, m, 500_000)
                     for x in outer.by_span:
                         rows = x.expansion(n, a, c)
                         lb = _coord_bound(rows, inner.coord_pl, p)
@@ -392,8 +392,9 @@ def test_lift_bound_implies_the_next_round():
                     for c in range(n - a + 1):
                         res = brute_max_direct_sum(a_lat, c_lat, a, c,
                                                    budget(m=m), collect=False)
-                        if not oracle._lift_settles(a_lat, c_lat, a, c, m,
-                                                    500_000, res.value):
+                        if not oracle._lift_settles(
+                                _int_lattice(a_lat), _int_lattice(c_lat), a,
+                                c, m, 500_000, res.value):
                             refused += 1
                             continue
                         settled += 1
@@ -420,7 +421,9 @@ def test_lift_bound_refuses_a_growing_value(p, n, seed, a, c, low, high):
     assert first.value == low
     assert brute_max_direct_sum(lam_lat, m_lat, a, c, budget(m=2),
                                 collect=False).value == high
-    assert not oracle._lift_settles(lam_lat, m_lat, a, c, 1, 500_000, low)
+    assert not oracle._lift_settles(_int_lattice(lam_lat),
+                                    _int_lattice(m_lat), a, c, 1, 500_000,
+                                    low)
     res = stabilized_value("max", lam_lat, m_lat, a, c)
     assert (res.value, res.boundary_warning) == (high, False)
 
@@ -485,7 +488,8 @@ def test_saturated_coords_one_span_per_grassmannian_point(p, n, r, m):
     cfg = RingConfig.padic(p)
     family = _coord_family(n, p, r, m)
     assert len(family) == p ** (m * r * (n - r)) * _gaussian_binomial(n, r, p)
-    ident = lat(cfg, [[int(i == j) for j in range(n)] for i in range(n)])
+    ident = _int_lattice(
+        lat(cfg, [[int(i == j) for j in range(n)] for i in range(n)]))
     assert len(_family(ident, r, m, len(family)).by_span) == len(family)
     with pytest.raises(BudgetExceededError,
                        match=f"predicted {len(family)} spans"):
@@ -634,9 +638,9 @@ def _built_families(monkeypatch, fn, *args):
     built = []
     family = oracle._family
 
-    def record(lattice, r, m_bound, count_cap):
+    def record(form, r, m_bound, count_cap):
         built.append((r, m_bound))
-        return family(lattice, r, m_bound, count_cap)
+        return family(form, r, m_bound, count_cap)
 
     monkeypatch.setattr(oracle, "_family", record)
     try:
@@ -796,13 +800,14 @@ def test_coords_cap_holds_on_warm_cache(p2):
     # refused at cap 10 once built
     a = lat(p2, [[4, 0, 0], [0, 2, 0], [0, 0, 1]])
     c = lat(p2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    warm = _family(a, 1, 1, 500_000)
+    form = _int_lattice(a)
+    warm = _family(form, 1, 1, 500_000)
     assert len(warm.by_span) == len(_coord_family(3, 2, 1, 1)) == 28
-    assert _family(a, 1, 1, 28) is warm
+    assert _family(form, 1, 1, 28) is warm
     with pytest.raises(BudgetExceededError, match=re.escape(
             "predicted 28 spans (rank 1 in O^3, entries below 2^2) exceed "
             "cap 10")):
-        _family(a, 1, 1, 10)
+        _family(form, 1, 1, 10)
     # nor can a warm per-lattice entry: both brute routes on a pair whose
     # image families are cached
     for fn in (brute_min_direct_sum, brute_max_direct_sum):

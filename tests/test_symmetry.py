@@ -22,11 +22,11 @@ wrong route that is itself symmetric would pass them.
 
 import pytest
 
-from hivekit import (Lattice, RingConfig, build_hive, lattice_invariants,
-                     pair_invariant)
-from hivekit.cli import InstanceSpec, _random_unimodular, random_pair
+from hivekit import (Lattice, RingConfig, ValuedMatrix, build_hive,
+                     lattice_invariants, pair_invariant)
+from hivekit.cli import InstanceSpec, random_pair
 
-from conftest import seeded
+from conftest import random_unimodular, seeded
 
 VARIANTS = ("primary", "swapped")
 # (ring flag, dimensions): t-adic hives stop at n = 4 to keep the test fast
@@ -62,7 +62,10 @@ def pi_power(cfg, e):
 
 
 def inverse(lat):
-    return Lattice(lat.gens.inverse())
+    # N^-1 as the pair invariant N^-1 O^n of (N, O^n)
+    m_lat, _ = pair_invariant(
+        lat, Lattice(ValuedMatrix.identity(lat.config, lat.n)))
+    return m_lat
 
 
 def pairs(flag, dims, seed):
@@ -98,7 +101,7 @@ def test_rotation_and_reversal(flag, dims):
 def test_left_unimodular_and_scaling(flag, dims):
     for cfg, rng, (n_lat, lam_lat) in pairs(flag, dims, 37):
         n = n_lat.n
-        g = _random_unimodular(cfg, n, 6, 2, rng)
+        g = random_unimodular(cfg, n, rng)
         j, k = rng.randint(-2, 2), rng.randint(-2, 2)
         moved = Lattice(g @ n_lat.gens), Lattice(g @ lam_lat.gens)
         scaled = (Lattice(n_lat.gens.scale(pi_power(cfg, j))),
