@@ -4,11 +4,10 @@ Exhaustive enumeration of saturated spans (p-adic rings only: residue
 enumeration needs a finite residue field), brute minima/maxima of
 direct-sum norms, exhaustive Littlewood-Richardson filling enumeration,
 and the stabilization protocol that takes a brute value at growing
-exponent bounds until it settles.  The protocol enumerates only where a
-proof does not settle a round: the min's value at every bound is the
-Cauchy-Binet floor of the two generator matrices, a closed form, and a
-max round at bound M + 1 is settled from the families of bound M when
-no lift of a bound-M pair can cost less than bound M's best
+exponent bounds until a proof shows it exact: the min's value at every
+bound is the Cauchy-Binet floor of the two generator matrices, a closed
+form, and the max enumerates bound M and stops as soon as a lift bound
+shows that no pair at a deeper bound can cost less than bound M's best
 (``stabilized_value``).  Only a family about to be built meets the
 count cap, so neither proof can refuse a call.
 
@@ -38,12 +37,12 @@ norm[X | Y] >= norm X + norm Y.  Both routes run through one pair scan
 when a second bound, shared by every inner span, cannot beat the best
 value: each inner span is d B U for one generator matrix B, so by
 Cauchy-Binet norm[X | d B U] is at least the least norm[X | (d B)_T] over
-the column selections T.  A pair or span whose bound only ties the best
-value is still scanned whenever it could change the boundary warning.
-Whether two coordinate spans are jointly a direct summand is
-read from an int bitmask per partner rank; it depends only on their
-reductions mod p, so the masks are built once per pair of points of
-Gr(F_p^n) and shared by every span over them.
+the column selections T.  Unless every minimizer is collected, a pair
+or span whose bound only ties the best value is skipped too.  Whether
+two coordinate spans are jointly a direct summand is read from an int
+bitmask per partner rank; it depends only on their reductions mod p, so
+the masks are built once per pair of points of Gr(F_p^n) and shared by
+every span over them.
 
 Three caches hold everything the scans reuse, each entry a pure
 function of its key: ``functools.cache`` on the lattice-independent
@@ -62,7 +61,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from operator import mul
 from typing import NamedTuple
 
@@ -80,13 +79,13 @@ class BudgetExceededError(RuntimeError):
 class EnumerationBudget:
     """Caps for exhaustive enumeration.
 
-    exponent_bound is M, the largest invariant order explored: coordinates
-    are enumerated modulo p^(M+1), and ``stabilized_value`` starts there.
-    A family refuses to be built if its span count, [n choose r]_p
-    p^(M r (n - r)) for rank r in O^n, exceeds count_cap (``_family``).
-    ``stabilized_value`` builds no family for the min and none for a max
-    round that a Cauchy-Binet bound settles, so those never refuse.  The
-    default is also ``hivekit oracle``'s ``--count-cap`` default.
+    exponent_bound is M: coordinates are enumerated modulo p^(M+1), and
+    ``stabilized_value`` starts there.  A family refuses to be built if
+    its span count, [n choose r]_p p^(M r (n - r)) for rank r in O^n,
+    exceeds count_cap (``_family``).  ``stabilized_value`` builds no
+    family for the min, and for the max none past the round whose value
+    ``_lift_settles`` proves.  The default is also ``hivekit oracle``'s
+    ``--count-cap`` default.
     """
 
     exponent_bound: int = 1
@@ -361,12 +360,11 @@ class _Residue:
 
 
 class _Span(NamedTuple):
-    """A saturated coordinate span: its integer columns, whether it
-    touches the residue bound, and its residue class.  Its coordinate
-    matrix is built from ``dom`` only for a reported minimizer."""
+    """A saturated coordinate span: its integer columns and its residue
+    class.  Its coordinate matrix is built from ``dom`` only for a
+    reported minimizer."""
 
     dom: list
-    hot: bool
     res: _Residue
 
 
@@ -378,14 +376,13 @@ class _Image:
     lazily).  The rank-0 image has no span and Plücker vector (1,), the
     empty minor."""
 
-    __slots__ = ("span", "index", "pl", "norm", "hot", "rows", "sub")
+    __slots__ = ("span", "index", "pl", "norm", "rows", "sub")
 
     def __init__(self, span, index, pl, norm):
         self.span = span
         self.index = index
         self.pl = pl
         self.norm = norm
-        self.hot = span is not None and span.hot
         self.rows = {}
         self.sub = None
 
@@ -435,14 +432,13 @@ def _coord_family(n: int, p: int, r: int, m_bound: int) -> list:
     before R.  That is p^(M r (n - r)) times the Gaussian binomial
     [n choose r]_p spans, with no saturation pass, no span comparison
     and no filter.  Row sets run in ``combinations`` order and the
-    entries off R row by row.  An entry with a nonzero top digit marks
-    the span as touching the bound.  The reduction mod p of a form is
+    entries off R row by row.  The reduction mod p of a form is
     the same form for its point of Gr_r(F_p^n), which keys the span's
     residue class.  The coordinates are integers, so their columns need
     no clearing.  Lattice-independent, so kept for the process; callers
     go through ``_family``, which checks the count cap.
     """
-    mod, top = p ** (m_bound + 1), p ** m_bound
+    mod = p ** (m_bound + 1)
     family = []
     residues = {}
     for pivot_rows in combinations(range(n), r):
@@ -458,8 +454,7 @@ def _coord_family(n: int, p: int, r: int, m_bound: int) -> list:
             if res is None:
                 res = residues[low] = _Residue(list(zip(*low)), n)
             res.bits |= 1 << len(family)
-            hot = any(x >= top for x in assignment)
-            family.append(_Span([list(col) for col in zip(*rows)], hot, res))
+            family.append(_Span([list(col) for col in zip(*rows)], res))
     return family
 
 
@@ -549,7 +544,6 @@ def _image_family(form: _IntLattice, r: int, m_bound: int) -> _Family:
 class BruteResult:
     value: int
     minimizers: tuple  # pairs (Submodule | None, Submodule | None)
-    boundary_warning: bool
 
 
 def _scan(outer: list, inner: list, coord_pl: tuple, n: int, a: int, c: int,
@@ -567,37 +561,29 @@ def _scan(outer: list, inner: list, coord_pl: tuple, n: int, a: int, c: int,
     best cost.  By Cauchy-Binet, det [X | d B U]_R = sum over T of
     det U_T * det [X | (d B)_T]_R with integer det U_T, so every Y gives
     norm[X | Y] >= ``_coord_bound``, and X's inner loop is skipped once
-    that bound, less offset and w, exceeds the best cost.  A pair (or an
-    X) whose bound only ties the best is skipped under ``collect=False``
-    when it can change neither the value nor the flag: when a minimizer
-    away from the residue bound is already known, or the pair (every
-    pair of X) touches the bound.  ``summand`` maps X to a bitmask over
-    the inner records' ``index``; a pair whose bit is clear is not
-    scanned.  Value and flag do not depend on the scan order.
+    that bound, less offset and w, exceeds the best cost.  Under
+    ``collect=False`` a bound that only ties the best cannot lower it,
+    so those pairs and spans are skipped too.  ``summand`` maps X to a
+    bitmask over the inner records' ``index``; a pair whose bit is clear
+    is not scanned.  The value does not depend on the scan order.
 
-    Returns (best cost, the minimizing record pairs if ``collect``,
-    boundary flag: every minimizer touches the residue bound).
+    Returns (best cost, the minimizing record pairs if ``collect``).
     """
     best = INFINITY
     hits = []
-    found_calm = False  # a minimizer away from the bound
+    slack = 0 if collect else 1  # int costs: only a bound below best helps
     floor = inner[0].norm
     for rec_x, w in outer:
-        if rec_x.norm - w + floor > best:
+        if rec_x.norm - w + floor + slack > best:
             break  # outer sorted by norm X - w: no later X can reach best
         rows = rec_x.expansion(n, a, c)
-        lb = _coord_bound(rows, coord_pl, p) - offset - w
-        if lb > best or (lb == best and not collect
-                         and (found_calm or rec_x.hot)):
-            continue  # no Y can lower the value or change the flag
+        if _coord_bound(rows, coord_pl, p) - offset - w + slack > best:
+            continue  # no Y can reach best
         mask = -1 if summand is None else summand(rec_x)
         for rec_y in inner:
             bound = rec_x.norm + rec_y.norm
-            if bound - w > best:
+            if bound - w + slack > best:
                 break  # inner sorted by norm: no later Y can reach best
-            hot = rec_x.hot or rec_y.hot
-            if bound - w == best and not collect and (found_calm or hot):
-                continue
             if not mask >> rec_y.index & 1:
                 continue
             norm = _pair_norm(rows, rec_y.pl, p, bound + offset) - offset
@@ -605,14 +591,10 @@ def _scan(outer: list, inner: list, coord_pl: tuple, n: int, a: int, c: int,
                 continue  # X + Y has rank below a + c
             cost = norm - w
             if cost < best:
-                best = cost
-                found_calm = not hot
-                hits = [(rec_x, rec_y)] if collect else []
-            elif cost == best:
-                found_calm = found_calm or not hot
-                if collect:
-                    hits.append((rec_x, rec_y))
-    return best, hits, not found_calm
+                best, hits = cost, []
+            if collect and cost == best:
+                hits.append((rec_x, rec_y))
+    return best, hits
 
 
 def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -627,22 +609,20 @@ def brute_min_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     the saturated coordinate spans under the lattice's generator matrix,
     sorted by norm, with their Plücker vectors; ``_scan`` runs the pairs
     with weight 0 and no summand mask.  With collect=True all minimizing
-    pairs are returned, as Submodules gens @ coords.  The boundary flag
-    warns when every minimizer touches the residue bound.
+    pairs are returned, as Submodules gens @ coords.
     """
     a_lat.check_ranks(c_lat, a, c)
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
     fam_a = _family(_int_lattice(a_lat), a, m_bound, cap)
     fam_c = _family(_int_lattice(c_lat), c, m_bound, cap)
-    best, hits, warning = _scan([(rec, 0) for rec in fam_a.by_norm],
-                                fam_c.by_norm, fam_c.coord_pl, n, a, c, p,
-                                fam_a.offset + fam_c.offset, collect)
+    best, hits = _scan([(rec, 0) for rec in fam_a.by_norm], fam_c.by_norm,
+                       fam_c.coord_pl, n, a, c, p,
+                       fam_a.offset + fam_c.offset, collect)
     if best == INFINITY:
         raise BudgetExceededError("no direct pair found within the budget")
     return BruteResult(int(best), tuple(
-        (x.submodule(a_lat.gens), y.submodule(c_lat.gens)) for x, y in hits),
-        warning)
+        (x.submodule(a_lat.gens), y.submodule(c_lat.gens)) for x, y in hits))
 
 
 def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -679,26 +659,25 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     if c and u:  # with a rank-0 side V + U is saturated
         partners = [rec.span for rec in fam_u.by_span]
         summand = lambda rec: _summand_mask(rec.span, c, u, partners, n, p)
-    best, hits, warning = _scan(outer, fam_u.by_norm, fam_u.coord_pl, n, c,
-                                u, p, fam_v.offset + fam_u.offset, collect,
-                                summand)
+    best, hits = _scan(outer, fam_u.by_norm, fam_u.coord_pl, n, c, u, p,
+                       fam_v.offset + fam_u.offset, collect, summand)
     if best == INFINITY:
         raise BudgetExceededError("no summand pair found within the budget")
     return BruteResult(int(size - best), tuple(
         tuple(None if rec.span is None
               else Submodule(ValuedMatrix(a_lat.config, zip(*rec.span.dom)))
               for rec in pair)
-        for pair in hits), warning)
+        for pair in hits))
 
 
 def _lift_settles(form_a: _IntLattice, form_c: _IntLattice, a: int, c: int,
                   m_bound: int, count_cap: int, value: int) -> bool:
-    """True when no pair of the max route's families at bound M + 1 costs
-    less than b = |inv A| - ``value``, the least cost of its scan at
-    bound M (see ``stabilized_value``), read from the bound-M families
-    alone.
+    """True when no pair of the max route's families at any bound deeper
+    than M costs less than b = |inv A| - ``value``, the least cost of
+    its scan at bound M (see ``stabilized_value``), read from the
+    bound-M families alone.
 
-    Every span of the (M+1)-family reduces mod p^(M+1) to its parent in
+    Every span of a deeper family reduces mod p^(M+1) to its parent in
     the M-family: the same identity block, the same Schubert cell, so
     the same residue class and summand mask.  A child pair [V | U] is
     its parent [V' | U'] plus p^(M+1) times an integer matrix, so by
@@ -721,6 +700,14 @@ def _lift_settles(form_a: _IntLattice, form_c: _IntLattice, a: int, c: int,
       pair's norm as in ``_scan``, and a child's weight is at most
       Omega_C, the sum of the c largest invariants of C (a saturated V
       has a unit c-minor).
+
+    The argument reads nothing of a child but that congruence, so one
+    acceptance at M covers every deeper bound at once, and every
+    saturated span of O^n too, which is congruent mod p^(M+1) to its
+    truncation.  And the test accepts once M is large enough: a weight
+    is at most Omega_C, so once K_C exceeds Omega_C no parent meets the
+    second case.  That is M >= Omega_C - alpha_C + c v(d_C), the sum of
+    the c largest invariants of C less the sum of its c smallest.
 
     alpha, Omega and b come from the oracle's integer minors only, on
     the lattices' integer forms ``form_a`` and ``form_c``."""
@@ -748,59 +735,47 @@ def _lift_settles(form_a: _IntLattice, form_c: _IntLattice, a: int, c: int,
 def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
                      budget: EnumerationBudget = EnumerationBudget()
                      ) -> BruteResult:
-    """The brute value at growing exponent bounds, from
-    ``budget.exponent_bound`` = M_0 on for at most four rounds, once it
-    repeats without a boundary warning (the adopted evidence standard: no
-    a-priori bound on minimizers is available).  Only the families a
-    round builds meet the count cap (``_family``): the min builds none and
-    never refuses, and a max round that ``_lift_settles`` settles builds
-    none either.  The four-round limit bounds time, since a pair scan
-    grows with the square of the family size.  The result never carries
-    a boundary warning or minimizers: a value that cannot be returned
-    without a warning raises instead.
+    """The brute value, proved exact at a finite exponent bound, from
+    ``budget.exponent_bound`` = M_0 on.  Only the families a round builds
+    meet the count cap (``_family``): the min builds none and never
+    refuses.  The result carries no minimizers.
 
     The families grow with M (an identity-block form with entries below
     p^(M+1) is one below p^(M+2)), so a brute minimum (the min's value,
-    the max's least cost) can only fall as M grows; a calm minimizer at
-    M + 1 (entries below p^(M+1)) lies in the M-family, so at rounds
-    after the first, no warning already means the value repeated.
+    the max's least cost) can only fall as M grows.
 
     Min: at every M the brute minimum equals the Cauchy-Binet floor
     ``_selection_floor`` of the scaled generators (d_A A, a columns;
-    d_C C, c columns), less a v(d_A) + c v(d_C), with no warning.  Every
-    X = d_A A U and Y = d_C C U' make det [X | Y]_R = sum over S, T of
+    d_C C, c columns), less a v(d_A) + c v(d_C).  Every X = d_A A U and
+    Y = d_C C U' make det [X | Y]_R = sum over S, T of
     det U_S det U'_T det [(d_A A)_S | (d_C C)_T]_R, so no pair is below
     the floor; the pair (e_S, e_T) of coordinate spans is an identity-
-    block form in every family, never touches the bound, and reaches it.
-    So the value is the floor.
+    block form in every family and reaches it.  So the value is the
+    floor.
 
-    Max: round M_0 enumerates.  Each later round M + 1 first asks
-    ``_lift_settles`` whether round M's least cost b is a lower bound on
-    every (M+1)-pair.  If so, a minimizer at M (calm at M + 1, whose top
-    digit is zero) keeps cost b at M + 1, so that round would return
-    |inv A| - b without a warning; it does so without building its
-    families.  Otherwise the round enumerates."""
+    Max: round M enumerates, from M_0 on, and returns its value as soon
+    as ``_lift_settles`` accepts it: then no pair at any deeper bound,
+    nor any pair of saturated spans of O^n, costs less than round M's
+    least cost b, so |inv A| - b is the value of every deeper round.
+    Otherwise round M + 1 enumerates.  The loop ends: ``_lift_settles``
+    accepts by the time M reaches the spread of C's invariants (the sum
+    of its c largest less the sum of its c smallest), unless a family
+    meets the count cap first and raises BudgetExceededError."""
     if kind not in ("min", "max"):
         raise KeyError(kind)
     a_lat.check_ranks(c_lat, a, c)
-    start, cap = budget.exponent_bound, budget.count_cap
     forms = form_a, form_c = _int_lattice(a_lat), _int_lattice(c_lat)
     if kind == "min":
         floor = _selection_floor(((form_a.cols, a), (form_c.cols, c)),
                                  a_lat.n, form_a.p)
-        return BruteResult(floor - a * form_a.dv - c * form_c.dv, (), False)
-    result = brute_max_direct_sum(a_lat, c_lat, a, c, budget, collect=False,
-                                  forms=forms)
-    for m_bound in range(start + 1, start + 4):
-        if _lift_settles(form_a, form_c, a, c, m_bound - 1, cap,
-                         result.value):
-            return BruteResult(result.value, (), False)
-        result = brute_max_direct_sum(a_lat, c_lat, a, c,
-                                      replace(budget, exponent_bound=m_bound),
-                                      collect=False, forms=forms)
-        if not result.boundary_warning:  # so the value repeated
-            return result
-    raise BudgetExceededError("max value did not stabilize after 4 rounds")
+        return BruteResult(floor - a * form_a.dv - c * form_c.dv, ())
+    for m_bound in count(budget.exponent_bound):
+        value = brute_max_direct_sum(
+            a_lat, c_lat, a, c, replace(budget, exponent_bound=m_bound),
+            collect=False, forms=forms).value
+        if _lift_settles(form_a, form_c, a, c, m_bound, budget.count_cap,
+                         value):
+            return BruteResult(value, ())
 
 
 # ---------------------------------------------------------------------------

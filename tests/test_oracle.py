@@ -15,7 +15,7 @@ from hivekit import (BudgetExceededError, EnumerationBudget, Lattice,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
                      min_direct_sum_norm, pair_invariant, span_fingerprint,
                      stabilized_value)
-from hivekit import oracle
+from hivekit import build_hive, cli, oracle
 from hivekit.cli import InstanceSpec, main, random_pair
 from hivekit.oracle import (_coord_bound, _coord_family, _family, _int_det,
                             _int_lattice, _int_norm, _laplace_rows,
@@ -85,44 +85,44 @@ def _brute_call(p, n, seed, kind, a, c, m, collect=False):
                                 collect=collect)
 
 
-# (p, n, pair seed, kind, a, c, exponent_bound, value, boundary_warning),
+# (p, n, pair seed, kind, a, c, exponent_bound, value),
 # recorded with the rational-arithmetic brute routes that preceded the
 # integer-only ones
 PINNED_BRUTE = [
-    (2, 3, 9233, "min", 3, 0, 1, 6, False),
-    (2, 3, 9233, "min", 2, 1, 1, 4, False),
-    (2, 3, 9233, "max", 0, 1, 1, 2, True),
-    (2, 3, 9233, "max", 0, 1, 2, 2, False),
-    (2, 3, 9233, "min", 2, 0, 1, 3, False),
-    (2, 3, 9233, "min", 1, 2, 1, 3, False),
-    (2, 3, 9233, "max", 0, 2, 1, 3, True),
-    (2, 3, 9233, "max", 0, 2, 2, 3, False),
-    (2, 3, 9233, "min", 1, 1, 1, 2, False),
-    (2, 3, 9233, "max", 1, 1, 1, 4, False),
-    (2, 3, 9233, "max", 1, 1, 2, 4, False),
-    (2, 3, 9233, "min", 1, 0, 1, 1, False),
-    (2, 3, 9233, "min", 0, 3, 1, 3, False),
-    (2, 3, 9233, "max", 0, 3, 1, 3, False),
-    (2, 3, 9233, "max", 0, 3, 2, 3, False),
-    (2, 3, 9233, "min", 0, 2, 1, 1, False),
-    (2, 3, 9233, "max", 1, 2, 1, 5, True),
-    (2, 3, 9233, "max", 1, 2, 2, 5, False),
-    (2, 3, 9233, "min", 0, 1, 1, 0, False),
-    (2, 3, 9233, "max", 2, 1, 1, 6, False),
-    (2, 3, 9233, "max", 2, 1, 2, 6, False),
-    (2, 3, 9231, "max", 1, 1, 1, 5, False),
-    (3, 3, 9332, "max", 0, 1, 1, 2, False),
-    (3, 2, 9324, "min", 2, 0, 1, 3, False),
-    (3, 2, 9324, "min", 1, 1, 1, 1, False),
-    (3, 2, 9324, "max", 0, 1, 1, 2, True),
-    (3, 2, 9324, "max", 0, 1, 2, 2, False),
-    (3, 2, 9324, "min", 1, 0, 1, 0, False),
-    (3, 2, 9324, "min", 0, 2, 1, 1, False),
-    (3, 2, 9324, "max", 0, 2, 1, 2, False),
-    (3, 2, 9324, "max", 0, 2, 2, 2, False),
-    (3, 2, 9324, "min", 0, 1, 1, 0, False),
-    (3, 2, 9324, "max", 1, 1, 1, 3, False),
-    (3, 2, 9324, "max", 1, 1, 2, 3, False),
+    (2, 3, 9233, "min", 3, 0, 1, 6),
+    (2, 3, 9233, "min", 2, 1, 1, 4),
+    (2, 3, 9233, "max", 0, 1, 1, 2),
+    (2, 3, 9233, "max", 0, 1, 2, 2),
+    (2, 3, 9233, "min", 2, 0, 1, 3),
+    (2, 3, 9233, "min", 1, 2, 1, 3),
+    (2, 3, 9233, "max", 0, 2, 1, 3),
+    (2, 3, 9233, "max", 0, 2, 2, 3),
+    (2, 3, 9233, "min", 1, 1, 1, 2),
+    (2, 3, 9233, "max", 1, 1, 1, 4),
+    (2, 3, 9233, "max", 1, 1, 2, 4),
+    (2, 3, 9233, "min", 1, 0, 1, 1),
+    (2, 3, 9233, "min", 0, 3, 1, 3),
+    (2, 3, 9233, "max", 0, 3, 1, 3),
+    (2, 3, 9233, "max", 0, 3, 2, 3),
+    (2, 3, 9233, "min", 0, 2, 1, 1),
+    (2, 3, 9233, "max", 1, 2, 1, 5),
+    (2, 3, 9233, "max", 1, 2, 2, 5),
+    (2, 3, 9233, "min", 0, 1, 1, 0),
+    (2, 3, 9233, "max", 2, 1, 1, 6),
+    (2, 3, 9233, "max", 2, 1, 2, 6),
+    (2, 3, 9231, "max", 1, 1, 1, 5),
+    (3, 3, 9332, "max", 0, 1, 1, 2),
+    (3, 2, 9324, "min", 2, 0, 1, 3),
+    (3, 2, 9324, "min", 1, 1, 1, 1),
+    (3, 2, 9324, "max", 0, 1, 1, 2),
+    (3, 2, 9324, "max", 0, 1, 2, 2),
+    (3, 2, 9324, "min", 1, 0, 1, 0),
+    (3, 2, 9324, "min", 0, 2, 1, 1),
+    (3, 2, 9324, "max", 0, 2, 1, 2),
+    (3, 2, 9324, "max", 0, 2, 2, 2),
+    (3, 2, 9324, "min", 0, 1, 1, 0),
+    (3, 2, 9324, "max", 1, 1, 1, 3),
+    (3, 2, 9324, "max", 1, 1, 2, 3),
 ]
 
 
@@ -141,10 +141,9 @@ PINNED_HITS = [
 
 
 def test_brute_values_pinned():
-    for p, n, seed, kind, a, c, m, value, warning in PINNED_BRUTE:
+    for p, n, seed, kind, a, c, m, value in PINNED_BRUTE:
         res = _brute_call(p, n, seed, kind, a, c, m)
-        assert (res.value, res.boundary_warning) == (value, warning), \
-            (p, n, seed, kind, a, c, m)
+        assert res.value == value, (p, n, seed, kind, a, c, m)
     for p, n, seed, kind, a, c, m, count in PINNED_HITS:
         res = _brute_call(p, n, seed, kind, a, c, m, collect=True)
         assert len(res.minimizers) == count, (p, n, seed, kind, a, c, m)
@@ -183,14 +182,13 @@ def test_brute_routes_independent_of_optimizer_kernels(monkeypatch):
     for (p, n, seed, kind, a, c), value in stabilized.items():
         lam_lat, n_lat, m_lat = pairs[p, n, seed]
         other = n_lat if kind == "min" else m_lat
-        res = stabilized_value(kind, lam_lat, other, a, c)
-        assert (res.value, res.boundary_warning) == (value, False)
-    for p, n, seed, kind, a, c, m, value, warning in PINNED_BRUTE:
+        assert stabilized_value(kind, lam_lat, other, a, c).value == value
+    for p, n, seed, kind, a, c, m, value in PINNED_BRUTE:
         lam_lat, n_lat, m_lat = pairs[p, n, seed]
         fn, other = ((brute_min_direct_sum, n_lat) if kind == "min"
                      else (brute_max_direct_sum, m_lat))
-        res = fn(lam_lat, other, a, c, budget(m=m), collect=False)
-        assert (res.value, res.boundary_warning) == (value, warning)
+        assert fn(lam_lat, other, a, c, budget(m=m),
+                  collect=False).value == value
 
 
 def test_oracle_imports_only_data_types_from_the_optimizer():
@@ -234,8 +232,8 @@ def test_min_minimizers_lie_in_both_lattices():
 @pytest.mark.parametrize("p,n,seed", [(2, 2, 9220), (2, 3, 9233),
                                       (2, 3, 9240)])
 def test_collect_modes_agree(p, n, seed):
-    # collect=False skips ties that cannot change the boundary flag; both
-    # modes must report the same value and flag
+    # collect=False skips pairs whose bound only ties the best; both modes
+    # must report the same value
     for t in range(n + 1):
         for s in range(t + 1):
             a, c = n - t, t - s
@@ -246,8 +244,7 @@ def test_collect_modes_agree(p, n, seed):
                     full = _brute_call(p, n, seed, kind, x, y, m, True)
                     fast = _brute_call(p, n, seed, kind, x, y, m, False)
                     assert full.minimizers and not fast.minimizers
-                    assert ((full.value, full.boundary_warning)
-                            == (fast.value, fast.boundary_warning))
+                    assert full.value == fast.value
 
 
 @st.composite
@@ -354,8 +351,8 @@ def _scaled_pairs(a_lat, c_lat, p):
 def test_min_floor_equals_enumeration(p, n, seed):
     # stabilized_value("min") returns the Cauchy-Binet floor without
     # enumerating: at every bound the brute minimum must be that value,
-    # with no boundary warning, since the coordinate pair (e_S, e_T) that
-    # reaches the floor is in every family and never touches the bound
+    # since the coordinate pair (e_S, e_T) that reaches the floor is in
+    # every family
     lam_lat, n_lat, _ = _oracle_pair(p, n, seed)
     for a_lat, c_lat in _scaled_pairs(lam_lat, n_lat, p):
         for m in (0, 1, 2):
@@ -367,9 +364,7 @@ def test_min_floor_equals_enumeration(p, n, seed):
                                                  budget(m=m), collect=False)
                     floor = stabilized_value("min", a_lat, c_lat, a, c,
                                              budget(m=m))
-                    assert (floor.value, floor.boundary_warning) == \
-                        (brute.value, brute.boundary_warning) == \
-                        (brute.value, False), (m, a, c)
+                    assert floor.value == brute.value, (m, a, c)
 
 
 # (p, n, pair seed, max_exp, mix steps): max calls on which the lift bound
@@ -380,9 +375,10 @@ LIFT_PAIRS = [(2, 3, 9233, 2, 4), (2, 3, 9231, 2, 4), (3, 2, 9324, 2, 4),
 
 
 def test_lift_bound_implies_the_next_round():
-    # wherever _lift_settles accepts round M's value, the enumeration at
-    # M + 1 must give that value with no boundary warning; the counts pin
-    # the bound's strength, so a looser bound fails too
+    # wherever _lift_settles accepts round M's value, it covers every
+    # deeper bound: the enumerations at M + 1 and M + 2 must give that
+    # value.  The counts pin the bound's strength, so a looser bound fails
+    # too
     settled = refused = 0
     for p, n, seed, max_exp, mix in LIFT_PAIRS:
         lam_lat, _, m_lat = _oracle_pair(p, n, seed, max_exp, mix)
@@ -398,11 +394,11 @@ def test_lift_bound_implies_the_next_round():
                             refused += 1
                             continue
                         settled += 1
-                        nxt = brute_max_direct_sum(a_lat, c_lat, a, c,
-                                                   budget(m=m + 1),
-                                                   collect=False)
-                        assert (nxt.value, nxt.boundary_warning) == \
-                            (res.value, False), (p, n, seed, m, a, c)
+                        for deeper in (m + 1, m + 2):
+                            assert brute_max_direct_sum(
+                                a_lat, c_lat, a, c, budget(m=deeper),
+                                collect=False).value == res.value, \
+                                (p, n, seed, m, deeper, a, c)
     assert (settled, refused) == (484, 140)
 
 
@@ -424,8 +420,26 @@ def test_lift_bound_refuses_a_growing_value(p, n, seed, a, c, low, high):
     assert not oracle._lift_settles(_int_lattice(lam_lat),
                                     _int_lattice(m_lat), a, c, 1, 500_000,
                                     low)
-    res = stabilized_value("max", lam_lat, m_lat, a, c)
-    assert (res.value, res.boundary_warning) == (high, False)
+    assert stabilized_value("max", lam_lat, m_lat, a, c).value == high
+
+
+def test_max_rises_after_calm_rounds(p2):
+    # the brute max of entries (0, 1), (0, 2) and (1, 3) of this pair sits
+    # one below the hive entry at bounds 0 to 2 and reaches it at bound 3,
+    # where _lift_settles first accepts: a max that stopped before the lift
+    # bound proved it would report the correct hive as failed
+    lam_lat = lat(p2, [[16, 0, 0], [0, 4, 0], [0, 0, 2]])
+    n_lat = lat(p2, [[2, 0, 1], [0, 1, 0], [0, 0, 1]])
+    m_lat, _ = pair_invariant(n_lat, lam_lat)
+    hive = build_hive(n_lat, lam_lat, "primary")
+    cells = [(0, 1), (0, 2), (1, 3)]
+    assert [hive[s, t] for s, t in cells] == [4, 6, 7]
+    for m in (0, 1):
+        assert [stabilized_value("max", lam_lat, m_lat, s, t - s,
+                                 budget(m=m)).value
+                for s, t in cells] == [4, 6, 7]
+    trial = cli._certify_trial(n_lat, lam_lat, EnumerationBudget())
+    assert trial["status"] == "certified"
 
 
 @pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2), (3, 3, 1)])
@@ -499,14 +513,9 @@ def test_saturated_coords_one_span_per_grassmannian_point(p, n, r, m):
         return next(rs for rs in combinations(range(n), r)
                     if _int_det([rows[i] for i in rs]) % p)
 
-    want = [(pivot_rows, rows)
-            for pivot_rows, rows in _fingerprint_family(cfg, n, r, m)
+    want = [rows for pivot_rows, rows in _fingerprint_family(cfg, n, r, m)
             if first_unit_rows(rows) == pivot_rows]
-    assert ([[list(row) for row in zip(*span.dom)] for span in family]
-            == [rows for _, rows in want])
-    for span, (pivot_rows, rows) in zip(family, want):
-        assert span.hot == any(x >= p ** m for i, row in enumerate(rows)
-                               if i not in pivot_rows for x in row)
+    assert [[list(row) for row in zip(*span.dom)] for span in family] == want
 
 
 def _pval_loop(x, p):
@@ -586,15 +595,6 @@ def test_duality_certified_by_brute(p2):
                 assert bmin + bmax == size
 
 
-def test_boundary_warning_is_reported(p2):
-    a = lat(p2, [[4, 0], [0, 1]])
-    c = lat(p2, [[2, 0], [0, 1]])
-    res = brute_min_direct_sum(a, c, 1, 1, budget(m=1))
-    assert isinstance(res.boundary_warning, bool)
-    stab = stabilized_value("min", a, c, 1, 1)
-    assert stab.value == 1 and not stab.boundary_warning
-
-
 def test_min_never_meets_the_cap():
     # the min builds no family, so even a cap of one span returns its
     # value: the Cauchy-Binet floor, the enumerated minimum
@@ -605,23 +605,27 @@ def test_min_never_meets_the_cap():
                                    budget(m=1, cap=1))
             want = brute_min_direct_sum(lam_lat, n_lat, a, c, budget(m=1),
                                         collect=False)
-            assert (res.value, res.boundary_warning) == (want.value, False)
+            assert res.value == want.value
 
 
-def _four_rounds(kind, a_lat, c_lat, a, c, budget):
-    """The stabilization protocol enumerated in full: the brute route at
-    bounds M_0, M_0 + 1, ... for at most four rounds, until the value
-    repeats without a boundary warning."""
-    fn = {"min": brute_min_direct_sum, "max": brute_max_direct_sum}[kind]
-    prev = None
-    start = budget.exponent_bound
-    for m_bound in range(start, start + 4):
-        result = fn(a_lat, c_lat, a, c,
-                    replace(budget, exponent_bound=m_bound), collect=False)
-        if result.value == prev and not result.boundary_warning:
+def _enumerated_rounds(kind, a_lat, c_lat, a, c, budget):
+    """The stabilization protocol by enumeration: the brute min at bound
+    M_0, which gives the floor at every bound
+    (``test_min_floor_equals_enumeration``), and the brute max at bounds
+    M_0, M_0 + 1, ... until ``_lift_settles`` accepts a round's value."""
+    if kind == "min":
+        return brute_min_direct_sum(a_lat, c_lat, a, c, budget, collect=False)
+    if kind != "max":
+        raise KeyError(kind)
+    m_bound = budget.exponent_bound
+    while True:
+        result = brute_max_direct_sum(a_lat, c_lat, a, c,
+                                      replace(budget, exponent_bound=m_bound),
+                                      collect=False)
+        if oracle._lift_settles(_int_lattice(a_lat), _int_lattice(c_lat), a,
+                                c, m_bound, budget.count_cap, result.value):
             return result
-        prev = result.value
-    raise BudgetExceededError(f"{kind} value did not stabilize after 4 rounds")
+        m_bound += 1
 
 
 def _outcome(fn, *args):
@@ -629,7 +633,7 @@ def _outcome(fn, *args):
         res = fn(*args)
     except Exception as exc:  # the type and message must agree too
         return type(exc), str(exc)
-    return res.value, res.boundary_warning, res.minimizers
+    return res.value, res.minimizers
 
 
 def _built_families(monkeypatch, fn, *args):
@@ -666,24 +670,25 @@ PROTOCOL_TRIALS = [
 @pytest.mark.parametrize("p,n,seed,max_exp,mix,budgets", PROTOCOL_TRIALS)
 def test_stabilized_value_matches_four_rounds(monkeypatch, p, n, seed,
                                               max_exp, mix, budgets):
-    # the shortcuts change no value, flag, exception type or message: every
+    # the shortcuts change no value, exception type or message: every
     # (kind, a, c) of the pair, rank-0 sides and out-of-range ranks
-    # included, against the protocol that enumerates every round.  Where
+    # included, against the protocol by enumeration.  Where
     # that protocol meets the cap, stabilized_value meets it only on a
     # family its own route builds: the first one over the cap, each round's
     # in the max route's order (rank n - a - c, then c).  With none over
     # the cap it returns the value of the full budget; so the min, which
-    # builds none, never refuses
+    # builds none, never refuses.  The max builds the same families on both
+    # sides, so it returns only where the reference returns
     lam_lat, n_lat, m_lat = _oracle_pair(p, n, seed, max_exp, mix)
     calls = [(kind, a, c) for kind in ("min", "max")
              for a in range(n + 1) for c in range(n - a + 1)]
     calls += [("min", n, 1), ("max", -1, 1), ("mean", 1, 1)]
-    returned = refused = 0
+    returned, refused = set(), 0
     for m, cap in budgets:
         for kind, a, c in calls:
             other = n_lat if kind == "min" else m_lat
             args = (kind, lam_lat, other, a, c)
-            want = _outcome(_four_rounds, *args, budget(m=m, cap=cap))
+            want = _outcome(_enumerated_rounds, *args, budget(m=m, cap=cap))
             got = _outcome(stabilized_value, *args, budget(m=m, cap=cap))
             if want[0] is not BudgetExceededError or \
                     not want[1].startswith("predicted"):
@@ -691,12 +696,12 @@ def test_stabilized_value_matches_four_rounds(monkeypatch, p, n, seed,
                 continue
             full, built = _built_families(monkeypatch, stabilized_value,
                                           *args, budget(m=m))
-            assert full == _outcome(_four_rounds, *args, budget(m=m))
+            assert full == _outcome(_enumerated_rounds, *args, budget(m=m))
             rounds = sorted({bound for _, bound in built})
             over = [(r, bound) for bound in rounds for r in (n - a - c, c)
                     if len(_coord_family(n, p, r, bound)) > cap]
             if not over:
-                returned += 1
+                returned.add(kind)
                 assert got == full, (m, cap, kind, a, c)
                 continue
             refused += 1
@@ -705,8 +710,8 @@ def test_stabilized_value_matches_four_rounds(monkeypatch, p, n, seed,
                 f"predicted {len(_coord_family(n, p, r, bound))} spans "
                 f"(rank {r} in O^{n}, entries below {p}^{bound + 1}) "
                 f"exceed cap {cap}")), (m, cap, kind, a, c)
-    assert bool(returned) == bool(refused) == any(
-        cap < 500_000 for _, cap in budgets)
+    assert returned <= {"min"}
+    assert bool(refused) == any(cap < 500_000 for _, cap in budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +827,8 @@ def test_coords_cap_holds_on_warm_cache(p2):
         brute_max_direct_sum(a, c, 0, 1, budget(m=1, cap=10))
 
 
-# (p, n, pair seed, kind, a, c, exponent_bound): calls whose value, flag
-# and minimizer count must not depend on the image cache's state
+# (p, n, pair seed, kind, a, c, exponent_bound): calls whose value and
+# minimizer count must not depend on the image cache's state
 HISTORY_CALLS = [(2, 2, 9220, "min", 1, 1, 1), (2, 2, 9220, "max", 1, 1, 2),
                  (2, 3, 9233, "max", 1, 1, 2), (3, 2, 9320, "min", 1, 1, 1)]
 
@@ -835,7 +840,7 @@ def test_brute_result_ignores_call_history(call):
 
     def summary():
         res = _brute_call(*call, collect=True)
-        return res.value, res.boundary_warning, len(res.minimizers)
+        return res.value, len(res.minimizers)
 
     cold = summary()
     misses = images.cache_info().misses
