@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .lattice import Lattice, _minor_norms, _selection_min, _witness_value
-from .matops import _eliminate, _raw_entries, _swap_form
+from .lattice import Lattice, _min_selections, _witness_values
+from .matops import _raw_entries, _swap_form
 
 PRIMARY = "primary"
 SWAPPED = "swapped"
@@ -172,9 +172,19 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     Entry (s,t) is |lambda| minus the minimal direct-sum norm over pairs
     of submodules of Lambda (rank n-t) and of N (rank t-s); the swapped
     variant uses M = pair invariant lattice in place of N.  Every such
-    norm is the matrix norm of a column selection of [Lambda | N], so the
-    min route reads one table of the minors of [Lambda | N]
-    (``lattice._minor_norms``) per hive.
+    norm is the matrix norm of a column selection of [Lambda | N], and
+    ``lattice._min_selections`` gives every minimum of a hive at once.
+    One elimination of [Lambda | N] pivoting in Lambda's columns makes
+    U Lambda triangular, D = diag(pi^lambda) times an upper unitriangular
+    matrix, with U unimodular; with N' = U N, Laplace expansion along D's
+    columns gives
+
+        h(s,t) = |lambda| - min over |S| = n-t of
+                 lambda_S + d_(t-s)(N' without the rows S),
+
+    d_k the sum of the k smallest invariants: one elimination per row set
+    S, skipped when lambda_S + d_k(N') already reaches the best value for
+    every k.  The lattice module docstring derives each step.
 
     All of it runs on one raw form of [Lambda | N] (``matops._raw_entries``:
     integers, or integer polynomials over t), cleared once per hive; lambda
@@ -189,19 +199,21 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
 
     Every entry is also evaluated at the max route's witness, and the two
     values must agree; a mismatch raises DualityError.  The witness is
-    V = the M^-1-columns of the first minimizing N-selection jw of the
-    same table scan: ``max_direct_sum_norm`` would scan
+    V = the M^-1-columns of the minimizing N-selection jw that
+    ``_min_selections`` returns (the first pivot columns at the first
+    minimizing S; it need not be the first minimizer of a scan over the
+    columns of [Lambda | N]): ``max_direct_sum_norm`` would search
     [Lambda | Lambda M^-1], and Lambda M^-1 = N exactly
     (``tests/test_lattice.py::test_max_scan_matrix_is_n``), so Lambda V is
     the columns N_jw and no inverse is formed.  The witness's value comes
-    from ``lattice._witness_value``, the max route's own witness entry,
+    from ``lattice._witness_values``, the max route's own witness entry,
     which runs one quotient elimination on the N_jw columns and the Lambda
-    rows of the raw form: the same input as the table, but a different
-    route, elimination instead of minors, and it never reads the table
+    rows of the original raw form, once per distinct jw, and gives the
+    value for every u = n - t; it never reads the min route's values
     (``tests/test_hive.py::test_witness_ignores_minor_table``).
     The objective's norm(M V) term is 0 because M V is made of unit
     columns.  The witness value is at most the true max = |lambda| - true
-    min, so agreement also shows that the table's min did not undershoot.
+    min, so agreement also shows that the min route did not undershoot.
     Agreement shows that a feasible witness attains h(s,t), so the true
     max is at least h(s,t); only the brute-force oracle (acceptance
     criterion 4, ``hivekit oracle``) certifies that the max equals h(s,t).
@@ -235,25 +247,26 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
         raise ValueError("pair lattices must share dimension and ring")
     n = lam_lat.n
     form = _raw_entries(lam_lat.gens, n_lat.gens)
-    (lam_rows, _), val, step, shift = form
-    # lambda from the same form: transposing leaves it unchanged
-    lam = sorted((v - shift for v in _eliminate([list(r) for r in lam_rows],
-                                                  n, val, step)), reverse=True)
-    size = sum(lam)
     if variant == SWAPPED:
         # M in place of N, carried out on transposes: Lambda^T = M^T N^T is
         # the valid factorization with the roles exchanged, so the swapped
         # hive is the primary construction on the pair (M^T, Lambda^T), and
         # its type comes out (nu, mu, lambda)
         form = _swap_form(form, n_lat.config)
-    norms = _minor_norms(form)
+    lam, best = _min_selections(form)
+    lam.sort(reverse=True)
+    size = sum(lam)
+    witness = {}
     rows = []
     for t in range(n + 1):
         row = []
         for s in range(t):
-            best, (_, jw) = _selection_min(norms, n, n - t, t - s)
-            hmin = size - best
-            hmax = _witness_value(form, jw, n - t, size)
+            value, jw = best[n - t, t - s]
+            hmin = size - value
+            # t rises, so a column set is first met at its largest u = n - t
+            if jw not in witness:
+                witness[jw] = _witness_values(form, jw, n - t, size)
+            hmax = witness[jw][n - t]
             if hmax != hmin:
                 raise DualityError(s, t, hmin, hmax, variant, jw)
             row.append(hmin)

@@ -6,13 +6,34 @@ exactly: by multilinearity every maximal minor of ``[A S | C T]`` with
 O-matrices S, T is an O-combination of the minors of plain column
 selections, so the minimum over all submodule pairs is attained on column
 subsets of the generator matrices (any representatives).  Each selection
-norm is the minimal valuation of a maximal minor, and every such minor is
-a minor of the one n x 2n matrix [A | C], so the min route reads one
-table (``_minor_norms``) that computes all of them once, on the raw form
-of [A | C] (``matops._raw_entries``: integers, or integer polynomials
-over t); ``_selection_min`` scans it.  ``build_hive`` clears the raw form
-of [Lambda | N] once per hive, builds the table from it, and takes each
-entry's min value and its max witness columns from the same scan.
+norm is the minimal valuation of a maximal minor.  ``_min_selections``
+finds every minimum of [X | Y] (in the hive, X = Lambda and Y = N) with
+at most 2^n small eliminations of the raw form (``matops._raw_entries``:
+integers, or integer polynomials over t) and no table of minors:
+
+* Triangular to diagonal.  One ``matops._eliminate`` of [X | Y] pivoting
+  in X's columns applies a unimodular U on the left.  In pivot order U X
+  is upper triangular, each pivot of least valuation in its remaining
+  row, so U X = D' W with D' its diagonal and W upper unitriangular over
+  O.  So U X spans the lattice of D = diag(pi^lam), lam the pivot
+  valuations, and since any generators serve, the minima are those of
+  [D | Y'], Y' = U Y the Y parts of the pivot rows.
+* Laplace.  The columns D_S of a set S of pivot rows vanish off S, so a
+  maximal minor of [D_S | Y'_J] is pi^(lam_S) times a minor of Y' without
+  the rows S, and the least norm with |Jx| = kx, |Jy| = ky is
+  min over |S| = kx of lam_S + d_ky(Y' without the rows S), d_k the sum
+  of the k smallest invariants.  So hive entry (s, t) is
+  |lam| - min over |S| = n - t of lam_S + d_(t-s)(Y' without S).  One
+  elimination of Y' without the rows S gives every d_k, the sum of its
+  first k pivots, whose columns Jy reach it.
+* The skip bound.  A minor of a row submatrix is a minor of Y', so
+  d_k(Y' without S) >= d_k(Y'), and S is skipped when lam_S + d_k(Y')
+  reaches the best value so far for every k.  Only a strictly smaller
+  value replaces a best one, so skipping changes no value and no Jy.
+
+Jy is taken at the first minimizing S; it need not be the first
+minimizer of a scan over the columns of [X | Y].  Any minimizing Jy
+serves as the max route's witness.
 
 The maximum ranges over summand-realized pairs: submodules A(Y), C(V)
 where Y and V are jointly a direct summand of O^n under the stored
@@ -28,16 +49,18 @@ its value is exact.  The max route evaluates one feasible witness, so its
 value is a lower bound on the maximum: when it equals |inv A| minus the
 min route (the check in ``build_hive``), the true maximum is at least
 that entry.  Equality is certified only by the brute-force oracle.  The
-witness's value is always computed by ``_witness_value``, by elimination
-and never from the minor table, so a table that undershot the min would
-fail that check.  ``_witness_value`` is the one witness entry: given the
-raw form of [A | A C^-1] and the witness columns jw, it runs one quotient
-elimination (``matops._quotient_valuations``) on [A V | A], A V being
-the jw columns of A C^-1.  The witness V is always made of C.gens^-1
-columns, so the norm(C(V)) term of the objective is identically 0 and is
-not computed.  ``max_direct_sum_norm`` forms no inverse: it takes the
-raw form of [A | A C^-1] from ``matops._swap_form`` on the raw form of
-[A^T | C^T], through the adjugate of C's cleared block.  In the hive,
+witness's value is always computed by ``_witness_values``, by its own
+elimination on the original raw form and never from the min route's
+values, so a min route that undershot would fail that check.
+``_witness_values`` is the one witness entry: given the raw form of
+[A | A C^-1] and the witness columns jw, it runs one quotient elimination
+(``matops._quotient_valuations``) on [A V | A], A V being the jw columns
+of A C^-1, and gives the value for every rank of the complement U.  The
+witness V is always made of C.gens^-1 columns, so the norm(C(V)) term of
+the objective is identically 0 and is not computed.
+``max_direct_sum_norm`` forms no inverse: it takes the raw form of
+[A | A C^-1] from ``matops._swap_form`` on the raw form of [A^T | C^T],
+through the adjugate of C's cleared block.  In the hive,
 A C^-1 = Lambda M^-1 = N exactly, so ``build_hive`` passes the raw form
 of [Lambda | N] itself.
 
@@ -51,10 +74,10 @@ afresh on each call; its one caller is the greedy diagnostic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .matops import (INFINITY, ValuedMatrix, _adj_product, _from_raw,
-                     _minor_levels, _quotient_valuations, _raw_entries,
+from .matops import (INFINITY, ValuedMatrix, _adj_product, _eliminate,
+                     _from_raw, _quotient_valuations, _raw_entries,
                      _swap_form, invariant_partition,
                      quotient_free_invariants, smith_decompose)
 
@@ -197,67 +220,55 @@ def min_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     """Exact min of norm(A_a (+) C_c) over submodule pairs with direct sum.
 
     Equivalently the matrix norm of the concatenated generators; attained
-    on column selections of the generator matrices (see module docstring),
-    so the search is exhaustive over those.
+    on column selections of the generator matrices, and read from
+    ``_min_selections`` (see the module docstring).
     """
     a_lat.check_ranks(c_lat, a, c)
     if c == 0:
         return sum(sorted(lattice_invariants(a_lat))[:a])
     if a == 0:
         return sum(sorted(lattice_invariants(c_lat))[:c])
-    norms = _minor_norms(_raw_entries(a_lat.gens, c_lat.gens))
-    best, _ = _selection_min(norms, a_lat.n, a, c)
-    if best == INFINITY:
-        raise ValueError("no direct sum of the requested ranks exists")
-    return int(best)
+    _, best = _min_selections(_raw_entries(a_lat.gens, c_lat.gens))
+    return best[a, c][0]
 
 
-def _selection_min(norms, n, kx, ky):
-    """Minimal matrix_norm of [X-cols_(Jx) | Y-cols_(Jy)] over column
-    selections with |Jx| = kx, |Jy| = ky >= 1, read from the minor table
-    ``norms = _minor_norms(X, Y)``, and the first minimizing pair
-    (Jx, Jy) in scan order (Jx outer, Jy inner); None if every selection
-    is rank deficient."""
-    y_sel = [(jy, tuple(n + j for j in jy))
-             for jy in combinations(range(n), ky)]
-    best = INFINITY
-    first = None
-    for jx in combinations(range(n), kx):
-        for jy, y_cols in y_sel:
-            val = norms[jx + y_cols]
-            if val < best:
-                best = val
-                first = (jx, jy)
-    return best, first
-
-
-def _minor_norms(form) -> dict:
-    """matrix_norm of every column selection of [X | Y] with at most n
-    columns, keyed by the selected column indices (Y's columns are
-    n..2n-1); INFINITY when every maximal minor of the selection is zero.
-
-    ``form`` is the raw form ``matops._raw_entries(X, Y)`` (or
-    ``matops._swap_form`` of one): p-adic raw values are ints, t-adic ones
-    integer polynomials.  Every square minor of [X | Y] is computed once,
-    size by size, by ``matops._minor_levels``: the C(3n, n) - 1 minors
-    cost only multiplications and additions.  A selection's norm is the
-    minimal valuation of its maximal minors; a k-column selection's raw
-    norm exceeds its norm by k times the form's shift.
+def _min_selections(form):
+    """(lam, best) for the raw form ``form`` of [X | Y], X and Y square of
+    full rank n: lam holds X's invariant orders, non-decreasing, and for
+    every kx >= 0, ky >= 1 with kx + ky <= n, best[kx, ky] = (the least
+    norm of [X_Jx | Y_Jy] with |Jx| = kx and |Jy| = ky, a minimizing Jy in
+    ascending order).  The sets S of pivot rows are taken by size, in
+    ``combinations`` order; the module docstring derives the steps.
     """
-    (x_rows, y_rows), val, _, shift = form
-    norms = {}
-    levels = _minor_levels(list(zip(*x_rows)) + list(zip(*y_rows)),
-                           len(x_rows))
-    for k, level in enumerate(levels, 1):
-        for sel, dets in level.items():
-            best = INFINITY
-            for det in dets:
-                if det:
-                    v = val(det)
-                    if v < best:
-                        best = v
-            norms[sel] = best - k * shift
-    return norms
+    (x_rows, y_rows), val, step, shift = form
+    n = len(x_rows)
+    pivots = []
+    lam = _eliminate([list(x) + list(y) for x, y in zip(x_rows, y_rows)],
+                     n, val, step, pivots)
+    y_red = [row[-n:] for _, row in pivots]
+    best = {(kx, ky): (INFINITY, None)
+            for kx in range(n) for ky in range(1, n - kx + 1)}
+    floor = None  # d_ky(Y'), set by S = {}, the first S
+    for kx in range(n):
+        for rows in combinations(range(n), kx):
+            lam_s = sum(lam[i] for i in rows)
+            if kx and all(lam_s + floor[ky] >= best[kx, ky][0]
+                          for ky in range(1, n - kx + 1)):
+                continue
+            cols = []
+            vals = _eliminate([list(y) for i, y in enumerate(y_red)
+                               if i not in rows], n, val, step, cols)
+            if not kx:
+                floor = list(accumulate(vals, initial=0))
+            value = lam_s
+            for ky, v in enumerate(vals, 1):
+                value += v
+                if value < best[kx, ky][0]:
+                    best[kx, ky] = (value,
+                                    tuple(sorted(j for j, _ in cols[:ky])))
+    return ([v - shift for v in lam],
+            {(kx, ky): (value - (kx + ky) * shift, jw)
+             for (kx, ky), (value, jw) in best.items()})
 
 
 def greedy_slice_first_min(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
@@ -302,17 +313,17 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     through the quotient by the rest of the decomposition, and the value
     depends only on the K-span of V, so saturation is immaterial.
 
-    The witness is V = the C.gens^-1-columns of the first minimizing
-    column selection of the dual minimum, found by this route's own
-    selection scan of [A | A C^-1]; there C(V) is spanned by unit columns,
-    so the value is |inv A| - norm(A(V)) minus the optimal U's quotient
-    invariants (``_witness_value``).  The scan and the witness both read
-    the raw form of [A | A C^-1] that ``matops._swap_form`` makes from
-    the raw form of [A^T | C^T], as for the swapped hive: no inverse is
-    formed.  Its value is the objective at one feasible V, so it proves
-    only a lower bound on the maximum; ``build_hive`` shows that it
-    reaches |inv A| minus the min route, and the brute-force oracle
-    (acceptance criterion 4, ``hivekit oracle``) certifies equality.
+    The witness is V = the C.gens^-1-columns of a minimizing Y-selection
+    of the dual minimum, found by this route's own ``_min_selections`` on
+    [A | A C^-1]; there C(V) is spanned by unit columns, so the value is
+    |inv A| - norm(A(V)) minus the optimal U's quotient invariants
+    (``_witness_values``).  Both read the raw form of [A | A C^-1] that
+    ``matops._swap_form`` makes from the raw form of [A^T | C^T], as for
+    the swapped hive: no inverse is formed.  Its value is the objective at
+    one feasible V, so it proves only a lower bound on the maximum;
+    ``build_hive`` shows that it reaches |inv A| minus the min route, and
+    the brute-force oracle (acceptance criterion 4, ``hivekit oracle``)
+    certifies equality.
     """
     a_lat.check_ranks(c_lat, a, c)
     lam = sorted(lattice_invariants(a_lat), reverse=True)
@@ -321,28 +332,30 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     u = a_lat.n - a - c
     form = _swap_form(_raw_entries(a_lat.gens.transpose(),
                                    c_lat.gens.transpose()), a_lat.config)
-    _, (_, jw) = _selection_min(_minor_norms(form), a_lat.n, u, c)
-    return _witness_value(form, jw, u, sum(lam))
+    _, best = _min_selections(form)
+    return _witness_values(form, best[u, c][1], u, sum(lam))[u]
 
 
-def _witness_value(form, jw, u, size):
+def _witness_values(form, jw, u, size):
     """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at the span V made
-    of the C.gens^-1 columns ``jw``, given the raw form
+    of the C.gens^-1 columns ``jw``, for every rank 0..``u`` of U (a list
+    indexed by that rank), given the raw form
     ``form = matops._raw_entries(A.gens, Y)`` of [A | Y], Y = A C^-1 (in
     the hive, Y = N), and ``size`` = |inv A|.
 
     C.gens @ V is made of unit columns, so norm(C(V)) is identically 0;
-    the value is |inv A| minus norm(A(V)) minus the u smallest quotient
-    invariants of A relative to A(V).  One ``matops._quotient_valuations``
-    run on the raw [A V | A], A V being the jw columns of Y, gives both
-    sums; the raw form's shift moves each of the k pivots of A V and each
-    quotient pivot by the same amount.  The input is the matrices
-    themselves, never the minor table.
+    the value at rank r is |inv A| minus norm(A(V)) minus the r smallest
+    quotient invariants of A relative to A(V).  One
+    ``matops._quotient_valuations`` run on the raw [A V | A], A V being the
+    jw columns of Y, gives both sums; the raw form's shift moves each of
+    the k pivots of A V and each quotient pivot by the same amount.  The
+    input is the matrices themselves, never the min route's values.
     """
     (a_rows, y_rows), val, step, shift = form
     av = [[row[j] for j in jw] for row in y_rows]
     # with u = 0 the quotient is not needed, so T is left empty
     av_vals, quot = _quotient_valuations(av, a_rows if u else [()] * len(av),
                                          val, step)
-    return int(size - sum(av_vals) - sum(sorted(quot)[:u])
-               + (len(av_vals) + u) * shift)
+    top = size - sum(av_vals) + len(av_vals) * shift
+    return [top - q + r * shift
+            for r, q in enumerate(accumulate(sorted(quot), initial=0))]

@@ -14,9 +14,13 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   ``lattice.Submodule.contains`` and ``.same_span`` (which is
   ``lattice.Lattice.__eq__``) are norm comparisons too;
 * quotient invariants -- ``quotient_free_invariants`` and the lattice
-  layer's max witness (``lattice._witness_value``, its one entry) -- run
+  layer's max witness (``lattice._witness_values``, its one entry) -- run
   ``_quotient_valuations``, the same elimination on [S | T] with pivots
   taken only in S's columns;
+* the min side of the hive -- ``lattice._min_selections`` -- runs
+  ``_eliminate`` on [Lambda | N] with pivots only in Lambda's columns,
+  reading each pivot row and column, then once on each row subset of the
+  reduced N;
 * ``smith_decompose`` builds D together with the transforms P and Q in
   one loop, for the callers that need them: ``lattice.adapted_slice``
   reads P @ D on each call (for the oracle's regression instance), and
@@ -284,6 +288,16 @@ def _int_step(p, pivot, v):
     return clear
 
 
+def _int_val(p):
+    """v_p of a nonzero raw int as a one-argument function.  The kernels
+    call it on every entry they scan, and a closure costs about half of a
+    keyword ``partial``; at p = 2 it is ``_int_pval``'s lowest-set-bit
+    rule inline."""
+    if p == 2:
+        return lambda x: (x & -x).bit_length() - 1
+    return lambda x: _int_pval(x, p)
+
+
 def _raw_entries(*mats):
     """(rows, val, step, shift): the raw form of one or more matrices over
     one ring.
@@ -296,7 +310,7 @@ def _raw_entries(*mats):
     One common scale c is cleared from all the matrices' entries, so the
     raw values are the entries times c and ``shift`` = v(c).  p-adic: c is
     the common denominator d, the raw values are Python ints and ``val``
-    is ``_int_pval``.  t-adic: c is the lcm D(t) of the denominators in
+    is ``_int_val(p)``.  t-adic: c is the lcm D(t) of the denominators in
     Z[t], the raw value of num / den is the integer polynomial
     num (D / den) (a ``ring._TPoly``), ``val`` is the order at t and
     ``shift`` = ord_t(D).  Scaling by c moves a k-column selection's norm
@@ -309,7 +323,7 @@ def _raw_entries(*mats):
                        for row in a.entries for e in row))
         rows = [[[e.value.numerator * (d // e.value.denominator) for e in row]
                  for row in a.entries] for a in mats]
-        return (rows, partial(_int_pval, p=cfg.p), partial(_int_step, cfg.p),
+        return (rows, _int_val(cfg.p), partial(_int_step, cfg.p),
                 _int_pval(d, cfg.p))
     d = _TONE
     for den in {e.den for a in mats for row in a.entries for e in row}:
@@ -319,21 +333,26 @@ def _raw_entries(*mats):
     return rows, attrgetter("v"), _tpoly_step, d.v
 
 
-def _eliminate(rows, width, val, step) -> list:
+def _eliminate(rows, width, val, step, pivots=None) -> list:
     """Minimal-valuation elimination of raw rows, pivoting only in the
     first ``width`` columns; returns the pivot valuations of the raw values.
 
     After each pivot its row and column are removed and only the Schur
     complement is kept, in place: on return ``rows`` holds the rows left
-    over, without the pivoted columns.  Each row is cleared by the raw
-    form's ``step``, fraction-free for both ring kinds: with pivot =
-    pi^v u (pi = p or t), row <- u row - (e / pi^v) prow.  Both multipliers
-    are raw values (e / pi^v is an exact division, or an exact shift of
-    coefficients), and u is a unit of O, so every row operation is
-    unimodular over O and the pivot valuations are the Smith invariants of
-    the raw rows.
+    over, without the pivoted columns.  When ``pivots`` is a list, each
+    pivot appends (its column's index in the input, its row as it was
+    pivoted, without the pivot entry): the row's last entries are the
+    columns past ``width``, which no pivot removes.  The valuations are
+    non-decreasing, since a clearing leaves no entry of valuation below
+    the pivot's.  Each row is cleared by the raw form's ``step``,
+    fraction-free for both ring kinds: with pivot = pi^v u (pi = p or t),
+    row <- u row - (e / pi^v) prow.  Both multipliers are raw values
+    (e / pi^v is an exact division, or an exact shift of coefficients),
+    and u is a unit of O, so every row operation is unimodular over O and
+    the pivot valuations are the Smith invariants of the raw rows.
     """
     vals = []
+    cols = list(range(width))
     while rows:
         best, piv = INFINITY, None
         for i, row in enumerate(rows):
@@ -348,6 +367,9 @@ def _eliminate(rows, width, val, step) -> list:
         vals.append(best)
         prow = rows.pop(piv[0])
         pivot = prow.pop(piv[1])
+        col = cols.pop(piv[1])
+        if pivots is not None:
+            pivots.append((col, prow))
         clear = step(pivot, best)
         for i, row in enumerate(rows):
             e = row.pop(piv[1])

@@ -10,11 +10,12 @@ from hivekit import (DualityError, Hive, Lattice, LRFilling, RingConfig,
                      hive_to_lr_filling, hive_type, lattice_invariants,
                      pair_invariant, render, validate_lr)
 from hivekit.hive import NotAHiveError
-from hivekit.lattice import _minor_norms, _selection_min, _witness_value
+from hivekit.lattice import _min_selections, _witness_values
 from hivekit.matops import _raw_entries, smith_decompose
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import inverse, lat, seeded
+from minor_table import minor_norms, selection_min
 
 PAPER_ROWS = [[0], [21, 27], [34, 44, 48], [40, 54, 64, 67],
               [41, 58, 72, 81, 83]]
@@ -175,6 +176,21 @@ PINNED_HIVES = [
       (13, 16, 19, 22, 24, 25)),
      ((0,), (3, 6), (6, 9, 12), (9, 12, 15, 17), (11, 14, 17, 20, 21),
       (12, 15, 18, 21, 24, 25))),
+    # recorded from build_hive while it still read the minor table
+    ('padic:2', 8, (0, 3), 4, 501,
+     ((0,), (3, 5), (6, 8, 10), (9, 11, 13, 15), (12, 14, 16, 18, 19),
+      (15, 17, 19, 21, 22, 23), (16, 18, 20, 22, 24, 25, 26),
+      (17, 19, 21, 23, 25, 27, 28, 29), (17, 19, 21, 23, 25, 27, 29, 30, 31)),
+     ((0,), (2, 5), (4, 7, 10), (6, 9, 12, 15), (8, 11, 14, 17, 19),
+      (10, 13, 16, 19, 21, 23), (12, 15, 18, 21, 23, 25, 26),
+      (13, 16, 19, 22, 25, 27, 28, 29), (14, 17, 20, 23, 26, 29, 30, 31, 31))),
+    ('padic:3', 8, (0, 3), 4, 502,
+     ((0,), (3, 5), (6, 8, 9), (8, 10, 12, 13), (9, 12, 14, 15, 16),
+      (10, 13, 15, 17, 18, 19), (10, 13, 16, 18, 19, 20, 21),
+      (10, 13, 16, 18, 20, 21, 22, 22), (10, 13, 16, 18, 20, 21, 22, 22, 22)),
+     ((0,), (3, 5), (6, 8, 9), (8, 11, 12, 13), (10, 13, 15, 16, 16),
+      (11, 14, 17, 18, 19, 19), (12, 15, 18, 20, 21, 21, 21),
+      (12, 15, 18, 20, 21, 22, 22, 22), (12, 15, 18, 20, 21, 22, 22, 22, 22))),
 ]
 
 
@@ -259,21 +275,22 @@ def test_duality_error_formatting():
 @pytest.mark.parametrize("variant", ["primary", "swapped"])
 @pytest.mark.parametrize("s,t", [(0, 1), (1, 3), (0, 3)])
 def test_witness_ignores_minor_table(monkeypatch, p2, variant, s, t):
-    # a table whose minimizing selection at (s,t) undershoots by 1 must be
-    # caught there: the witness value is computed without the table
+    # a min route that undershoots by 1 at (s,t) must be caught there: the
+    # witness value is computed from the matrices, not from the min
+    # route's values (which once came from a table of minors)
     spec = InstanceSpec(n=3, ring=p2, exponent_range=(0, 3), seed=7,
                         unimodular_mix_steps=4)
     n_lat, lam_lat = random_pair(spec)
     build_hive(n_lat, lam_lat, variant)  # consistent before the patch
 
     def undershooting(form):
-        norms = _minor_norms(form)
-        n = len(form[0][0])
-        _, (jx, jy) = _selection_min(norms, n, n - t, t - s)
-        norms[jx + tuple(n + j for j in jy)] -= 1
-        return norms
+        lam, best = _min_selections(form)
+        n = len(lam)
+        value, jw = best[n - t, t - s]
+        best[n - t, t - s] = (value - 1, jw)
+        return lam, best
 
-    monkeypatch.setattr(hive_module, "_minor_norms", undershooting)
+    monkeypatch.setattr(hive_module, "_min_selections", undershooting)
     with pytest.raises(DualityError) as err:
         build_hive(n_lat, lam_lat, variant)
     assert (err.value.s, err.value.t, err.value.variant) == (s, t, variant)
@@ -285,10 +302,11 @@ def test_witness_ignores_minor_table(monkeypatch, p2, variant, s, t):
                                     ("padic:3", 3), ("padic:3", 4),
                                     ("tadic", 2), ("tadic", 3)])
 def test_witness_value_matches_smith_route(ring, n):
-    # _witness_value on the raw kernel against smith_decompose diagonals on
-    # RingElements, at every (s,t) with the scan's witness columns, for
-    # the pairs of both variants; negative exponents give the p-adic raw
-    # form a nonzero shift (1 or 2 on every p-adic case here)
+    # _witness_values on the raw kernel against smith_decompose diagonals
+    # on RingElements, at every (s,t) with the minor table's first
+    # minimizing columns, for the pairs of both variants; negative
+    # exponents give the p-adic raw form a nonzero shift (1 or 2 on every
+    # p-adic case here)
     cfg = RingConfig.parse_flag(ring)
     spec = InstanceSpec(n=n, ring=cfg, exponent_range=(-2, 2), seed=11,
                         unimodular_mix_steps=4)
@@ -302,10 +320,10 @@ def test_witness_value_matches_smith_route(ring, n):
                         (lam_lat.gens.transpose(), m_lat.gens.transpose())):
         size = smith_sum(lam)
         form = _raw_entries(lam, n_gens)
-        norms = _minor_norms(form)
+        norms = minor_norms(form)
         for t in range(1, n + 1):
             for s in range(t):
-                _, (_, jw) = _selection_min(norms, n, n - t, t - s)
+                _, (_, jw) = selection_min(norms, n, n - t, t - s)
                 n_jw = n_gens.select_columns(jw)
                 u = n - t
                 want = size - smith_sum(n_jw)
@@ -313,7 +331,7 @@ def test_witness_value_matches_smith_route(ring, n):
                     p_inv = inverse(smith_decompose(n_jw).p)
                     want -= smith_sum((p_inv @ lam).bottom_rows(n - len(jw)),
                                       u)
-                assert _witness_value(form, jw, u, size) == want, (s, t)
+                assert _witness_values(form, jw, u, size)[u] == want, (s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,11 +11,12 @@ from hivekit import (EnumerationBudget, Lattice, RingConfig, Submodule,
                      lattice_invariants, matrix_norm, max_direct_sum_norm,
                      min_direct_sum_norm, pair_invariant, unimodular_check)
 from hivekit.cli import InstanceSpec, random_pair
-from hivekit.lattice import _minor_norms, _selection_min, _witness_value
-from hivekit.matops import _raw_entries
+from hivekit.lattice import _min_selections, _witness_values
+from hivekit.matops import _raw_entries, _swap_form
 
 from conftest import (inverse, lat, mat, random_unimodular, ring_entries,
                       seeded)
+from minor_table import minor_norms, selection_min
 
 
 def test_lattice_invariants_examples(p2):
@@ -333,12 +334,39 @@ def test_minor_table_matches_matrix_norm(xy):
     x, y = xy
     n = x.rows
     both = x.hstack(y)
-    norms = _minor_norms(_raw_entries(x, y))
+    norms = minor_norms(_raw_entries(x, y))
     sels = [sel for k in range(1, n + 1)
             for sel in combinations(range(2 * n), k)]
     assert sorted(norms) == sorted(sels)
     for sel in sels:
         assert norms[sel] == matrix_norm(both.select_columns(sel)), sel
+
+
+@pytest.mark.parametrize("ring", ["padic:2", "padic:3", "tadic"])
+def test_min_selections_match_minor_table(ring):
+    """Every (kx, ky) value of ``_min_selections`` equals the minor
+    table's minimum, on the forms of both hive variants, and the returned
+    columns jw reach it with some kx columns of the first block (jw need
+    not be the table's first minimizer)."""
+    cfg = RingConfig.parse_flag(ring)
+    for n, exps, mix, seed in product(range(1, 6), ((0, 3), (-2, 3)),
+                                      (0, 4), range(6)):
+        spec = InstanceSpec(n=n, ring=cfg, exponent_range=exps, seed=seed,
+                            unimodular_mix_steps=mix)
+        n_lat, lam_lat = random_pair(spec)
+        primary = _raw_entries(lam_lat.gens, n_lat.gens)
+        for form in (primary, _swap_form(primary, cfg)):
+            lam, best = _min_selections(form)
+            assert sorted(lam) == sorted(lattice_invariants(lam_lat))
+            norms = minor_norms(form)
+            assert set(best) == {(kx, ky) for kx in range(n)
+                                 for ky in range(1, n - kx + 1)}
+            for (kx, ky), (value, jw) in best.items():
+                want, _ = selection_min(norms, n, kx, ky)
+                assert value == want, (n, exps, mix, seed, kx, ky)
+                y_cols = tuple(n + j for j in jw)
+                assert min(norms[jx + y_cols] for jx in
+                           combinations(range(n), kx)) == want
 
 
 def test_max_scan_matrix_is_n(p2, p3, tadic):
@@ -376,14 +404,14 @@ def test_max_matches_inverse_route(ring, n, request):
                              (m_lat, n_lat)):
             form = _raw_entries(a_lat.gens,
                                 a_lat.gens @ inverse(c_lat.gens))
-            norms = _minor_norms(form)
+            norms = minor_norms(form)
             size = sum(lattice_invariants(a_lat))
             for c in range(1, n + 1):
                 for a in range(n + 1 - c):
                     u = n - a - c
-                    _, (_, jw) = _selection_min(norms, n, u, c)
+                    _, (_, jw) = selection_min(norms, n, u, c)
                     assert max_direct_sum_norm(a_lat, c_lat, a, c) == \
-                        _witness_value(form, jw, u, size), (seed, a, c)
+                        _witness_values(form, jw, u, size)[u], (seed, a, c)
 
 
 def test_tadic_pair_and_min(tadic):

@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants, smith_decompose,
                      unimodular_check)
-from hivekit.lattice import _minor_norms
 from hivekit.matops import _raw_entries
 
 from conftest import (brute_minor_norm, inverse, mat, random_padic_matrix,
                        random_tadic_matrix, random_unimodular, ring_entries,
                        seeded)
+from minor_table import minor_norms
 
 
 def check_smith(a):
@@ -190,8 +190,8 @@ def test_scaling_shifts_kernel_values(case):
         v + k for v in invariant_partition(t))
     assert quotient_free_invariants(t.scale(c), s) == tuple(
         v + k for v in quotient_free_invariants(t, s))
-    base = _minor_norms(_raw_entries(t, y))
-    scaled = _minor_norms(_raw_entries(t.scale(c), y.scale(c)))
+    base = minor_norms(_raw_entries(t, y))
+    scaled = minor_norms(_raw_entries(t.scale(c), y.scale(c)))
     assert scaled.keys() == base.keys()
     for sel, v in base.items():
         assert scaled[sel] == v + k * len(sel), sel

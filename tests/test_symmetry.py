@@ -29,8 +29,9 @@ from hivekit.cli import InstanceSpec, random_pair
 from conftest import random_unimodular, seeded
 
 VARIANTS = ("primary", "swapped")
-# (ring flag, dimensions): t-adic hives stop at n = 4 to keep the test fast
-CASES = [("padic:2", (1, 2, 3, 4, 5)), ("padic:3", (1, 2, 3, 4, 5)),
+# (ring flag, dimensions): t-adic hives stop at n = 4 to keep the test
+# fast; n = 8 checks the min route beyond the minor table's reach
+CASES = [("padic:2", (1, 2, 3, 4, 5, 8)), ("padic:3", (1, 2, 3, 4, 5, 8)),
          ("tadic", (1, 2, 3, 4))]
 
 
