@@ -24,7 +24,7 @@ from .lattice import (Lattice, greedy_slice_first_min, lattice_invariants,
 from .matops import (ValuedMatrix, _from_raw, _raw_scalars,
                      invariant_partition, smith_decompose)
 from .oracle import (BudgetExceededError, EnumerationBudget, _check_count,
-                     enumerate_lr_fillings, stabilized_value)
+                     _int_lattice, enumerate_lr_fillings, stabilized_value)
 from .ring import RingConfig
 
 EXIT_OK = 0
@@ -267,7 +267,8 @@ def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
     values certify equality: min = |lambda| - h(s,t) and max = h(s,t).
     No greedy heuristic or Smith transform is read.  A trial whose first
     round meets the count cap is refused before any entry is computed,
-    so its ``entries`` list is empty.
+    so its ``entries`` list is empty.  The integer forms of Lambda, N
+    and M are made once and shared by every stabilized value.
     """
     n = lam_lat.n
     m_lat, mu = pair_invariant(n_lat, lam_lat)
@@ -299,16 +300,17 @@ def _certify_trial(n_lat: Lattice, lam_lat: Lattice, budget: EnumerationBudget):
             for r in (n - t, t - s):
                 _check_count(n, lam_lat.config.p, r, budget.exponent_bound,
                              budget.count_cap)
+        form_lam, form_n, form_m = map(_int_lattice, (lam_lat, n_lat, m_lat))
         for s, t in cells:
             a, c = n - t, t - s
             opt_max = primary[s, t]
             opt_min = size - opt_max
             entry = {"s": s, "t": t, "min": opt_min, "max": opt_max}
             if a + c > 0:
-                bmin = stabilized_value("min", lam_lat, n_lat, a, c,
-                                        budget=budget)
-                bmax = stabilized_value("max", lam_lat, m_lat, s, c,
-                                        budget=budget)
+                bmin = stabilized_value("min", lam_lat, n_lat, a, c, budget,
+                                        forms=(form_lam, form_n))
+                bmax = stabilized_value("max", lam_lat, m_lat, s, c, budget,
+                                        forms=(form_lam, form_m))
                 entry["brute_min"] = bmin.value
                 entry["brute_max"] = bmax.value
                 entry["min_ok"] = bmin.value == opt_min

@@ -17,17 +17,18 @@ A rank-r coordinate family holds one span per point of the residue
 Grassmannian Gr_r((O/p^(M+1))^n), in its identity-block form on the
 first row set whose minor is a unit mod p.  Those forms are generated
 directly, row set by row set (the Schubert cells mod p), so no span is
-scanned twice and none is filtered out.  A span is kept as its integer
-columns; a minimizer's coordinate matrix is built only when it is
-reported.  Each generator matrix is scaled once by a common denominator
-d, every image is an integer product with its coordinates, and a norm
-is the minimum p-valuation of the integer maximal minors minus
-(columns) * v(d).  This minor arithmetic is the oracle's own: the brute
-routes call neither the Smith route nor the optimizer's norm kernel, so
-the oracle can certify them.
+scanned twice and none is filtered out.  A minimizer's coordinate
+matrix is built only when it is reported.  Each generator matrix B is
+scaled once by a common denominator d, and a norm is the minimum
+p-valuation of the integer maximal minors minus (columns) * v(d).  This
+minor arithmetic is the oracle's own: the brute routes call neither the
+Smith route nor the optimizer's norm kernel, so the oracle can certify
+them.
 
-Every span is carried by its Plücker vector, the tuple of its maximal
-minors, computed once.  A pair's minors come from the block Laplace
+Every span and image is carried by its Plücker vector, the tuple of its
+maximal minors, computed once; an image's comes from its span's by
+Cauchy-Binet, det (d B U)_R = sum over T of det (d B)_R,T * det U_T,
+with no product formed.  A pair's minors come from the block Laplace
 expansion det [X | Y]_R = sum of +- det X_R1 * det Y_R2 over the splits
 of the row set R; each span's expansion rows are built once per partner
 rank, so a pair norm is one integer dot product per row set, and it
@@ -44,15 +45,15 @@ bitmask per partner rank; it depends only on their reductions mod p, so
 the masks are built once per pair of points of Gr(F_p^n) and shared by
 every span over them.
 
-Three caches hold everything the scans reuse, each entry a pure
-function of its key: ``functools.cache`` on the lattice-independent
-table of coordinate spans (``_coord_family``), kept for the process, and
+Two caches hold everything the scans reuse, each entry a pure function
+of its key: ``functools.cache`` on the lattice-independent table of
+coordinate spans (``_coord_family``), kept for the process, and
 ``functools.lru_cache`` on the image families (``_image_family``),
-bounded at one trial's entries, and on the Cauchy-Binet floors
-(``_selection_floor``), both keyed by a lattice's integer form
-(``_int_lattice``, made once per ``stabilized_value`` call); their hit
-and miss counts are in ``cache_info()``.  The count cap is checked by
-``_check_count``, in ``_family`` before either family cache is read.
+bounded at one trial's entries and keyed by a lattice's integer form
+(``_int_lattice``, made once per lattice of a trial, with its minor
+floors); their hit and miss counts are in ``cache_info()``.  The count
+cap is checked by ``_check_count`` on a span count kept for the process
+(``_span_count``), in ``_family`` before either family cache is read.
 """
 
 from __future__ import annotations
@@ -209,13 +210,15 @@ def _int_det(rows: list) -> int:
 
 class _IntLattice(NamedTuple):
     """A lattice's integer form: p, the integer columns (tuples) of
-    d * gens for the least common denominator d, d and v_p(d).  It fixes
+    d * gens for the least common denominator d, d, v_p(d), and floors[r],
+    the least r-minor valuation of the columns for r = 0..n.  It fixes
     the generators (gens = cols / d) and hashes as plain ints."""
 
     p: int
     cols: tuple
     d: int
     dv: int
+    floors: tuple
 
 
 def _int_lattice(lattice: Lattice) -> _IntLattice:
@@ -224,8 +227,10 @@ def _int_lattice(lattice: Lattice) -> _IntLattice:
               for row in lattice.gens.entries for e in row]
     d = math.lcm(*[den for _, den in ratios])
     ints = [num * (d // den) for num, den in ratios]
-    return _IntLattice(p, tuple(tuple(ints[j::n]) for j in range(n)), d,
-                       _int_pval(d, p))
+    cols = tuple(tuple(ints[j::n]) for j in range(n))
+    floors = tuple(min(_int_norm(sel, n, p) for sel in combinations(cols, r))
+                   for r in range(n + 1))
+    return _IntLattice(p, cols, d, _int_pval(d, p), floors)
 
 
 def _plucker(cols: list, n: int) -> tuple:
@@ -236,16 +241,10 @@ def _plucker(cols: list, n: int) -> tuple:
 
 
 def _min_pval(values, p: int):
-    """Minimum p-valuation over the nonzero integers, INFINITY if none."""
-    best = INFINITY
-    for x in values:
-        if x:
-            if x % p:
-                return 0
-            v = _int_pval(x, p)
-            if v < best:
-                best = v
-    return best
+    """Minimum p-valuation over the nonzero integers, INFINITY if none:
+    the p-valuation of their gcd."""
+    g = math.gcd(*values)
+    return _int_pval(g, p) if g else INFINITY
 
 
 def _int_norm(cols: list, n: int, p: int):
@@ -325,7 +324,6 @@ def _coord_bound(rows: list, coord_pl: tuple, p: int):
                      p)
 
 
-@lru_cache(maxsize=256)  # a trial of n = 3 asks for about 30
 def _selection_floor(blocks: tuple, n: int, p: int):
     """min over column selections S_i (|S_i| = r_i) of the _int_norm of
     [(X_1)_S_1 | (X_2)_S_2 | ...], for integer column blocks ``blocks`` =
@@ -360,11 +358,13 @@ class _Residue:
 
 
 class _Span(NamedTuple):
-    """A saturated coordinate span: its integer columns and its residue
-    class.  Its coordinate matrix is built from ``dom`` only for a
-    reported minimizer."""
+    """A saturated coordinate span: its integer columns, their Plücker
+    vector, from which every image's comes (``_image_family``), and its
+    residue class.  Its coordinate matrix is built from ``dom`` only for
+    a reported minimizer."""
 
     dom: list
+    pl: tuple
     res: _Residue
 
 
@@ -454,7 +454,8 @@ def _coord_family(n: int, p: int, r: int, m_bound: int) -> list:
             if res is None:
                 res = residues[low] = _Residue(list(zip(*low)), n)
             res.bits |= 1 << len(family)
-            family.append(_Span([list(col) for col in zip(*rows)], res))
+            dom = [list(col) for col in zip(*rows)]
+            family.append(_Span(dom, _plucker(dom, n), res))
     return family
 
 
@@ -478,13 +479,19 @@ def _summand_mask(span: _Span, c: int, u: int, partners: list, n: int,
     return mask
 
 
+@cache
+def _span_count(n: int, p: int, r: int, m_bound: int) -> int:
+    """The length of ``_coord_family(n, p, r, M)``, without building it."""
+    return (p ** (m_bound * r * (n - r))
+            * math.prod(p ** (n - i) - 1 for i in range(r))
+            // math.prod(p ** (i + 1) - 1 for i in range(r)))
+
+
 def _check_count(n: int, p: int, r: int, m_bound: int, count_cap: int):
     """Raise BudgetExceededError when the rank-r family of O^n at bound M
     would hold more than count_cap spans: [n choose r]_p p^(M r (n - r)),
-    the length of ``_coord_family(n, p, r, M)`` (1 at rank 0)."""
-    count = (p ** (m_bound * r * (n - r))
-             * math.prod(p ** (n - i) - 1 for i in range(r))
-             // math.prod(p ** (i + 1) - 1 for i in range(r)))
+    1 at rank 0 (``_span_count``)."""
+    count = _span_count(n, p, r, m_bound)
     if count > count_cap:
         raise BudgetExceededError(
             f"predicted {count} spans (rank {r} in O^{n}, entries below "
@@ -516,22 +523,20 @@ def _image_family(form: _IntLattice, r: int, m_bound: int) -> _Family:
     """The images of the saturated rank-r coordinate spans under the
     generator matrix of a lattice, keyed by its integer form, r and M:
     ints only, and the form fixes the generators, so a minimizer's
-    Submodule kept on a record is theirs.  Both brute routes use this one
-    kind of family, so they share entries: in a trial the min's Lambda
-    family at rank a = n - t is the max's U family, since
-    u = n - s - c = n - t.  The family also keeps the Plücker vectors of
-    the rank-r column selections of the scaled generators, which bound
-    every pair norm against it (``_scan``)."""
-    p, cols, _, dv = form
+    Submodule kept on a record is theirs.  The family keeps the Plücker
+    vectors of the rank-r column selections of the scaled generators
+    d B, which bound every pair norm against it (``_scan``).  They are
+    the columns of the r-th compound matrix of d B, and by Cauchy-Binet
+    an image's Plücker vector is that matrix applied to its span's:
+    det (d B U)_R = sum over T of det (d B)_R,T * det U_T."""
+    p, cols, _, dv, _ = form
     n = len(cols)
-    rows = list(zip(*cols))
+    coord_pl = tuple(_plucker(sel, n) for sel in combinations(cols, r))
+    compound = list(zip(*coord_pl))  # row R: det (d B)_R,T over T
     recs = []
     for i, span in enumerate(_coord_family(n, p, r, m_bound)):
-        # the integer columns of (d * gens) @ coords
-        pl = _plucker([[sum(map(mul, row, vec)) for row in rows]
-                       for vec in span.dom], n)
+        pl = tuple([sum(map(mul, row, span.pl)) for row in compound])
         recs.append(_Image(span, i, pl, _min_pval(pl, p) - r * dv))
-    coord_pl = tuple(_plucker(sel, n) for sel in combinations(cols, r))
     return _Family(recs, sorted(recs, key=lambda rec: rec.norm), r * dv,
                    coord_pl)
 
@@ -648,7 +653,7 @@ def brute_max_direct_sum(a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     n, p = a_lat.n, a_lat.config.p
     m_bound, cap = budget.exponent_bound, budget.count_cap
     form_a, form_c = forms or (_int_lattice(a_lat), _int_lattice(c_lat))
-    size = _int_norm(form_a.cols, n, p) - n * form_a.dv
+    size = form_a.floors[n] - n * form_a.dv
     u = n - a - c
     fam_u = _family(form_a, u, m_bound, cap)
     fam_v = _family(form_a, c, m_bound, cap)
@@ -709,22 +714,20 @@ def _lift_settles(form_a: _IntLattice, form_c: _IntLattice, a: int, c: int,
     second case.  That is M >= Omega_C - alpha_C + c v(d_C), the sum of
     the c largest invariants of C less the sum of its c smallest.
 
-    alpha, Omega and b come from the oracle's integer minors only, on
-    the lattices' integer forms ``form_a`` and ``form_c``."""
-    p, cols_a, _, dva = form_a
-    cols_c = form_c.cols
+    alpha, Omega and b come from the oracle's integer minors only, the
+    minor floors of the integer forms ``form_a`` and ``form_c``."""
+    p, cols_a, _, dva, floors_a = form_a
+    floors_c = form_c.floors
     n = len(cols_a)
     u = n - a - c
-    best = _int_norm(cols_a, n, p) - n * dva - value
+    best = floors_a[n] - n * dva - value
     fam_u = _family(form_a, u, m_bound, count_cap)
     fam_v = _family(form_a, c, m_bound, count_cap)
     fam_cv = _family(form_c, c, m_bound, count_cap)
     offset = fam_v.offset + fam_u.offset
-    lift_a = m_bound + 1 + _selection_floor(((cols_a, c + u),), n, p) - offset
-    lift_c = (m_bound + 1 + _selection_floor(((cols_c, c),), n, p)
-              - fam_cv.offset)
-    omega_c = (_int_norm(cols_c, n, p) - fam_cv.offset
-               - _selection_floor(((cols_c, n - c),), n, p))
+    lift_a = m_bound + 1 + floors_a[c + u] - offset
+    lift_c = m_bound + 1 + floors_c[c] - fam_cv.offset
+    omega_c = floors_c[n] - fam_cv.offset - floors_c[n - c]
     return all(
         min(_coord_bound(rec_v.expansion(n, c, u), fam_u.coord_pl, p)
             - offset, lift_a) - omega_c >= best
@@ -733,12 +736,14 @@ def _lift_settles(form_a: _IntLattice, form_c: _IntLattice, a: int, c: int,
 
 
 def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
-                     budget: EnumerationBudget = EnumerationBudget()
-                     ) -> BruteResult:
+                     budget: EnumerationBudget = EnumerationBudget(),
+                     forms=None) -> BruteResult:
     """The brute value, proved exact at a finite exponent bound, from
     ``budget.exponent_bound`` = M_0 on.  Only the families a round builds
     meet the count cap (``_family``): the min builds none and never
-    refuses.  The result carries no minimizers.
+    refuses.  The result carries no minimizers.  ``forms`` holds the
+    integer forms of (a_lat, c_lat) when the caller has made them;
+    otherwise they are made here.
 
     The families grow with M (an identity-block form with entries below
     p^(M+1) is one below p^(M+2)), so a brute minimum (the min's value,
@@ -764,7 +769,8 @@ def stabilized_value(kind: str, a_lat: Lattice, c_lat: Lattice, a: int, c: int,
     if kind not in ("min", "max"):
         raise KeyError(kind)
     a_lat.check_ranks(c_lat, a, c)
-    forms = form_a, form_c = _int_lattice(a_lat), _int_lattice(c_lat)
+    forms = form_a, form_c = forms or (_int_lattice(a_lat),
+                                       _int_lattice(c_lat))
     if kind == "min":
         floor = _selection_floor(((form_a.cols, a), (form_c.cols, c)),
                                  a_lat.n, form_a.p)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hivekit import (BudgetExceededError, EnumerationBudget, Lattice,
                      RingConfig, Submodule, brute_max_direct_sum,
@@ -17,9 +17,11 @@ from hivekit import (BudgetExceededError, EnumerationBudget, Lattice,
                      stabilized_value)
 from hivekit import build_hive, cli, oracle
 from hivekit.cli import InstanceSpec, main, random_pair
+from hivekit.matops import INFINITY
 from hivekit.oracle import (_coord_bound, _coord_family, _family, _int_det,
-                            _int_lattice, _int_norm, _laplace_rows,
-                            _pair_norm, _plucker, _summand_mask)
+                            _int_lattice, _int_norm, _laplace_rows, _min_pval,
+                            _pair_norm, _plucker, _selection_floor,
+                            _summand_mask)
 from hivekit.ring import _int_pval
 
 from conftest import lat, mat, seeded
@@ -347,6 +349,65 @@ def _scaled_pairs(a_lat, c_lat, p):
              Lattice(c_lat.gens.scale(Fraction(1, p * p))))]
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3) for n in (2, 3, 4)])
+def test_image_plucker_vectors_by_cauchy_binet(p, n):
+    # an image family takes each image's Plucker vector from its span's
+    # through the compound matrix of d B; the reference forms the integer
+    # image columns d B U and takes their maximal minors
+    lam_lat, _, m_lat = _oracle_pair(p, n, 9000 + 10 * p + n)
+    dens = set()
+    for a_lat, c_lat in _scaled_pairs(lam_lat, m_lat, p):
+        for form in (_int_lattice(a_lat), _int_lattice(c_lat)):
+            dens.add(form.d)
+            rows = list(zip(*form.cols))
+            for m in (0, 1):
+                for r in range(1, n + 1):
+                    fam = _family(form, r, m, 500_000)
+                    spans = _coord_family(n, p, r, m)
+                    assert len(fam.by_span) == len(spans)
+                    for rec, span in zip(fam.by_span, spans):
+                        image = [[sum(x * y for x, y in zip(row, vec))
+                                  for row in rows] for vec in span.dom]
+                        assert rec.pl == _plucker(image, n), (m, r, rec.index)
+                        assert rec.norm == (_int_norm(image, n, p)
+                                            - r * form.dv)
+    assert max(dens) > 1
+
+
+@st.composite
+def _valued_ints(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    terms = st.tuples(st.integers(-30, 30), st.integers(0, 12))
+    return p, [x * p ** k for x, k in draw(st.lists(terms, max_size=6))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valued_ints())
+@example((2, []))
+@example((3, [0, 0, 0]))
+@example((5, [0, -250, 0, 75]))
+def test_min_pval_is_the_least_entry_valuation(case):
+    # the gcd's valuation is the least valuation of a nonzero entry, and
+    # INFINITY when there is none; _coord_bound passes a generator
+    p, values = case
+    want = min((_pval_loop(x, p) for x in values if x), default=INFINITY)
+    assert _min_pval(values, p) == want
+    assert _min_pval(iter(values), p) == want
+
+
+@pytest.mark.parametrize("p,n,seed", FLOOR_PAIRS + [(2, 4, 9240)])
+def test_minor_floors_match_selection_floor(p, n, seed):
+    # an integer form's floors[r] is the one-block Cauchy-Binet floor of
+    # its columns at r; floors[n] is their norm
+    for lat_ in _oracle_pair(p, n, seed):
+        for scaled, _ in _scaled_pairs(lat_, lat_, p):
+            form = _int_lattice(scaled)
+            assert form.floors == tuple(
+                _selection_floor(((form.cols, r),), n, p)
+                for r in range(n + 1))
+            assert form.floors[n] == _int_norm(form.cols, n, p)
+
+
 @pytest.mark.parametrize("p,n,seed", FLOOR_PAIRS)
 def test_min_floor_equals_enumeration(p, n, seed):
     # stabilized_value("min") returns the Cauchy-Binet floor without
@@ -440,6 +501,35 @@ def test_max_rises_after_calm_rounds(p2):
                 for s, t in cells] == [4, 6, 7]
     trial = cli._certify_trial(n_lat, lam_lat, EnumerationBudget())
     assert trial["status"] == "certified"
+
+
+@pytest.mark.parametrize("p,n,seed", [(2, 3, 9233), (3, 2, 9324),
+                                      (3, 3, 9332)])
+def test_trial_makes_each_integer_form_once(monkeypatch, p, n, seed):
+    # a trial makes the integer forms of Lambda, N and M once and passes
+    # them to every stabilized value, which must give the values it gives
+    # when it makes them itself
+    lam_lat, n_lat, m_lat = _oracle_pair(p, n, seed)
+    made = []
+
+    def counted(lattice):
+        made.append(lattice)
+        return _int_lattice(lattice)
+
+    monkeypatch.setattr(oracle, "_int_lattice", counted)
+    monkeypatch.setattr(cli, "_int_lattice", counted)
+    trial = cli._certify_trial(n_lat, lam_lat, EnumerationBudget())
+    assert trial["status"] == "certified"
+    assert len(made) == 3
+    monkeypatch.undo()
+    for kind, other in (("min", n_lat), ("max", m_lat)):
+        forms = (_int_lattice(lam_lat), _int_lattice(other))
+        for a in range(n + 1):
+            for c in range(n - a + 1):
+                assert (stabilized_value(kind, lam_lat, other, a, c,
+                                         forms=forms)
+                        == stabilized_value(kind, lam_lat, other, a, c)), \
+                    (kind, a, c)
 
 
 @pytest.mark.parametrize("n,p,m", [(3, 2, 1), (2, 3, 2), (3, 3, 1)])
