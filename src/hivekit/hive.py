@@ -193,7 +193,8 @@ def build_hive(n_lat: Lattice, lam_lat: Lattice, variant: str = PRIMARY) -> Hive
     on (M^T, Lambda^T), and no inverse is formed for it: with the cleared
     blocks L, B of Lambda and N, M = adj(B) L / det(B), and
     ``matops._swap_form`` builds the raw form of [Lambda^T | M^T] as
-    ((det(B) L)^T, (pi^shift adj(B) L)^T), adj(B) from cofactors.  The
+    ((det(B) L)^T, (pi^shift adj(B) L)^T), with det(B) and adj(B) L from
+    one fraction-free Gauss-Jordan elimination on [B | L].  The
     second block is M scaled by the first block's scale times a unit, and
     scaling a block by a unit moves no minor or pivot valuation.
 

@@ -188,8 +188,9 @@ def pair_invariant(n_lat: Lattice, lam_lat: Lattice):
     M is well defined up to unimodular right factors, mu is the invariant.
     No inverse is formed: with B and L the blocks of the raw form of
     [N | Lambda] (both scaled by one common c, which cancels),
-    M = adj(B) L / det(B), from the cofactors of ``matops._adj_product``,
-    and each entry of M becomes a ring element once (``matops._from_raw``).
+    M = adj(B) L / det(B), from the fraction-free Gauss-Jordan
+    elimination of ``matops._adj_product``, and each entry of M becomes a
+    ring element once (``matops._from_raw``).
     """
     if n_lat.n != lam_lat.n or n_lat.config != lam_lat.config:
         raise ValueError("pair lattices must share dimension and ring")

@@ -36,15 +36,16 @@ values are Python ints with the p-adic valuation.  t-adic: c is the lcm
 D(t) of the entries' denominators in Z[t], the raw values are the
 integer polynomials (``ring._TPoly``) num (D / den), whose valuation is
 their order at t, and the shift is ord_t(D).  Either way elimination is
-fraction-free and the same in shape (``_eliminate``), and every square
-minor comes from one Laplace recursion with multiplications and
-additions only (``_minor_levels``), which also gives the adjugate
-product of ``_adj_product``: det(B) and adj(B) L for raw B and L, so
-B^-1 L is never formed by division.  It serves ``_swap_form`` (the raw
-form of [A | A C^-1] from that of [A^T | C^T], for the swapped hive's
-pair and for ``lattice.max_direct_sum_norm``) and
-``lattice.pair_invariant`` (M = adj(B) L / det(B), turned into ring
-elements once by ``_from_raw``).
+fraction-free and the same in shape (``_eliminate``).  The adjugate
+product of ``_adj_product`` is one more elimination, fraction-free
+Gauss-Jordan on [B | L] with exact divisions: det(B) and adj(B) L for
+raw B and L, so B^-1 L is never formed as ring elements.  Its pivot is
+the first nonzero entry of each column: what it returns is fixed by B
+and L, whatever the pivots.  It serves ``_swap_form`` (the raw form of
+[A | A C^-1] from that of [A^T | C^T], for the swapped hive's pair and
+for ``lattice.max_direct_sum_norm``) and ``lattice.pair_invariant``
+(M = adj(B) L / det(B), turned into ring elements once by
+``_from_raw``).
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, floordiv
 
 from .ring import (INFINITY, PadicElement, RatFuncElement, RingConfig,
                    RingElement, _TONE, _TPoly, _TZERO, _int_pval, _texact,
@@ -409,51 +409,6 @@ def _quotient_valuations(s_rows, t_rows, val, step) -> tuple:
     return s_vals, _eliminate(rows, len(t_rows[0]), val, step)
 
 
-def _minor_levels(cols, n):
-    """Every square minor of the n-row matrix with columns ``cols`` (raw
-    values), level by level.
-
-    Yields, for k = 1..n, a dict from each k-column selection (an
-    ascending index tuple) to the list of its k x k minors, one per row
-    set in ``combinations(range(n), k)`` order; a vanishing minor is None
-    or a zero raw value.  A k x k minor is the Laplace expansion along its
-    last column over the (k-1) x (k-1) minors of the selection without
-    that column, so only multiplications and additions are made.  The
-    expansion of each row set, (row, position of the row set without it,
-    sign), is worked out once per level.
-    """
-    row_sets = [list(combinations(range(n), k)) for k in range(n + 1)]
-    level = {(j,): list(col) for j, col in enumerate(cols)}
-    yield level
-    for k in range(2, n + 1):
-        index = {rows: r for r, rows in enumerate(row_sets[k - 1])}
-        expansions = [[(i, index[rows[:pos] + rows[pos + 1:]],
-                        (k - 1 - pos) % 2) for pos, i in enumerate(rows)]
-                      for rows in row_sets[k]]
-        below, level = level, {}
-        for sel in combinations(range(len(cols)), k):
-            subs, col = below[sel[:-1]], cols[sel[-1]]
-            dets = []
-            for expansion in expansions:
-                # a None start: an int 0 start slows the t-adic sums
-                det = None
-                for i, r, negative in expansion:
-                    x = col[i]
-                    if x:
-                        y = subs[r]
-                        if y:
-                            term = x * y
-                            if det is None:
-                                det = -term if negative else term
-                            elif negative:
-                                det = det - term
-                            else:
-                                det = det + term
-                dets.append(det)
-            level[sel] = dets
-        yield level
-
-
 def _raw_scalars(config):
     """(zero, k -> pi^k) in the ring's raw values: ints with pi = p, or
     integer polynomials (``ring._TPoly``) with pi = t."""
@@ -464,32 +419,44 @@ def _raw_scalars(config):
 
 def _adj_product(b_rows, l_rows, config):
     """(det B, adj(B) L) for a square raw matrix B and raw rows L of the
-    same height, so that B^-1 L = adj(B) L / det B with no division.
+    same height, so that B^-1 L = adj(B) L / det B.
 
-    adj(B)[j][i] = (-1)^(i+j) det(B without row i and column j), from
-    the cofactors of ``_minor_levels`` on B alone; det B is a vanishing
-    value (None or zero) exactly when B is singular."""
+    One fraction-free Gauss-Jordan elimination on [B | L] (Bareiss): for
+    each column k = 0..n-1 the first row at or below k with a nonzero
+    entry there is swapped in as the pivot row, of pivot p_k, and every
+    other row is cleared as row <- (p_k row - e prow) / p_(k-1), with
+    p_(-1) = 1.  The division is exact (``//`` on ints, ``ring._texact``
+    on polynomials): every entry is, up to sign, a minor of the row
+    swapped [B | L] (Sylvester's identity), so the values stay as small
+    as minors.  A cleared pivot column is dropped from every row, and the
+    rows end as the right block p_(n-1) B^-1 L, with p_(n-1) = +-det B,
+    the sign that of the row permutation.  Raises ValueError when B is
+    singular."""
     n = len(b_rows)
-    zero, power = _raw_scalars(config)
-    levels = list(_minor_levels(list(zip(*b_rows)), n))
-    det = levels[-1][tuple(range(n))][0]
-    # minors[j][i] = det(B without row i and column j); the row sets of the
-    # (n-1)-minors leave out rows n-1, ..., 0 in turn
-    minors = [[power(0)]] if n == 1 else [
-        levels[-2][tuple(c for c in range(n) if c != j)][::-1]
-        for j in range(n)]
-    adj_l = []
-    for j, minor_row in enumerate(minors):
-        adj_row = []
-        for l in range(len(l_rows[0])):
-            acc = zero
-            for i, (m, row) in enumerate(zip(minor_row, l_rows)):
-                if m and row[l]:
-                    term = m * row[l]
-                    acc = acc - term if (i + j) % 2 else acc + term
-            adj_row.append(acc)
-        adj_l.append(adj_row)
-    return det, adj_l
+    if config.kind == RingConfig.PADIC:
+        exact, prev = floordiv, 1
+    else:
+        exact, prev = _texact, _TONE
+    rows = [list(b) + list(l) for b, l in zip(b_rows, l_rows)]
+    odd = False
+    for k in range(n):
+        r = next((i for i in range(k, n) if rows[i][0]), None)
+        if r is None:
+            raise ValueError("B must be nonsingular")
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            odd = not odd
+        pivot, *prow = rows[k]
+        rows[k] = prow
+        for i, row in enumerate(rows):
+            if i != k:
+                e = row[0]
+                rows[i] = [exact(pivot * x - e * y, prev)
+                           for x, y in zip(row[1:], prow)]
+        prev = pivot
+    if odd:
+        return -prev, [[-x for x in row] for row in rows]
+    return prev, rows
 
 
 def _from_raw(config, rows, den) -> ValuedMatrix:
@@ -516,8 +483,8 @@ def _swap_form(form, config):
     route scans, with no inverse formed.
 
     With the cleared blocks L and B of ``form`` (raw Lambda and N, scaled
-    by c with v(c) = shift), det(B) and adj(B) L come from
-    ``_adj_product``, and the form is (X^T, Y^T) with
+    by c with v(c) = shift), det(B) and adj(B) L come from the one
+    elimination of ``_adj_product``, and the form is (X^T, Y^T) with
     X = det(B) L and Y = pi^shift adj(B) L, of shift shift + v(det B).
     X is Lambda scaled by c det(B), and Y = pi^shift det(B) M is M scaled
     by c det(B) times the unit pi^shift / c; scaling a block by a unit

@@ -207,7 +207,8 @@ def test_build_hive_rows_pinned(ring, n, exps, mix, seed, primary, swapped):
 @pytest.mark.parametrize("ring,n",
                          [(ring, n) for ring in ("padic:2", "padic:3")
                           for n in range(2, 6)]
-                         + [("tadic", n) for n in range(2, 5)])
+                         + [("tadic", n) for n in range(2, 5)]
+                         + [("padic:2", 12)])
 def test_swapped_hive_matches_inverse_route(ring, n):
     # the adjugate swap against the inverse route it replaced: the swapped
     # hive is the primary hive of (M^T, Lambda^T), M = N^-1 Lambda from

@@ -91,6 +91,21 @@ def test_pair_invariant_examples(p2):
     assert mu == (1, 0)
 
 
+@pytest.mark.parametrize("ring,n", [("padic:2", 16), ("padic:3", 12),
+                                    ("tadic", 8)])
+def test_pair_invariant_at_large_n(ring, n):
+    # sizes out of the cofactor route's reach (its C(2n, n) minors took
+    # about 1 s at p = 2, n = 12 and 12 s at n = 14): M is checked by
+    # RingElement products, N M = Lambda, which share no code with the raw
+    # elimination
+    spec = InstanceSpec(n=n, ring=RingConfig.parse_flag(ring),
+                        exponent_range=(-2, 3), seed=45,
+                        unimodular_mix_steps=4)
+    n_lat, lam_lat = random_pair(spec)
+    m_lat, _ = pair_invariant(n_lat, lam_lat)
+    assert n_lat.gens @ m_lat.gens == lam_lat.gens
+
+
 def test_adapted_slice_examples(p2):
     d41 = lat(p2, [[4, 0], [0, 1]])
     s = adapted_slice(d41, 2, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants, smith_decompose,
                      unimodular_check)
-from hivekit.matops import _raw_entries
+from hivekit.matops import _adj_product, _raw_entries, _raw_scalars
+from hivekit.ring import _tpoly
 
 from conftest import (brute_minor_norm, inverse, mat, random_padic_matrix,
                        random_tadic_matrix, random_unimodular, ring_entries,
                        seeded)
-from minor_table import minor_norms
+from minor_table import cofactor_adjugate, minor_norms
 
 
 def check_smith(a):
@@ -321,3 +323,78 @@ def test_smith_decompose_pinned():
                for dec in map(smith_decompose, smith_pin_inputs())]
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert digest == SMITH_PIN
+
+
+def raw_value(cfg, rng):
+    """A dense raw value: a nonzero int +-u p^k, or a nonzero integer
+    polynomial t^k (c0 + c1 t + c2 t^2), with k in 0..2."""
+    k = rng.randint(0, 2)
+    if cfg.kind == RingConfig.PADIC:
+        return rng.choice([1, -1]) * rng.randint(1, 30) * cfg.p ** k
+    coeffs = [rng.randint(-3, 3) for _ in range(3)]
+    coeffs[0] = coeffs[0] or 1
+    return _tpoly(coeffs, k)
+
+
+def adj_product_inputs(cfg, n, rng):
+    """(B, L) raw pairs of size n: dense ones, and ones whose leading
+    entries are zero, so that the elimination swaps rows: B's first
+    column zero down to its last row, and (n >= 2) B an odd permutation
+    of a diagonal."""
+    zero = _raw_scalars(cfg)[0]
+
+    def dense(rows):
+        return [[raw_value(cfg, rng) for _ in range(n)] for _ in range(rows)]
+
+    out = [(dense(n), dense(n)) for _ in range(6)]
+    for _ in range(2):
+        b = dense(n)
+        for row in b[:-1]:
+            row[0] = zero
+        out.append((b, dense(n)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if n > 1 and not sum(x > y for x, y in combinations(perm, 2)) % 2:
+            perm[0], perm[1] = perm[1], perm[0]
+        out.append(([[raw_value(cfg, rng) if j == perm[i] else zero
+                      for j in range(n)] for i in range(n)], dense(n)))
+    return out
+
+
+def raw_product(a, b, zero):
+    return [[sum((x * y for x, y in zip(row, col)), zero)
+             for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("ring,n", [(ring, n) for ring in ("padic:2", "padic:3")
+                                    for n in range(1, 8)]
+                         + [("tadic", n) for n in range(1, 6)])
+def test_adj_product_matches_cofactor_reference(ring, n):
+    # the elimination against the cofactors of every (n-1)-minor: the
+    # same det B and adj(B) L exactly, and B adj(B) L = det(B) L
+    cfg = RingConfig.parse_flag(ring)
+    zero, power = _raw_scalars(cfg)
+    checked = 0
+    for b, l in adj_product_inputs(cfg, n, seeded(4500 + n)):
+        det, adj_l = cofactor_adjugate(b, l, zero, power(0))
+        if not det:
+            continue
+        assert _adj_product(b, l, cfg) == (det, adj_l)
+        assert raw_product(b, adj_l, zero) == [[det * x for x in row]
+                                               for row in l]
+        checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("ring", ["padic:2", "padic:3", "tadic"])
+def test_adj_product_rejects_singular(ring):
+    cfg = RingConfig.parse_flag(ring)
+    zero, power = _raw_scalars(cfg)
+    rng = seeded(4510)
+    l = [[raw_value(cfg, rng) for _ in range(3)] for _ in range(3)]
+    rows = [[raw_value(cfg, rng) for _ in range(3)] for _ in range(2)]
+    dependent = rows + [[power(1) * x - y for x, y in zip(*rows)]]
+    zero_column = [[zero] + row[1:] for row in rows + rows[:1]]
+    for b in (dependent, zero_column, [[zero]]):
+        with pytest.raises(ValueError):
+            _adj_product(b, l[:len(b)], cfg)
