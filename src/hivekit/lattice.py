@@ -53,9 +53,11 @@ witness's value is always computed by ``_witness_values``, by its own
 elimination on the original raw form and never from the min route's
 values, so a min route that undershot would fail that check.
 ``_witness_values`` is the one witness entry: given the raw form of
-[A | A C^-1] and the witness columns jw, it runs one quotient elimination
-(``matops._quotient_valuations``) on [A V | A], A V being the jw columns
-of A C^-1, and gives the value for every rank of the complement U.  The
+[A | A C^-1] and a chain of nested witness column sets jw, it runs one
+elimination of [A V | A], A V the chain's columns of A C^-1 taken set by
+set, and gives each set's value for every rank of the complement U up to
+the one asked.  ``build_hive`` covers its distinct jw by such chains;
+``max_direct_sum_norm`` passes a chain of one set.  The
 witness V is always made of C.gens^-1 columns, so the norm(C(V)) term of
 the objective is identically 0 and is not computed.
 ``max_direct_sum_norm`` forms no inverse: it takes the raw form of
@@ -77,9 +79,9 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 
 from .matops import (INFINITY, ValuedMatrix, _adj_product, _eliminate,
-                     _from_raw, _quotient_valuations, _raw_entries,
-                     _swap_form, invariant_partition,
-                     quotient_free_invariants, smith_decompose)
+                     _from_raw, _raw_entries, _swap_form,
+                     invariant_partition, quotient_free_invariants,
+                     smith_decompose)
 
 
 class Submodule:
@@ -334,29 +336,59 @@ def max_direct_sum_norm(a_lat: Lattice, c_lat: Lattice, a: int, c: int) -> int:
     form = _swap_form(_raw_entries(a_lat.gens.transpose(),
                                    c_lat.gens.transpose()), a_lat.config)
     _, best = _min_selections(form)
-    return _witness_values(form, best[u, c][1], u, sum(lam))[u]
+    [values] = _witness_values(form, [(best[u, c][1], u)], sum(lam))
+    return values[u]
 
 
-def _witness_values(form, jw, u, size):
-    """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at the span V made
-    of the C.gens^-1 columns ``jw``, for every rank 0..``u`` of U (a list
-    indexed by that rank), given the raw form
+def _witness_values(form, chain, size):
+    """Objective ``norm(C(V)) + norm(A mod A(V + U))`` at the spans V made
+    of the C.gens^-1 columns of each set of a chain, given the raw form
     ``form = matops._raw_entries(A.gens, Y)`` of [A | Y], Y = A C^-1 (in
     the hive, Y = N), and ``size`` = |inv A|.
 
-    C.gens @ V is made of unit columns, so norm(C(V)) is identically 0;
-    the value at rank r is |inv A| minus norm(A(V)) minus the r smallest
-    quotient invariants of A relative to A(V).  One
-    ``matops._quotient_valuations`` run on the raw [A V | A], A V being the
-    jw columns of Y, gives both sums; the raw form's shift moves each of
-    the k pivots of A V and each quotient pivot by the same amount.  The
-    input is the matrices themselves, never the min route's values.
+    ``chain`` is a list of (jw, u), each jw containing the one before; the
+    result holds, for each, the values at every rank 0..u of U (a list
+    indexed by that rank).  C.gens @ V is made of unit columns, so
+    norm(C(V)) is identically 0; the value at rank r is |inv A| minus
+    norm(A(V)) minus the r smallest quotient invariants of A relative to
+    A(V).
+
+    One elimination serves the chain.  The raw rows [Y_J | A] hold the
+    columns of Y in the chain's order (each set's new columns after those
+    of the set before), and each set pivots in its new columns only.  The
+    rows left over span the image of O^n modulo the saturation of the
+    columns pivoted so far (``matops._quotient_valuations``), so each
+    set's pivots are the invariants of its new columns in the quotient by
+    the set before, and their running sum is norm(A(V)): for K-independent
+    columns, norm(jw) = norm(jw') + the norm of the rest modulo sat(jw')
+    when jw' is contained in jw.  When u > 0 a copy of the leftover A parts
+    is eliminated too, stopping after u pivots (``_eliminate``'s
+    ``limit``): pivots come non-decreasing, so they are the u smallest
+    quotient invariants.  The raw form's shift
+    moves each of the k pivots of A V and each quotient pivot by the same
+    amount.  The input is the matrices themselves, never the min route's
+    values.
     """
     (a_rows, y_rows), val, step, shift = form
-    av = [[row[j] for j in jw] for row in y_rows]
-    # with u = 0 the quotient is not needed, so T is left empty
-    av_vals, quot = _quotient_valuations(av, a_rows if u else [()] * len(av),
-                                         val, step)
-    top = size - sum(av_vals) + len(av_vals) * shift
-    return [top - q + r * shift
-            for r, q in enumerate(accumulate(sorted(quot), initial=0))]
+    n = len(a_rows)
+    order = []
+    widths = []
+    for jw, _ in chain:
+        new = [j for j in jw if j not in order]
+        order += new
+        widths.append(len(new))
+    # with u = 0 throughout no quotient is needed, so A's rows are left out
+    tail = a_rows if any(u for _, u in chain) else [()] * n
+    rows = [[y[j] for j in order] + list(a) for y, a in zip(y_rows, tail)]
+    values = []
+    top = size
+    for (_, u), width in zip(chain, widths):
+        vals = _eliminate(rows, width, val, step)
+        if len(vals) < width:
+            raise ValueError("witness columns must be K-independent")
+        top -= sum(vals) - width * shift
+        quot = (_eliminate([row[-n:] for row in rows], n, val, step,
+                           limit=u) if u else [])
+        values.append([top - q + r * shift
+                       for r, q in enumerate(accumulate(quot, initial=0))])
+    return values

@@ -13,10 +13,12 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   complement on raw values and builds no transforms;
   ``lattice.Submodule.contains`` and ``.same_span`` (which is
   ``lattice.Lattice.__eq__``) are norm comparisons too;
-* quotient invariants -- ``quotient_free_invariants`` and the lattice
-  layer's max witness (``lattice._witness_values``, its one entry) -- run
+* quotient invariants -- ``quotient_free_invariants`` runs
   ``_quotient_valuations``, the same elimination on [S | T] with pivots
-  taken only in S's columns;
+  taken only in S's columns, and the lattice layer's max witness
+  (``lattice._witness_values``, its one entry) runs it on a chain of
+  nested column sets at once, stopping the T part after the pivots it
+  needs;
 * the min side of the hive -- ``lattice._min_selections`` -- runs
   ``_eliminate`` on [Lambda | N] with pivots only in Lambda's columns,
   reading each pivot row and column, then once on each row subset of the
@@ -333,7 +335,7 @@ def _raw_entries(*mats):
     return rows, attrgetter("v"), _tpoly_step, d.v
 
 
-def _eliminate(rows, width, val, step, pivots=None) -> list:
+def _eliminate(rows, width, val, step, pivots=None, limit=None) -> list:
     """Minimal-valuation elimination of raw rows, pivoting only in the
     first ``width`` columns; returns the pivot valuations of the raw values.
 
@@ -342,18 +344,30 @@ def _eliminate(rows, width, val, step, pivots=None) -> list:
     over, without the pivoted columns.  When ``pivots`` is a list, each
     pivot appends (its column's index in the input, its row as it was
     pivoted, without the pivot entry): the row's last entries are the
-    columns past ``width``, which no pivot removes.  The valuations are
-    non-decreasing, since a clearing leaves no entry of valuation below
-    the pivot's.  Each row is cleared by the raw form's ``step``,
-    fraction-free for both ring kinds: with pivot = pi^v u (pi = p or t),
-    row <- u row - (e / pi^v) prow.  Both multipliers are raw values
-    (e / pi^v is an exact division, or an exact shift of coefficients),
-    and u is a unit of O, so every row operation is unimodular over O and
-    the pivot valuations are the Smith invariants of the raw rows.
+    columns past ``width``, which no pivot removes.  Each row is cleared
+    by the raw form's ``step``, fraction-free for both ring kinds: with
+    pivot = pi^v u (pi = p or t), row <- u row - (e / pi^v) prow.  Both
+    multipliers are raw values (e / pi^v is an exact division, or an
+    exact shift of coefficients), and u is a unit of O, so every row
+    operation is unimodular over O and the pivot valuations are the Smith
+    invariants of the raw rows.
+
+    The valuations are non-decreasing: a pivot has the least valuation in
+    the first ``width`` columns, and a clearing leaves no entry there of
+    valuation below it (u x keeps v(x) >= v, and (e / pi^v) y has
+    valuation v(e) - v + v(y) >= v(y) >= v).  So the pivot's valuation is
+    a floor for the next scan (0 for the first, since raw values are
+    integers or integer polynomials), and the scan stops at the first
+    entry that reaches the floor: no entry lies below it, so that entry
+    is the first of least valuation in row-major order, the one a full
+    scan would take.  The columns past ``width`` have no floor; they are
+    never scanned.  With ``limit``, the elimination stops after that many
+    pivots, which are then the ``limit`` least of the full sequence.
     """
     vals = []
     cols = list(range(width))
-    while rows:
+    floor = 0
+    while rows and len(vals) != limit:
         best, piv = INFINITY, None
         for i, row in enumerate(rows):
             for j in range(width):
@@ -362,9 +376,14 @@ def _eliminate(rows, width, val, step, pivots=None) -> list:
                     v = val(x)
                     if v < best:
                         best, piv = v, (i, j)
+                        if v == floor:
+                            break
+            if best == floor:
+                break
         if piv is None:
             break
         vals.append(best)
+        floor = best
         prow = rows.pop(piv[0])
         pivot = prow.pop(piv[1])
         col = cols.pop(piv[1])
@@ -397,7 +416,8 @@ def _quotient_valuations(s_rows, t_rows, val, step) -> tuple:
     unimodular and leave S supported on its pivot rows: the S pivot
     valuations are S's invariant orders, and the T rows left over are the
     image of T in O^n modulo the saturation of S's span, whose own pivot
-    valuations are the quotient invariants (in no particular order).
+    valuations are the quotient invariants, non-decreasing as every
+    ``_eliminate`` sequence is.
     Both are those of the raw values: callers take off the raw form's
     shift.  Raises ValueError when S has K-rank below its column count.
     """

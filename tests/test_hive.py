@@ -1,4 +1,5 @@
 import json
+from itertools import accumulate
 
 import pytest
 
@@ -9,9 +10,10 @@ from hivekit import (DualityError, Hive, Lattice, LRFilling, RingConfig,
                      RingElement, build_hive, check_rhombus,
                      hive_to_lr_filling, hive_type, lattice_invariants,
                      pair_invariant, render, validate_lr)
-from hivekit.hive import NotAHiveError
+from hivekit.hive import NotAHiveError, _witness_chains
 from hivekit.lattice import _min_selections, _witness_values
-from hivekit.matops import _raw_entries, smith_decompose
+from hivekit.matops import (_quotient_valuations, _raw_entries, _swap_form,
+                            smith_decompose)
 from hivekit.cli import InstanceSpec, random_pair
 
 from conftest import inverse, lat, seeded
@@ -332,7 +334,60 @@ def test_witness_value_matches_smith_route(ring, n):
                     p_inv = inverse(smith_decompose(n_jw).p)
                     want -= smith_sum((p_inv @ lam).bottom_rows(n - len(jw)),
                                       u)
-                assert _witness_values(form, jw, u, size)[u] == want, (s, t)
+                [values] = _witness_values(form, [(jw, u)], size)
+                assert values[u] == want, (s, t)
+
+
+def one_set_witness(form, jw, u, size):
+    """``_witness_values`` of one set by the route before chains: one
+    ``_quotient_valuations`` on [N_jw | Lambda] alone, and the u smallest
+    of its quotient pivots, sorted."""
+    (lam_rows, n_rows), val, step, shift = form
+    n_jw = [[row[j] for j in jw] for row in n_rows]
+    jw_vals, quot = _quotient_valuations(n_jw, lam_rows, val, step)
+    top = size - sum(jw_vals) + len(jw) * shift
+    return [top - q + r * shift
+            for r, q in enumerate(accumulate(sorted(quot)[:u], initial=0))]
+
+
+@pytest.mark.parametrize("ring,n,mix",
+                         [("padic:2", n, 4) for n in range(1, 7)]
+                         + [("padic:3", n, 4) for n in range(1, 6)]
+                         + [("tadic", n, 4) for n in range(1, 5)]
+                         + [("tadic", 4, 30)])
+def test_chain_witness_matches_one_set_route(ring, n, mix):
+    # at every entry of both variants: the chains cover each distinct jw
+    # once, at its largest u = n - t, each set containing the one before,
+    # and one elimination per chain gives each set's values at every rank
+    # 0..u, as the set's own quotient elimination does; at n >= 4 some
+    # pair's sets form 3 or more chains
+    cfg = RingConfig.parse_flag(ring)
+    most = 0
+    for seed in range(4):
+        spec = InstanceSpec(n=n, ring=cfg, exponent_range=(-1, 3), seed=seed,
+                            unimodular_mix_steps=mix)
+        n_lat, lam_lat = random_pair(spec)
+        primary = _raw_entries(lam_lat.gens, n_lat.gens)
+        for form in (primary, _swap_form(primary, cfg)):
+            lam, best = _min_selections(form)
+            size = sum(lam)
+            largest = {}
+            for t in range(1, n + 1):
+                for s in range(t):
+                    jw = best[n - t, t - s][1]
+                    largest[jw] = max(largest.get(jw, 0), n - t)
+            chains = _witness_chains(best, n)
+            links = [link for chain in chains for link in chain]
+            assert sorted(links) == sorted(largest.items())
+            for chain in chains:
+                assert all(set(a).issubset(b)
+                           for (a, _), (b, _) in zip(chain, chain[1:]))
+                for (jw, u), values in zip(chain, _witness_values(form, chain,
+                                                                  size)):
+                    assert values == one_set_witness(form, jw, u, size), \
+                        (seed, jw)
+            most = max(most, len(chains))
+    assert most >= (3 if n >= 4 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,9 @@ def test_max_matches_inverse_route(ring, n, request):
                 for a in range(n + 1 - c):
                     u = n - a - c
                     _, (_, jw) = selection_min(norms, n, u, c)
+                    [values] = _witness_values(form, [(jw, u)], size)
                     assert max_direct_sum_norm(a_lat, c_lat, a, c) == \
-                        _witness_values(form, jw, u, size)[u], (seed, a, c)
+                        values[u], (seed, a, c)
 
 
 def test_tadic_pair_and_min(tadic):

@@ -10,12 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants, smith_decompose,
                      unimodular_check)
-from hivekit.matops import _adj_product, _raw_entries, _raw_scalars
+from hivekit.matops import (_adj_product, _eliminate, _raw_entries,
+                            _raw_scalars)
 from hivekit.ring import _tpoly
 
 from conftest import (brute_minor_norm, inverse, mat, random_padic_matrix,
                        random_tadic_matrix, random_unimodular, ring_entries,
                        seeded)
+from eliminate_reference import full_scan_eliminate
 from minor_table import cofactor_adjugate, minor_norms
 
 
@@ -398,3 +400,41 @@ def test_adj_product_rejects_singular(ring):
     for b in (dependent, zero_column, [[zero]]):
         with pytest.raises(ValueError):
             _adj_product(b, l[:len(b)], cfg)
+
+
+def eliminate_inputs(cfg, rng):
+    """(rows, width): dense raw m x c rows, m = 1..6, a fifth of the
+    entries zero, with 1 <= width < c; the first ``width`` columns are
+    lifted by pi^k, k in 0..2, so the columns past ``width`` may hold lower
+    valuations than any the scan reads."""
+    zero, power = _raw_scalars(cfg)
+    out = []
+    for m in range(1, 7):
+        for width in range(1, m + 3):
+            lift = power(rng.randint(0, 2))
+            cols = width + rng.randint(1, 3)
+            out.append(([[zero if rng.random() < 0.2 else
+                          raw_value(cfg, rng) * (lift if j < width else
+                                                 power(0))
+                          for j in range(cols)] for _ in range(m)], width))
+    return out
+
+
+@pytest.mark.parametrize("ring", ["padic:2", "padic:3", "tadic"])
+def test_eliminate_matches_full_scan(ring):
+    # the scan that stops at the previous pivot's valuation against the
+    # full scan: the same pivot valuations, pivot columns and rows, and
+    # rows left over; a call limited to u pivots gives the first u of them
+    cfg = RingConfig.parse_flag(ring)
+    _, val, step, _ = _raw_entries(ValuedMatrix.identity(cfg, 1))
+    for rows, width in eliminate_inputs(cfg, seeded(4520)):
+        want_rows, want_pivots = [list(row) for row in rows], []
+        want = full_scan_eliminate(want_rows, width, val, step, want_pivots)
+        got_rows, got_pivots = [list(row) for row in rows], []
+        assert _eliminate(got_rows, width, val, step, got_pivots) == want
+        assert got_pivots == want_pivots and got_rows == want_rows
+        for u in range(len(want) + 1):
+            got_pivots = []
+            assert _eliminate([list(row) for row in rows], width, val, step,
+                              got_pivots, limit=u) == want[:u]
+            assert got_pivots == want_pivots[:u]
