@@ -8,8 +8,9 @@ selections, so the minimum over all submodule pairs is attained on column
 subsets of the generator matrices (any representatives).  Each selection
 norm is the minimal valuation of a maximal minor.  ``_min_selections``
 finds every minimum of [X | Y] (in the hive, X = Lambda and Y = N) with
-at most 2^n small eliminations of the raw form (``matops._raw_entries``:
-integers, or integer polynomials over t) and no table of minors:
+one elimination and then one pivot for each of the 2^n - 1 nonempty row
+sets, on the raw form (``matops._raw_entries``: integers, or integer
+polynomials over t), and no table of minors:
 
 * Triangular to diagonal.  One ``matops._eliminate`` of [X | Y] pivoting
   in X's columns applies a unimodular U on the left.  In pivot order U X
@@ -18,22 +19,32 @@ integers, or integer polynomials over t) and no table of minors:
   O.  So U X spans the lattice of D = diag(pi^lam), lam the pivot
   valuations, and since any generators serve, the minima are those of
   [D | Y'], Y' = U Y the Y parts of the pivot rows.
-* Laplace.  The columns D_S of a set S of pivot rows vanish off S, so a
-  maximal minor of [D_S | Y'_J] is pi^(lam_S) times a minor of Y' without
-  the rows S, and the least norm with |Jx| = kx, |Jy| = ky is
-  min over |S| = kx of lam_S + d_ky(Y' without the rows S), d_k the sum
-  of the k smallest invariants.  So hive entry (s, t) is
-  |lam| - min over |S| = n - t of lam_S + d_(t-s)(Y' without S).  One
-  elimination of Y' without the rows S gives every d_k, the sum of its
-  first k pivots, whose columns Jy reach it.
-* The skip bound.  A minor of a row submatrix is a minor of Y', so
-  d_k(Y' without S) >= d_k(Y'), and S is skipped when lam_S + d_k(Y')
-  reaches the best value so far for every k.  Only a strictly smaller
-  value replaces a best one, so skipping changes no value and no Jy.
+* Row sets.  The columns D_S of a set S of pivot rows vanish off S, so a
+  maximal minor of [D_S | Y'_J] is pi^(lam_S) times a minor of Y' on
+  rows R outside S, and the least norm with |Jx| = kx, |Jy| = ky is
 
-Jy is taken at the first minimizing S; it need not be the first
-minimizer of a scan over the columns of [X | Y].  Any minimizing Jy
-serves as the max route's witness.
+      min over |R| = ky of norm(Y'_R) + (the kx smallest lam outside R),
+
+  norm(Y'_R) the least valuation of a ky-minor of the rows R.  Taking
+  the minimum over the columns J first gives norm(Y'_R) (the rows of a
+  nonsingular Y' are K-independent); taking it over S disjoint from R
+  next gives the kx smallest lam outside R, which are the first kx rows
+  outside R, since lam comes non-decreasing.  So hive entry (s, t) is
+  |lam| minus that minimum at kx = n - t, ky = t - s.
+* The walk.  The row sets R are walked depth first, R + {i} (i past
+  every row of R) one step from R: the pivot is row i's entry of least
+  valuation among the columns not yet pivoted (the first on ties), and
+  ``step`` clears row i's other entries by column operations on the rows
+  past i, the only rows R + {i}'s descendants read.  Two facts make it
+  exact.  Norms of nested row sets add up, norm(Y'_(R + {i})) =
+  norm(Y'_R) + the pivot's valuation: the quotient identity of
+  ``_witness_values``, transposed.  And the pivot columns J(R) reach
+  norm(Y'_R): on R x J(R) the reduced matrix is triangular, and the
+  column operations change that minor only by a unit factor.
+
+Jy is J(R) at the first minimizing R in walk order, in ascending order;
+it need not be the first minimizer of a scan over the columns of
+[X | Y].  Any minimizing Jy serves as the max route's witness.
 
 The maximum ranges over summand-realized pairs: submodules A(Y), C(V)
 where Y and V are jointly a direct summand of O^n under the stored
@@ -76,7 +87,7 @@ afresh on each call; its one caller is the greedy diagnostic.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .matops import (INFINITY, ValuedMatrix, _adj_product, _eliminate,
                      _from_raw, _raw_entries, _swap_form,
@@ -240,35 +251,56 @@ def _min_selections(form):
     full rank n: lam holds X's invariant orders, non-decreasing, and for
     every kx >= 0, ky >= 1 with kx + ky <= n, best[kx, ky] = (the least
     norm of [X_Jx | Y_Jy] with |Jx| = kx and |Jy| = ky, a minimizing Jy in
-    ascending order).  The sets S of pivot rows are taken by size, in
-    ``combinations`` order; the module docstring derives the steps.
+    ascending order).  The row sets R of Y' are walked depth first, each
+    reached from R without its last row by one pivot, and Jy is J(R) at
+    the first minimizing R; the module docstring derives the steps.
+    Raises ValueError when X or Y is singular.
     """
     (x_rows, y_rows), val, step, shift = form
     n = len(x_rows)
     pivots = []
     lam = _eliminate([list(x) + list(y) for x, y in zip(x_rows, y_rows)],
                      n, val, step, pivots)
-    y_red = [row[-n:] for _, row in pivots]
+    if len(lam) < n:
+        raise ValueError("the first block must be nonsingular")
     best = {(kx, ky): (INFINITY, None)
             for kx in range(n) for ky in range(1, n - kx + 1)}
-    floor = None  # d_ky(Y'), set by S = {}, the first S
-    for kx in range(n):
-        for rows in combinations(range(n), kx):
-            lam_s = sum(lam[i] for i in rows)
-            if kx and all(lam_s + floor[ky] >= best[kx, ky][0]
-                          for ky in range(1, n - kx + 1)):
-                continue
-            cols = []
-            vals = _eliminate([list(y) for i, y in enumerate(y_red)
-                               if i not in rows], n, val, step, cols)
-            if not kx:
-                floor = list(accumulate(vals, initial=0))
-            value = lam_s
-            for ky, v in enumerate(vals, 1):
-                value += v
+
+    def walk(start, cols, norm, outside, jr):
+        # R's state: norm = norm(Y'_R), jr = J(R) in pivot order, outside =
+        # lam at the rows before ``start`` that R leaves out, and cols =
+        # (index, entries on the rows start..) for each column of Y' not in
+        # J(R), stored as rows so that ``step`` clears them
+        for i in range(start, n):
+            pos = i - start
+            v, piv = INFINITY, None
+            for c, (_, col) in enumerate(cols):
+                x = col[pos]
+                if x:
+                    w = val(x)
+                    if w < v:
+                        v, piv = w, c
+                        if not w:  # no raw valuation is below 0
+                            break
+            if piv is None:
+                raise ValueError("the second block must be nonsingular")
+            j, prow = cols[piv]
+            norm_i, jr_i, out_i = norm + v, jr + (j,), outside + lam[start:i]
+            ky = len(jr_i)
+            # lam outside R + {i}, non-decreasing, summed kx at a time
+            for kx, value in enumerate(accumulate(out_i + lam[i + 1:],
+                                                  initial=norm_i)):
                 if value < best[kx, ky][0]:
-                    best[kx, ky] = (value,
-                                    tuple(sorted(j for j, _ in cols[:ky])))
+                    best[kx, ky] = (value, tuple(sorted(jr_i)))
+            if i + 1 < n:
+                clear, tail = step(prow[pos], v), prow[pos + 1:]
+                walk(i + 1, [(k, clear(col[pos + 1:], tail, col[pos])
+                              if col[pos] else col[pos + 1:])
+                             for c, (k, col) in enumerate(cols) if c != piv],
+                     norm_i, out_i, jr_i)
+
+    walk(0, [(j, [row[j - n] for _, row in pivots]) for j in range(n)],
+         0, [], ())
     return ([v - shift for v in lam],
             {(kx, ky): (value - (kx + ky) * shift, jw)
              for (kx, ky), (value, jw) in best.items()})

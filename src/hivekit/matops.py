@@ -21,8 +21,9 @@ Every route shares one pivoting rule (an entry of minimal valuation):
   needs;
 * the min side of the hive -- ``lattice._min_selections`` -- runs
   ``_eliminate`` on [Lambda | N] with pivots only in Lambda's columns,
-  reading each pivot row and column, then once on each row subset of the
-  reduced N;
+  reading each pivot row and column, then walks the row sets of the
+  reduced N with one pivot of the same rule per set, clearing by the raw
+  form's ``step``;
 * ``smith_decompose`` builds D together with the transforms P and Q in
   one loop, for the callers that need them: ``lattice.adapted_slice``
   reads P @ D on each call (for the oracle's regression instance), and

@@ -12,10 +12,11 @@ from hivekit import (EnumerationBudget, Lattice, RingConfig, Submodule,
                      min_direct_sum_norm, pair_invariant, unimodular_check)
 from hivekit.cli import InstanceSpec, random_pair
 from hivekit.lattice import _min_selections, _witness_values
-from hivekit.matops import _raw_entries, _swap_form
+from hivekit.matops import _quotient_valuations, _raw_entries, _swap_form
 
 from conftest import (inverse, lat, mat, random_unimodular, ring_entries,
                       seeded)
+from complement_reference import complement_min_selections
 from minor_table import minor_norms, selection_min
 
 
@@ -382,6 +383,52 @@ def test_min_selections_match_minor_table(ring):
                 y_cols = tuple(n + j for j in jw)
                 assert min(norms[jx + y_cols] for jx in
                            combinations(range(n), kx)) == want
+
+
+@pytest.mark.parametrize("ring", ["padic:2", "padic:3", "tadic"])
+def test_min_selections_match_complement_route(ring):
+    """The row-set walk against the complement-set route it replaced
+    (``tests/complement_reference.py``), on the forms of both hive
+    variants at n = 1..8, with and without a shift and mixing (t-adic:
+    mix-30 pairs too, at n <= 4): the same lam and the same values.  Each
+    returned jw reaches its value with some kx columns of X: the least
+    norm of [X_Jx | Y_jw] over |Jx| = kx is norm(Y_jw) plus the kx
+    smallest invariants of X modulo sat(Y_jw) (``_quotient_valuations``,
+    whose quotient pivots come non-decreasing)."""
+    cfg = RingConfig.parse_flag(ring)
+    cases = list(product(range(1, 9), ((0, 3), (-2, 3)), (0, 4)))
+    if cfg.kind == RingConfig.TADIC:
+        cases += product(range(1, 5), ((0, 3), (-2, 3)), (30,))
+    for n, exps, mix in cases:
+        spec = InstanceSpec(n=n, ring=cfg, exponent_range=exps, seed=n,
+                            unimodular_mix_steps=mix)
+        n_lat, lam_lat = random_pair(spec)
+        primary = _raw_entries(lam_lat.gens, n_lat.gens)
+        for form in (primary, _swap_form(primary, cfg)):
+            lam, best = _min_selections(form)
+            want_lam, want = complement_min_selections(form)
+            assert lam == want_lam
+            assert set(best) == set(want)
+            (x_rows, y_rows), val, step, shift = form
+            for (kx, ky), (value, jw) in best.items():
+                assert value == want[kx, ky][0], (n, exps, mix, kx, ky)
+                jw_vals, quot = _quotient_valuations(
+                    [[row[j] for j in jw] for row in y_rows], x_rows,
+                    val, step)
+                assert len(jw) == ky
+                assert (sum(jw_vals) + sum(quot[:kx])
+                        - (kx + ky) * shift) == value, (n, exps, mix, kx, ky)
+
+
+def test_min_selections_reject_singular_block(p2):
+    # Y = [[1, 2], [2, 4]] has rank 1: its second row has no nonzero entry
+    # left once the first is pivoted, so the walk raises instead of
+    # leaving (inf, None) entries
+    x, y = mat(p2, [[1, 0], [0, 2]]), mat(p2, [[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="second block"):
+        _min_selections(_raw_entries(x, y))
+    with pytest.raises(ValueError, match="first block"):
+        _min_selections(_raw_entries(y, x))
 
 
 def test_max_scan_matrix_is_n(p2, p3, tadic):
