@@ -2,9 +2,10 @@
 random instances, run oracle certifications, render output.
 
 Exit codes are a stable contract: 0 success, 1 input error, 2 internal
-consistency (duality) failure, 3 validation failure.  All randomness
-flows from one explicit 64-bit seed through Python's Mersenne Twister
-(``random.Random``), so every command is deterministic in its inputs.
+consistency (a duality mismatch, or a built array that is not a hive),
+3 validation failure.  All randomness flows from one explicit 64-bit
+seed through Python's Mersenne Twister (``random.Random``), so every
+command is deterministic in its inputs.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
-from .hive import (DualityError, Hive, build_hive, check_rhombus,
-                   hive_to_lr_filling, hive_type, render, validate_lr)
+from .hive import (DualityError, Hive, NotAHiveError, build_hive,
+                   check_rhombus, hive_to_lr_filling, hive_type, render,
+                   validate_lr)
 from .lattice import (Lattice, greedy_slice_first_min, lattice_invariants,
                       min_direct_sum_norm, pair_invariant)
-from .matops import (ValuedMatrix, _from_raw, _raw_scalars,
-                     invariant_partition, smith_decompose)
+from .matops import (ValuedMatrix, _from_raw, invariant_partition,
+                     smith_decompose)
 from .oracle import (BudgetExceededError, EnumerationBudget, _check_count,
                      _int_lattice, enumerate_lr_fillings, stabilized_value)
 from .ring import RingConfig
@@ -54,8 +56,8 @@ class InstanceSpec:
 def _random_unimodular(cfg: RingConfig, n: int, steps: int, hi: int,
                        rng: random.Random) -> list:
     """Rows of a product of ``steps`` random elementary unimodular
-    operations, in the raw values of ``matops._raw_scalars``."""
-    zero, power = _raw_scalars(cfg)
+    operations, in the raw values of ``cfg.raw``."""
+    zero, power = cfg.raw.zero, cfg.raw.power
     rows = [[power(0) if i == j else zero for j in range(n)]
             for i in range(n)]
     if n < 2:  # no two rows to mix; rng is left untouched
@@ -88,9 +90,8 @@ def random_pair(spec: InstanceSpec):
     P, Q are products of random elementary unimodular operations.  A pure
     function of the spec.
 
-    The factors are built on raw values, as ``matops._raw_entries`` holds
-    them: Python ints for p-adic rings (pi = p) and integer polynomials
-    (``ring._TPoly``) for t-adic ones (pi = t).  A negative exponent range
+    The factors are built on the ring's raw values (``RingConfig.raw``),
+    as ``matops._raw_entries`` holds them.  A negative exponent range
     is cleared by one power pi^s, s = -lo, on every diagonal entry, so
     the raw N and Lambda are pi^s N and pi^(2s) Lambda; their entries
     become ring elements once, divided by that power
@@ -100,7 +101,7 @@ def random_pair(spec: InstanceSpec):
     rng = random.Random(spec.seed)
     n = spec.n
     lo, hi = spec.exponent_range
-    zero, power = _raw_scalars(spec.ring)
+    zero, power = spec.ring.raw.zero, spec.ring.raw.power
     shift = max(-lo, 0)
 
     def matmul(a, b):
@@ -167,7 +168,7 @@ def cmd_compute(args) -> int:
                        for variant in ("primary", "swapped")}
         else:
             payload = _hive_payload(build_hive(n_lat, lam_lat, args.variant))
-    except DualityError as exc:
+    except (DualityError, NotAHiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DUALITY
     _emit(json.dumps(payload, indent=2), args.out)

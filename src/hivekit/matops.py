@@ -32,36 +32,29 @@ Every route shares one pivoting rule (an entry of minimal valuation):
 Elimination on ``RingElement`` entries is left only where a transform is
 itself the result: ``smith_decompose``.
 
-The kernels work on raw values (``_raw_entries``): one common scale c is
-cleared from all entries, and results are moved back by its valuation
-(the form's shift).  p-adic: c is the common denominator, and the raw
-values are Python ints with the p-adic valuation.  t-adic: c is the lcm
-D(t) of the entries' denominators in Z[t], the raw values are the
-integer polynomials (``ring._TPoly``) num (D / den), whose valuation is
-their order at t, and the shift is ord_t(D).  Either way elimination is
-fraction-free and the same in shape (``_eliminate``).  The adjugate
-product of ``_adj_product`` is one more elimination, fraction-free
-Gauss-Jordan on [B | L] with exact divisions: det(B) and adj(B) L for
-raw B and L, so B^-1 L is never formed as ring elements.  Its pivot is
-the first nonzero entry of each column: what it returns is fixed by B
-and L, whatever the pivots.  It serves ``_swap_form`` (the raw form of
-[A | A C^-1] from that of [A^T | C^T], for the swapped hive's pair and
-for ``lattice.max_direct_sum_norm``) and ``lattice.pair_invariant``
-(M = adj(B) L / det(B), turned into ring elements once by
-``_from_raw``).
+The kernels work on raw values (``_raw_entries``): the lcm c of the
+entries' denominators is cleared from all entries, and results are
+moved back by its valuation (the form's shift).  Everything that
+depends on the ring kind -- the raw values, their valuation, the row
+clearing, exact division, pi^k -- comes from the config's raw
+arithmetic ``RingConfig.raw`` (see ``ring``), so elimination is
+fraction-free and one loop for every ring (``_eliminate``).  The
+adjugate product of ``_adj_product`` is one more elimination,
+fraction-free Gauss-Jordan on [B | L] with exact divisions: det(B) and
+adj(B) L for raw B and L, so B^-1 L is never formed as ring elements.
+Its pivot is the first nonzero entry of each column: what it returns is
+fixed by B and L, whatever the pivots.  It serves ``_swap_form`` (the
+raw form of [A | A C^-1] from that of [A^T | C^T], for the swapped
+hive's pair and for ``lattice.max_direct_sum_norm``) and
+``lattice.pair_invariant`` (M = adj(B) L / det(B), turned into ring
+elements once by ``_from_raw``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
-from operator import attrgetter, floordiv
 
-from .ring import (INFINITY, PadicElement, RatFuncElement, RingConfig,
-                   RingElement, _TONE, _TPoly, _TZERO, _int_pval, _texact,
-                   _tgcd)
+from .ring import INFINITY, RingConfig, RingElement
 
 
 class ValuedMatrix:
@@ -272,68 +265,30 @@ def smith_decompose(a: ValuedMatrix) -> SmithDecomposition:
         ValuedMatrix(cfg, [q[j] for j in cols]))
 
 
-def _tpoly_step(pivot, v):
-    u = _TPoly(0, pivot.c)
-
-    def clear(row, prow, e):
-        f = _TPoly(e.v - v, e.c)
-        return [u * x - f * y for x, y in zip(row, prow)]
-    return clear
-
-
-def _int_step(p, pivot, v):
-    q = p ** v
-    u = pivot // q
-
-    def clear(row, prow, e):
-        f = e // q
-        return [u * x - f * y for x, y in zip(row, prow)]
-    return clear
-
-
-def _int_val(p):
-    """v_p of a nonzero raw int as a one-argument function.  The kernels
-    call it on every entry they scan, and a closure costs about half of a
-    keyword ``partial``; at p = 2 it is ``_int_pval``'s lowest-set-bit
-    rule inline."""
-    if p == 2:
-        return lambda x: (x & -x).bit_length() - 1
-    return lambda x: _int_pval(x, p)
-
-
 def _raw_entries(*mats):
     """(rows, val, step, shift): the raw form of one or more matrices over
     one ring.
 
-    ``rows`` holds each matrix's entries as lists of raw values, ``val``
-    is their valuation, ``step(pivot, v)`` gives the row clearing of an
-    elimination at a pivot of valuation v (see ``_eliminate``), and every
-    raw value's valuation exceeds its entry's by ``shift``.
+    ``rows`` holds each matrix's entries as lists of raw values (those of
+    ``RingConfig.raw``), ``val`` is their valuation, ``step(pivot, v)``
+    gives the row clearing of an elimination at a pivot of valuation v
+    (see ``_eliminate``), and every raw value's valuation exceeds its
+    entry's by ``shift``.
 
-    One common scale c is cleared from all the matrices' entries, so the
-    raw values are the entries times c and ``shift`` = v(c).  p-adic: c is
-    the common denominator d, the raw values are Python ints and ``val``
-    is ``_int_val(p)``.  t-adic: c is the lcm D(t) of the denominators in
-    Z[t], the raw value of num / den is the integer polynomial
-    num (D / den) (a ``ring._TPoly``), ``val`` is the order at t and
-    ``shift`` = ord_t(D).  Scaling by c moves a k-column selection's norm
-    (and its pivot sum) by k * shift, and each quotient pivot by shift,
-    since sat(c S) = sat(S).
+    One common scale c, the lcm of the entries' denominators, is cleared
+    from all the matrices' entries: the raw value of num / den is
+    num (c / den), and ``shift`` = v(c).  Scaling by c moves a k-column
+    selection's norm (and its pivot sum) by k * shift, and each quotient
+    pivot by shift, since sat(c S) = sat(S).
     """
-    cfg = mats[0].config
-    if cfg.kind == RingConfig.PADIC:
-        d = math.lcm(*(e.value.denominator for a in mats
-                       for row in a.entries for e in row))
-        rows = [[[e.value.numerator * (d // e.value.denominator) for e in row]
-                 for row in a.entries] for a in mats]
-        return (rows, _int_val(cfg.p), partial(_int_step, cfg.p),
-                _int_pval(d, cfg.p))
-    d = _TONE
+    raw = mats[0].config.raw
+    exact = raw.exact
+    d = raw.one
     for den in {e.den for a in mats for row in a.entries for e in row}:
-        d = d * _texact(den, _tgcd(d, den))
-    rows = [[[e.num * _texact(d, e.den) for e in row] for row in a.entries]
+        d = d * exact(den, raw.gcd(d, den))
+    rows = [[[e.num * exact(d, e.den) for e in row] for row in a.entries]
             for a in mats]
-    return rows, attrgetter("v"), _tpoly_step, d.v
+    return rows, raw.val, raw.step, raw.val(d)
 
 
 def _eliminate(rows, width, val, step, pivots=None, limit=None) -> list:
@@ -346,8 +301,8 @@ def _eliminate(rows, width, val, step, pivots=None, limit=None) -> list:
     pivot appends (its column's index in the input, its row as it was
     pivoted, without the pivot entry): the row's last entries are the
     columns past ``width``, which no pivot removes.  Each row is cleared
-    by the raw form's ``step``, fraction-free for both ring kinds: with
-    pivot = pi^v u (pi = p or t), row <- u row - (e / pi^v) prow.  Both
+    by the raw form's ``step`` (``RingConfig.raw.step``), fraction-free:
+    with pivot = pi^v u, row <- u row - (e / pi^v) prow.  Both
     multipliers are raw values (e / pi^v is an exact division, or an
     exact shift of coefficients), and u is a unit of O, so every row
     operation is unimodular over O and the pivot valuations are the Smith
@@ -430,14 +385,6 @@ def _quotient_valuations(s_rows, t_rows, val, step) -> tuple:
     return s_vals, _eliminate(rows, len(t_rows[0]), val, step)
 
 
-def _raw_scalars(config):
-    """(zero, k -> pi^k) in the ring's raw values: ints with pi = p, or
-    integer polynomials (``ring._TPoly``) with pi = t."""
-    if config.kind == RingConfig.PADIC:
-        return 0, partial(pow, config.p)
-    return _TZERO, lambda k: _TPoly(k, (1,))
-
-
 def _adj_product(b_rows, l_rows, config):
     """(det B, adj(B) L) for a square raw matrix B and raw rows L of the
     same height, so that B^-1 L = adj(B) L / det B.
@@ -446,18 +393,14 @@ def _adj_product(b_rows, l_rows, config):
     each column k = 0..n-1 the first row at or below k with a nonzero
     entry there is swapped in as the pivot row, of pivot p_k, and every
     other row is cleared as row <- (p_k row - e prow) / p_(k-1), with
-    p_(-1) = 1.  The division is exact (``//`` on ints, ``ring._texact``
-    on polynomials): every entry is, up to sign, a minor of the row
-    swapped [B | L] (Sylvester's identity), so the values stay as small
-    as minors.  A cleared pivot column is dropped from every row, and the
-    rows end as the right block p_(n-1) B^-1 L, with p_(n-1) = +-det B,
-    the sign that of the row permutation.  Raises ValueError when B is
-    singular."""
+    p_(-1) = 1.  The division is exact (``config.raw.exact``): every
+    entry is, up to sign, a minor of the row swapped [B | L] (Sylvester's
+    identity), so the values stay as small as minors.  A cleared pivot
+    column is dropped from every row, and the rows end as the right block
+    p_(n-1) B^-1 L, with p_(n-1) = +-det B, the sign that of the row
+    permutation.  Raises ValueError when B is singular."""
     n = len(b_rows)
-    if config.kind == RingConfig.PADIC:
-        exact, prev = floordiv, 1
-    else:
-        exact, prev = _texact, _TONE
+    exact, prev = config.raw.exact, config.raw.one
     rows = [list(b) + list(l) for b, l in zip(b_rows, l_rows)]
     odd = False
     for k in range(n):
@@ -483,14 +426,10 @@ def _adj_product(b_rows, l_rows, config):
 def _from_raw(config, rows, den) -> ValuedMatrix:
     """The matrix with entries x / den for raw values x and a nonzero raw
     den: the one step from raw values back to ring elements.  Each entry
-    is made once, in its canonical form (a reduced ``Fraction``, or a
-    ``RatFuncElement`` in lowest terms), so it equals the element that
-    any exact route to the same value gives."""
-    if config.kind == RingConfig.PADIC:
-        return ValuedMatrix(config, [[PadicElement(config, Fraction(x, den))
-                                      for x in row] for row in rows])
-    return ValuedMatrix(config, [[RatFuncElement(config, x, den)
-                                  for x in row] for row in rows])
+    is made once, in lowest terms, so it equals the element that any
+    exact route to the same value gives."""
+    return ValuedMatrix(config, [[RingElement(config, x, den) for x in row]
+                                 for row in rows])
 
 
 def _swap_form(form, config):
@@ -509,23 +448,19 @@ def _swap_form(form, config):
     X = det(B) L and Y = pi^shift adj(B) L, of shift shift + v(det B).
     X is Lambda scaled by c det(B), and Y = pi^shift det(B) M is M scaled
     by c det(B) times the unit pi^shift / c; scaling a block by a unit
-    moves no minor or pivot valuation.  p-adic: the form is divided by the
-    gcd of its entries and the shift lowered by that gcd's valuation,
-    which keeps its integers as small as those of ``form``.
+    moves no minor or pivot valuation.  Last, ``config.raw.cancel_content``
+    divides the form by the content of its entries, where the ring has
+    one to divide (the gcd, for integers), and lowers the shift by its
+    valuation, which keeps the values as small as those of ``form``.
     """
     (lam_rows, n_rows), val, step, shift = form
     n = len(n_rows)
     det, adj_l = _adj_product(n_rows, lam_rows, config)
-    pi_shift = _raw_scalars(config)[1](shift)
+    pi_shift = config.raw.power(shift)
     x_t = [[det * row[l] for row in lam_rows] for l in range(n)]
     y_t = [[pi_shift * row[l] for row in adj_l] for l in range(n)]
-    shift += val(det)
-    if config.kind == RingConfig.PADIC:
-        g = math.gcd(*(x for row in x_t + y_t for x in row))
-        x_t = [[x // g for x in row] for row in x_t]
-        y_t = [[y // g for y in row] for row in y_t]
-        shift -= val(g)
-    return (x_t, y_t), val, step, shift
+    blocks, lowered = config.raw.cancel_content((x_t, y_t))
+    return blocks, val, step, shift + val(det) - lowered
 
 
 def invariant_partition(a: ValuedMatrix) -> tuple:

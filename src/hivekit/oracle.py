@@ -135,7 +135,8 @@ def span_fingerprint(gens: ValuedMatrix) -> tuple:
         raise ValueError("span fingerprints require a p-adic ring")
     p = cfg.p
     n = gens.rows
-    cols = [[gens[i, j].value for i in range(n)] for j in range(gens.cols)]
+    cols = [[Fraction(gens[i, j].num, gens[i, j].den) for i in range(n)]
+            for j in range(gens.cols)]
 
     def first_nonzero(col):
         return next((i for i, x in enumerate(col) if x != 0), None)
@@ -223,8 +224,7 @@ class _IntLattice(NamedTuple):
 
 def _int_lattice(lattice: Lattice) -> _IntLattice:
     p, n = lattice.config.p, lattice.n
-    ratios = [e.value.as_integer_ratio()
-              for row in lattice.gens.entries for e in row]
+    ratios = [(e.num, e.den) for row in lattice.gens.entries for e in row]
     d = math.lcm(*[den for _, den in ratios])
     ints = [num * (d // den) for num, den in ratios]
     cols = tuple(tuple(ints[j::n]) for j in range(n))

@@ -5,16 +5,28 @@ Two instantiations are provided:
 * ``padic-rational``: K = Q with the p-adic valuation (uniformizer p),
   O = rationals with no p in the denominator.
 * ``tadic-ratfunc``: K = Q(t) with the t-adic valuation (uniformizer t),
-  O = rational functions regular at t = 0.  An element is a ratio of
-  integer polynomials (``_TPoly``) in lowest terms over Z[t]: numerator
-  and denominator share no factor, not even a constant one, and the
-  denominator has a positive leading coefficient.  So every element of
-  Q(t) has one stored form, which is also its JSON form, and its
-  valuation is the difference of the two orders at t.
+  O = rational functions regular at t = 0.
 
-Elements are immutable, stored in canonical reduced form, and carry a
-reference to their :class:`RingConfig`; arithmetic across configs is
-rejected.  The valuation of zero is ``INFINITY``.
+Everything that differs between the two lives in one *raw arithmetic*
+object per config, ``RingConfig.raw``: ``_IntRaw(p)``, whose raw values
+are Python ints with pi = p, or ``_PolyRaw``, whose raw values are
+integer polynomials (``_TPoly``) with pi = t.  It holds the valuation
+``val`` of a nonzero raw value, the fraction-free row clearing ``step``
+of the elimination kernels, ``exact`` division, ``gcd`` and the sign
+rule ``negative`` for denominators, ``zero``, ``one`` and ``power(k)``
+= pi^k, the content cancellation of ``matops._swap_form`` (p-adic only),
+and the parsing (``parse``) and formatting (``format``) of one scalar.
+
+An element (``RingElement``) is num / den for two raw values in lowest
+terms: no common factor, not even a constant one, and den not
+``negative`` (a positive int, or a polynomial with a positive leading
+coefficient).  So every element of K has one stored form, which is also
+its JSON form (``str(Fraction)`` for p-adic scalars, ``(num)/(den)``
+for t-adic ones), and its valuation is val(num) - val(den).  Elements
+are immutable, carry a reference to their :class:`RingConfig`, and
+arithmetic across configs is rejected.  The valuation of zero is
+``INFINITY``.  The matrix kernels (``matops._raw_entries``) clear one
+common denominator and work on the raw values directly.
 """
 
 from __future__ import annotations
@@ -22,22 +34,41 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter, floordiv
 
 INFINITY = math.inf
 
+# The first 13 primes.  Miller-Rabin on these bases decides primality
+# exactly below _PRIME_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2015); the first 12 alone are fooled by
+# 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for p at or above
+    ``_PRIME_BOUND``, where it would not be exact."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    s = _int_pval(p - 1, 2)
+    d = (p - 1) >> s
+    for b in _PRIME_BASES:
+        # p passes base b iff b^d = 1 or b^(d 2^r) = -1 for some r < s
+        x = pow(b, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -61,9 +92,9 @@ class _TPoly:
     """An integer polynomial t^v (c[0] + c[1] t + ... + c[d] t^d) with
     c[0] and c[d] nonzero, so v is its order at t.  Zero has c = ().
 
-    The one polynomial type of the package: ``RatFuncElement`` stores its
-    numerator and denominator as these, and they are the raw t-adic values
-    of the valuation kernel (``matops._raw_entries``).  Immutable.
+    The one polynomial type of the package: the raw values of the t-adic
+    ring (``_PolyRaw``), so a t-adic ``RingElement`` stores its numerator
+    and denominator as these.  Immutable.
     """
 
     __slots__ = ("v", "c")
@@ -150,6 +181,10 @@ def _texact(a: _TPoly, b: _TPoly) -> _TPoly:
     if it does not."""
     if not a:
         return _TZERO
+    if b.c == (1,):  # b = t^k: a shift
+        if a.v < b.v:
+            raise ArithmeticError("inexact polynomial division")
+        return _TPoly(a.v - b.v, a.c)
     r, bc = list(a.c), b.c
     lead, top = bc[-1], len(bc) - 1
     q = [0] * (len(r) - top)
@@ -262,10 +297,130 @@ def _poly_str(a: _TPoly) -> str:
     return out
 
 
-class RingConfig:
-    """A fixed DVR instantiation; all elements point back to one of these."""
+# ---------------------------------------------------------------------------
+# raw arithmetic, one object per ring kind
 
-    __slots__ = ("kind", "p")
+
+class _IntRaw:
+    """The raw values of a p-adic ring: Python ints, with pi = p."""
+
+    zero, one = 0, 1
+    exact = staticmethod(floordiv)
+    gcd = staticmethod(math.gcd)
+
+    def __init__(self, p: int):
+        self.p = p
+        # v_p of a nonzero int.  The kernels call it on every entry they
+        # scan, and a closure costs about half of a keyword ``partial``;
+        # at p = 2 it is ``_int_pval``'s lowest-set-bit rule inline
+        if p == 2:
+            self.val = lambda x: (x & -x).bit_length() - 1
+        else:
+            self.val = lambda x: _int_pval(x, p)
+
+    def power(self, k: int) -> int:
+        return self.p ** k
+
+    @staticmethod
+    def negative(x: int) -> bool:
+        return x < 0
+
+    def step(self, pivot: int, v: int):
+        """The row clearing at a pivot p^v u (``matops._eliminate``):
+        row <- u row - (e / p^v) prow."""
+        q = self.p ** v
+        u = pivot // q
+
+        def clear(row, prow, e):
+            f = e // q
+            return [u * x - f * y for x, y in zip(row, prow)]
+        return clear
+
+    def cancel_content(self, blocks):
+        """(blocks / g, v_p(g)) for the gcd g of all the entries of the
+        blocks (lists of rows)."""
+        g = math.gcd(*(x for rows in blocks for row in rows for x in row))
+        return (tuple([[x // g for x in row] for row in rows]
+                      for rows in blocks), self.val(g))
+
+    @staticmethod
+    def parse(value) -> tuple:
+        """(num, den) of an int, Fraction or scalar string, as ``Fraction``
+        reads it."""
+        f = Fraction(value)
+        return f.numerator, f.denominator
+
+    @staticmethod
+    def format(num: int, den: int) -> str:
+        # str(Fraction(num, den))
+        return str(num) if den == 1 else f"{num}/{den}"
+
+
+class _PolyRaw:
+    """The raw values of the t-adic ring: integer polynomials (``_TPoly``),
+    with pi = t."""
+
+    zero, one = _TZERO, _TONE
+    val = attrgetter("v")
+    exact = staticmethod(_texact)
+    gcd = staticmethod(_tgcd)
+
+    @staticmethod
+    def power(k: int) -> _TPoly:
+        return _TPoly(k, (1,))
+
+    @staticmethod
+    def negative(x: _TPoly) -> bool:
+        return x.c[-1] < 0
+
+    @staticmethod
+    def step(pivot: _TPoly, v: int):
+        """The row clearing at a pivot t^v u (``matops._eliminate``):
+        row <- u row - (e / t^v) prow, both a shift of coefficients."""
+        u = _TPoly(0, pivot.c)
+
+        def clear(row, prow, e):
+            f = _TPoly(e.v - v, e.c)
+            return [u * x - f * y for x, y in zip(row, prow)]
+        return clear
+
+    @staticmethod
+    def cancel_content(blocks):
+        # polynomial contents are left in place
+        return blocks, 0
+
+    @staticmethod
+    def parse(value) -> tuple:
+        """(num, den) of a scalar string ``(num)/(den)`` or ``num``, of
+        ascending coefficient sequences (num, den) of ints or Fractions,
+        or of an int or Fraction."""
+        if isinstance(value, str):
+            s = value.strip()
+            m = re.match(r"^\((.*)\)/\((.*)\)$", s)
+            if m:
+                return _poly_parse(m.group(1)), _poly_parse(m.group(2))
+            return _poly_parse(s), _TONE
+        if isinstance(value, tuple) and len(value) == 2:
+            num, den = ([Fraction(c) for c in part] for part in value)
+        else:
+            num, den = [Fraction(value)], [Fraction(1)]
+        s = math.lcm(*(c.denominator for c in num + den))
+        return (_tpoly([int(c * s) for c in num]),
+                _tpoly([int(c * s) for c in den]))
+
+    @staticmethod
+    def format(num: _TPoly, den: _TPoly) -> str:
+        return f"({_poly_str(num)})/({_poly_str(den)})"
+
+
+_POLY_RAW = _PolyRaw()
+
+
+class RingConfig:
+    """A fixed DVR instantiation; all elements point back to one of these.
+    ``raw`` is its raw arithmetic (``_IntRaw`` or ``_PolyRaw``)."""
+
+    __slots__ = ("kind", "p", "raw")
 
     PADIC = "padic-rational"
     TADIC = "tadic-ratfunc"
@@ -276,13 +431,16 @@ class RingConfig:
                 p = 2
             if not _is_prime(p):
                 raise ValueError(f"p must be prime, got {p}")
+            raw = _IntRaw(p)
         elif kind == self.TADIC:
             if p is not None:
                 raise ValueError("tadic-ratfunc takes no prime parameter")
+            raw = _POLY_RAW
         else:
             raise ValueError(f"unknown ring kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingConfig is immutable")
@@ -310,44 +468,32 @@ class RingConfig:
     # -- element factories --------------------------------------------------
 
     def element(self, value) -> "RingElement":
-        """Coerce an int, Fraction, RingElement or JSON scalar string."""
+        """Coerce an int, Fraction, RingElement or JSON scalar string (or,
+        t-adic, a pair of ascending coefficient sequences)."""
         if isinstance(value, RingElement):
             if value.config != self:
                 raise ValueError("mixed ring configurations")
             return value
-        if self.kind == self.PADIC:
-            return PadicElement(self, Fraction(value))
-        if isinstance(value, str):
-            return self._parse_ratfunc(value)
-        if isinstance(value, tuple) and len(value) == 2:
-            # ascending coefficients of num and den, ints or Fractions
-            num, den = ([Fraction(c) for c in part] for part in value)
-        else:
-            num, den = [Fraction(value)], [Fraction(1)]
-        s = math.lcm(*(c.denominator for c in num + den))
-        return RatFuncElement(self, _tpoly([int(c * s) for c in num]),
-                              _tpoly([int(c * s) for c in den]))
+        return RingElement(self, *self.raw.parse(value))
 
     @property
     def zero(self) -> "RingElement":
-        return self.element(0)
+        return RingElement(self, self.raw.zero, self.raw.one)
 
     @property
     def one(self) -> "RingElement":
-        return self.element(1)
+        return RingElement(self, self.raw.one, self.raw.one)
 
     @property
     def uniformizer(self) -> "RingElement":
-        if self.kind == self.PADIC:
-            return self.element(self.p)
-        return RatFuncElement(self, _TPoly(1, (1,)), _TONE)
+        return RingElement(self, self.raw.power(1), self.raw.one)
 
     # -- JSON scalar encoding ------------------------------------------------
 
     def scalar_to_json(self, x: "RingElement") -> str:
         if x.config != self:
             raise ValueError("mixed ring configurations")
-        return x._to_json()
+        return self.raw.format(x.num, x.den)
 
     def parse_scalar(self, s: str) -> "RingElement":
         if not isinstance(s, str):
@@ -356,15 +502,6 @@ class RingConfig:
             return self.element(s)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {s!r}") from None
-
-    def _parse_ratfunc(self, s: str) -> "RatFuncElement":
-        s = s.strip()
-        m = re.match(r"^\((.*)\)/\((.*)\)$", s)
-        if m:
-            num, den = _poly_parse(m.group(1)), _poly_parse(m.group(2))
-        else:
-            num, den = _poly_parse(s), _TONE
-        return RatFuncElement(self, num, den)
 
     def to_json(self) -> dict:
         if self.kind == self.PADIC:
@@ -393,9 +530,28 @@ class RingConfig:
 
 
 class RingElement:
-    """Base class for exact elements of K; immutable value semantics."""
+    """An exact element num / den of K, for raw values num and den of its
+    config's ring in lowest terms (see the module docstring); zero is
+    0 / 1.  Immutable value semantics."""
 
-    __slots__ = ("config",)
+    __slots__ = ("config", "num", "den", "_val")
+
+    def __init__(self, config: RingConfig, num, den):
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        raw = config.raw
+        g = raw.gcd(num, den)
+        if raw.negative(den):
+            g = -g
+        if g != raw.one:
+            num, den = raw.exact(num, g), raw.exact(den, g)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_val", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RingElement is immutable")
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
@@ -407,180 +563,84 @@ class RingElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        return self._add(other)
+        return RingElement(self.config,
+                           self.num * other.den + other.num * self.den,
+                           self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        return self._add(other._neg())
+        return RingElement(self.config,
+                           self.num * other.den - other.num * self.den,
+                           self.den * other.den)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        return other._add(self._neg())
+        return RingElement(self.config,
+                           other.num * self.den - self.num * other.den,
+                           self.den * other.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        return self._mul(other)
+        return RingElement(self.config, self.num * other.num,
+                           self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other.num:
             raise ZeroDivisionError("division by zero ring element")
-        return self._mul(other._inv())
+        return RingElement(self.config, self.num * other.den,
+                           self.den * other.num)
 
     def __neg__(self):
-        return self._neg()
-
-    def valuation(self):
-        """Order k with self = u * t^k, u a unit; INFINITY iff self is zero."""
-        raise NotImplementedError
-
-    def unit_part(self) -> "RingElement":
-        """The unit u with self = u * t^valuation(); rejects zero."""
-        raise NotImplementedError
+        return RingElement(self.config, -self.num, self.den)
 
     def is_zero(self) -> bool:
-        raise NotImplementedError
+        return not self.num
 
     def __bool__(self):
-        return not self.is_zero()
-
-
-class PadicElement(RingElement):
-    __slots__ = ("value", "_val")
-
-    def __init__(self, config: RingConfig, value: Fraction):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_val", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
-
-    def _add(self, other):
-        return PadicElement(self.config, self.value + other.value)
-
-    def _mul(self, other):
-        return PadicElement(self.config, self.value * other.value)
-
-    def _neg(self):
-        return PadicElement(self.config, -self.value)
-
-    def _inv(self):
-        return PadicElement(self.config, 1 / self.value)
-
-    def is_zero(self):
-        return self.value == 0
+        return bool(self.num)
 
     def valuation(self):
+        """Order k with self = u * pi^k, u a unit; INFINITY iff self is
+        zero."""
         v = self._val
         if v is None:
-            if self.value == 0:
+            if not self.num:
                 v = INFINITY
             else:
-                p = self.config.p
-                v = (_int_pval(self.value.numerator, p)
-                     - _int_pval(self.value.denominator, p))
+                val = self.config.raw.val
+                v = val(self.num) - val(self.den)
             object.__setattr__(self, "_val", v)
         return v
 
-    def unit_part(self):
-        if self.value == 0:
-            raise ValueError("no unit part of zero")
-        return PadicElement(
-            self.config, self.value / Fraction(self.config.p) ** self.valuation())
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return (isinstance(other, PadicElement)
-                and self.config == other.config and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.config, self.value))
-
-    def __repr__(self):
-        return f"<{self.value} @ p={self.config.p}>"
-
-    def _to_json(self):
-        return str(self.value)
-
-
-class RatFuncElement(RingElement):
-    """num / den for integer polynomials in t (``_TPoly``) in lowest terms
-    over Z[t]: no common factor, not even a constant one, and den with a
-    positive leading coefficient.  Zero is 0 / 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, config: RingConfig, num: _TPoly, den: _TPoly):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = _tgcd(num, den)
-        if den.c[-1] < 0:
-            g = -g
-        if g != _TONE:
-            num, den = _texact(num, g), _texact(den, g)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
-
-    def _add(self, other):
-        num = self.num * other.den + other.num * self.den
-        return RatFuncElement(self.config, num, self.den * other.den)
-
-    def _mul(self, other):
-        return RatFuncElement(self.config, self.num * other.num,
-                              self.den * other.den)
-
-    def _neg(self):
-        return RatFuncElement(self.config, -self.num, self.den)
-
-    def _inv(self):
-        return RatFuncElement(self.config, self.den, self.num)
-
-    def is_zero(self):
-        return not self.num
-
-    def valuation(self):
-        return self.num.v - self.den.v if self.num else INFINITY
-
-    def unit_part(self):
+    def unit_part(self) -> "RingElement":
+        """The unit u with self = u * pi^valuation(); rejects zero."""
         if not self.num:
             raise ValueError("no unit part of zero")
-        return RatFuncElement(self.config, _TPoly(0, self.num.c),
-                              _TPoly(0, self.den.c))
+        raw = self.config.raw
+        return RingElement(self.config,
+                           raw.exact(self.num, raw.power(raw.val(self.num))),
+                           raw.exact(self.den, raw.power(raw.val(self.den))))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return (self.num == _tpoly([other.numerator])
-                    and self.den == _TPoly(0, (other.denominator,)))
-        return (isinstance(other, RatFuncElement) and self.config == other.config
+            other = self.config.element(other)
+        return (isinstance(other, RingElement) and self.config == other.config
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
         return hash((self.config, self.num, self.den))
 
     def __repr__(self):
-        return f"<{self._to_json()}>"
-
-    def _to_json(self):
-        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
+        text = self.config.raw.format(self.num, self.den)
+        return f"<{text} @ {self.config!r}>"

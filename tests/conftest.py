@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hivekit import Lattice, RingConfig, ValuedMatrix, pair_invariant
 from hivekit.cli import _random_unimodular
-from hivekit.matops import _from_raw, _raw_scalars
+from hivekit.matops import _from_raw
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def random_unimodular(cfg, n, rng, steps=6):
     """A random unimodular n x n matrix as ``random_pair`` makes its
     factors: ``steps`` mixing steps, coefficients up to pi^2."""
     return _from_raw(cfg, _random_unimodular(cfg, n, steps, 2, rng),
-                     _raw_scalars(cfg)[1](0))
+                     cfg.raw.power(0))
 
 
 def random_padic_matrix(cfg, rng, rows, cols, max_exp=3):

@@ -79,6 +79,23 @@ def test_compute_malformed_input(tmp_path, capsys):
     assert code == 1  # singular lambda matrix
 
 
+@pytest.mark.parametrize("variant", ["primary", "both"])
+def test_compute_non_hive_exits_2(tmp_path, capsys, monkeypatch, variant):
+    # a built array that breaks a rhombus inequality is an internal
+    # consistency failure, like a duality mismatch: exit 2 with an error
+    # line, not a traceback
+    rows = [list(r) for r in PAPER["rows"]]
+    rows[2][1] = 30
+    monkeypatch.setattr(cli, "build_hive", lambda *args: Hive(rows))
+    f = write(tmp_path / "i.json", matrix_json([[1, 0], [0, 1]]))
+    code = main(["compute", "--n-matrix", f, "--lambda-matrix", f,
+                 "--variant", variant])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "rhombus" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_paper_hive(tmp_path, capsys):
     hive_file = write(tmp_path / "paper.json", PAPER)
     code, out = run(capsys, "verify", hive_file)
@@ -292,6 +309,20 @@ def test_certainly_refused_trial_builds_no_family(monkeypatch, capsys):
     assert trial["status"] == "budget_exhausted"
     assert trial["budget_error"] == ("predicted 28 spans (rank 2 in O^3, "
                                      "entries below 2^2) exceed cap 10")
+
+
+def test_random_at_a_61_bit_prime(capsys):
+    # 2^61 - 1 is prime: the primality test is Miller-Rabin, not trial
+    # division, so the ring is made at once
+    code, out = run(capsys, "random", "--ring", "padic:2305843009213693951",
+                    "--n", "2")
+    assert code == 0
+    assert json.loads(out)["ring"] == {"kind": "padic-rational",
+                                       "p": 2 ** 61 - 1}
+    # above the bound where the test is exact, p is refused as input
+    code = main(["random", "--ring", f"padic:{2 ** 89 - 1}", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.startswith("error: p must be below")
 
 
 def test_oracle_rejects_tadic(capsys):

@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hivekit import (INFINITY, RingConfig, ValuedMatrix, invariant_partition,
                      matrix_norm, quotient_free_invariants, smith_decompose,
                      unimodular_check)
-from hivekit.matops import (_adj_product, _eliminate, _raw_entries,
-                            _raw_scalars)
+from hivekit.matops import _adj_product, _eliminate, _raw_entries
 from hivekit.ring import _tpoly
 
 from conftest import (brute_minor_norm, inverse, mat, random_padic_matrix,
@@ -343,7 +342,7 @@ def adj_product_inputs(cfg, n, rng):
     entries are zero, so that the elimination swaps rows: B's first
     column zero down to its last row, and (n >= 2) B an odd permutation
     of a diagonal."""
-    zero = _raw_scalars(cfg)[0]
+    zero = cfg.raw.zero
 
     def dense(rows):
         return [[raw_value(cfg, rng) for _ in range(n)] for _ in range(rows)]
@@ -375,7 +374,7 @@ def test_adj_product_matches_cofactor_reference(ring, n):
     # the elimination against the cofactors of every (n-1)-minor: the
     # same det B and adj(B) L exactly, and B adj(B) L = det(B) L
     cfg = RingConfig.parse_flag(ring)
-    zero, power = _raw_scalars(cfg)
+    zero, power = cfg.raw.zero, cfg.raw.power
     checked = 0
     for b, l in adj_product_inputs(cfg, n, seeded(4500 + n)):
         det, adj_l = cofactor_adjugate(b, l, zero, power(0))
@@ -391,7 +390,7 @@ def test_adj_product_matches_cofactor_reference(ring, n):
 @pytest.mark.parametrize("ring", ["padic:2", "padic:3", "tadic"])
 def test_adj_product_rejects_singular(ring):
     cfg = RingConfig.parse_flag(ring)
-    zero, power = _raw_scalars(cfg)
+    zero, power = cfg.raw.zero, cfg.raw.power
     rng = seeded(4510)
     l = [[raw_value(cfg, rng) for _ in range(3)] for _ in range(3)]
     rows = [[raw_value(cfg, rng) for _ in range(3)] for _ in range(2)]
@@ -407,7 +406,7 @@ def eliminate_inputs(cfg, rng):
     entries zero, with 1 <= width < c; the first ``width`` columns are
     lifted by pi^k, k in 0..2, so the columns past ``width`` may hold lower
     valuations than any the scan reads."""
-    zero, power = _raw_scalars(cfg)
+    zero, power = cfg.raw.zero, cfg.raw.power
     out = []
     for m in range(1, 7):
         for width in range(1, m + 3):

@@ -1,11 +1,14 @@
+import ast
+import importlib
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from hivekit import INFINITY, RingConfig
-from hivekit.ring import _texact, _tgcd, _tpoly, _tprem
+from hivekit.ring import _PRIME_BOUND, _texact, _tgcd, _tpoly, _tprem
 
 
 def test_padic_valuation_examples(p2):
@@ -15,8 +18,8 @@ def test_padic_valuation_examples(p2):
 
 
 def test_unit_part_examples(p2, tadic):
-    assert p2.element(12).unit_part().value == 3
-    assert p2.element(Fraction(3, 8)).unit_part().value == 3
+    assert p2.element(12).unit_part() == p2.element(3)
+    assert p2.element(Fraction(3, 8)).unit_part() == p2.element(3)
     x = tadic.element("(t^2+t^3)/(1)")
     assert x.unit_part() == tadic.element("(1+t)/(1)")
 
@@ -30,7 +33,8 @@ def test_unit_part_of_zero_rejected(p2, tadic):
 def test_field_ops_examples(p2):
     half = p2.element(Fraction(1, 2))
     assert (half + half) == p2.one
-    assert (p2.element(6) * p2.element(Fraction(1, 4))).value == Fraction(3, 2)
+    assert (p2.element(6) * p2.element(Fraction(1, 4))
+            == p2.element(Fraction(3, 2)))
     # ultrametric equality can fail when valuations tie
     assert (p2.element(2) + p2.element(2)).valuation() == 2 > 1
 
@@ -52,6 +56,33 @@ def test_composite_p_rejected():
         RingConfig.padic(6)
     with pytest.raises(ValueError, match="prime"):
         RingConfig.padic(1)
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    for p in range(3000):
+        if trial(p):
+            assert RingConfig.padic(p).p == p
+        else:
+            with pytest.raises(ValueError, match="prime"):
+                RingConfig.padic(p)
+
+
+def test_large_primes():
+    start = time.perf_counter()
+    assert RingConfig.padic(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+    # 2^61 + 1 is divisible by 3; 399165290221 * 798330580441 is a strong
+    # pseudoprime to each of the first 12 prime bases, so only the 13th
+    # (41) rejects it
+    for bad in (2 ** 61 + 1, 1, 399165290221 * 798330580441):
+        with pytest.raises(ValueError, match="prime"):
+            RingConfig.padic(bad)
+    # Miller-Rabin on the fixed bases is exact only below the bound
+    for big in (_PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="below"):
+            RingConfig.padic(big)
 
 
 def test_config_equality_and_json():
@@ -112,6 +143,38 @@ def test_tadic_valuation_properties(num_a, num_b, shift):
         assert (cfg.one / a).valuation() == -a.valuation()
 
 
+def fraction_valuation(x, p):
+    v = 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
+@given(x=fractions_st, y=fractions_st, p=st.sampled_from([2, 3]))
+def test_padic_element_matches_fraction(x, y, p):
+    # the p-adic element is num / den over Python ints; Fraction is the
+    # reference for its arithmetic, valuation and JSON form
+    cfg = RingConfig.padic(p)
+    a, b = cfg.element(x), cfg.element(y)
+    results = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)]
+    if y:
+        results.append((a / b, x / y))
+    if x:
+        v = fraction_valuation(x, p)
+        assert a.valuation() == v
+        results.append((a.unit_part(), x / Fraction(p) ** v))
+    else:
+        assert a.valuation() == INFINITY
+    for got, want in results:
+        assert (got.num, got.den) == (want.numerator, want.denominator)
+        assert cfg.scalar_to_json(got) == str(want)
+        assert cfg.parse_scalar(str(want)) == got
+        assert got.valuation() == (fraction_valuation(want, p) if want
+                                   else INFINITY)
+
+
 def test_scalar_json_round_trip_padic(p2):
     for raw in ("3/8", "-5", "0", "7/3"):
         x = p2.parse_scalar(raw)
@@ -138,7 +201,7 @@ def test_canonical_form_equality(tadic):
 def test_valuation_and_unit_part_methods(p2):
     x = p2.element(12)
     assert x.valuation() == 2
-    assert x.unit_part().value == 3
+    assert x.unit_part() == p2.element(3)
 
 
 def test_parse_flag_accepts_exactly_padic_prime_and_tadic():
@@ -192,6 +255,14 @@ def test_tadic_canonical_form(a, b, c):
     assert math.gcd(*x.num.c, *x.den.c) == 1
 
 
+def test_texact_by_a_power_of_t():
+    # division by t^k is a shift of the order, and inexact below it
+    assert _texact(_tpoly([0, 0, 3, -1]), _tpoly([0, 1])) == _tpoly([0, 3, -1])
+    assert _texact(_tpoly([2, 5]), _tpoly([1])) == _tpoly([2, 5])
+    with pytest.raises(ArithmeticError):
+        _texact(_tpoly([2, 5]), _tpoly([0, 1]))
+
+
 @given(f=nonzero_polys, g=nonzero_polys, h=nonzero_polys)
 def test_integer_gcd_matches_fraction_euclid(f, g, h):
     a, b = times(f, g), times(f, h)
@@ -207,3 +278,42 @@ def test_integer_gcd_matches_fraction_euclid(f, g, h):
     scale = small[-1] ** (len(big) - len(small) + 1)
     assert not r or r.v + len(r.c) < len(small)
     _texact(_tpoly([scale * x for x in big]) - r, _tpoly(small))
+
+
+def kind_comparisons(tree):
+    """The enclosing function's name (None at module level) of each
+    comparison with a ``.kind`` operand."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "kind"
+                for x in (node.left, *node.comparators)):
+            out.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+    visit(tree, None)
+    return out
+
+
+@pytest.mark.parametrize("name", ["matops", "lattice", "hive", "cli"])
+def test_ring_kind_stays_in_ring(name):
+    # what differs between the ring kinds lives behind RingConfig.raw:
+    # the optimizer's modules and the CLI take only the ring's public
+    # types, and only the CLI's p-adic input guard of the oracle command
+    # reads the kind
+    module = importlib.import_module(f"hivekit.{name}")
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("hivekit") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if (node.level, node.module) in ((1, "ring"), (0, "hivekit.ring")):
+                assert names <= {"INFINITY", "RingConfig", "RingElement"}
+            elif node.module in (None, "hivekit"):
+                assert "ring" not in names
+    want = ["cmd_oracle"] if name == "cli" else []
+    assert kind_comparisons(tree) == want
